@@ -12,19 +12,9 @@ import argparse
 import csv
 
 import otkit as ok
+from otkit import cli
 
-
-def build_instance(family, seed, m, image_size):
-    gen_s, gen_t = ok.spawn_generators(seed, 2)
-    if family == "sed":
-        from otkit.cli import synthetic_blob_image
-        src = ok.from_image_grid(synthetic_blob_image(gen_s, image_size))
-        tgt = ok.from_image_grid(synthetic_blob_image(gen_t, image_size))
-        return src, tgt, ok.squared_euclidean(src, tgt)
-    src = ok.random_measure(gen_s, m, 3, "gaussian", gaussian_mean=3.0,
-                            project_to_sphere=True)
-    tgt = ok.random_measure(gen_t, m, 3, "uniform", project_to_sphere=True)
-    return src, tgt, ok.spherical(src, tgt)
+PRESETS = {"sed": "sed-paper", "sphere": "sphere-paper"}
 
 
 def main():
@@ -40,7 +30,10 @@ def main():
     parser.add_argument("--out", default="curves.csv")
     args = parser.parse_args()
 
-    src, tgt, original = build_instance(args.family, args.seed, args.m, args.image_size)
+    config = cli.config_from_sources(PRESETS[args.family], overrides=dict(
+        seed=args.seed, m=args.m, n=args.m, image_size=args.image_size))
+    src, tgt = cli.build_instance(config)
+    original = cli.build_cost(config, src, tgt)
     solve_cost = ok.center(original)
     offset = (original.c_max + original.c_min) / 2.0
     lam = solve_cost.spread / args.T

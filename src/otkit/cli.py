@@ -217,41 +217,33 @@ def run_experiment(config: ExperimentConfig):
             oracle_cost = metrics.plan_cost(plan, original)
             report = metrics.evaluate(oracle_cost, plan, original, source, target, lam,
                                       oracle_cost=oracle_cost)
-            entry = {"status": solvers.CONVERGED, "iterations": None, "wall_ms": None,
-                     "report": report.to_dict()}
-        elif name == "fista":
-            fista_config = solvers.FistaConfig(
+            summary["solvers"][name] = {"status": solvers.CONVERGED, "iterations": None,
+                                        "wall_ms": None, "report": report.to_dict()}
+            continue
+        if name == "fista":
+            result = solvers.fista_solve(source, target, solve_cost, lam, solvers.FistaConfig(
                 eta=config.eta, max_iters=config.max_iters,
                 stop_rel_tol=config.stop_rel_tol, trace_every=config.trace_every,
-                kernel_mode=config.kernel_mode, cost_offset=cost_offset)
-            result = solvers.fista_solve(source, target, solve_cost, lam, fista_config)
-            estimate = -smoothed_dual.energy(result.potential, source, target, original)
-            fista_estimate = estimate
-            report = metrics.evaluate(estimate, result.plan, original, source, target,
-                                      lam, oracle_cost=oracle_cost)
-            result.trace.to_csv(out / "trace_fista.csv")
-            entry = {"status": result.trace.status,
-                     "iterations": result.trace.n_iterations,
-                     "wall_ms": result.trace.wall_ms[-1] if result.trace.wall_ms else None,
-                     "failed_iteration": result.trace.failed_iteration,
-                     "report": report.to_dict()}
+                kernel_mode=config.kernel_mode, cost_offset=cost_offset))
+            estimate = fista_estimate = -smoothed_dual.energy(
+                result.potential, source, target, original)
         else:
             result = solvers.sinkhorn_solve(
                 source, target, solve_cost, lam, max_iters=config.max_iters,
                 stop_rel_tol=config.stop_rel_tol, kernel_mode=config.kernel_mode,
                 trace_every=config.trace_every, cost_offset=cost_offset)
             estimate = metrics.plan_cost(result.plan, original)
-            report = metrics.evaluate(estimate, result.plan, original, source, target,
-                                      lam, oracle_cost=oracle_cost)
-            result.trace.to_csv(out / "trace_sinkhorn.csv")
-            entry = {"status": result.trace.status,
-                     "iterations": result.trace.n_iterations,
-                     "wall_ms": result.trace.wall_ms[-1] if result.trace.wall_ms else None,
-                     "failed_iteration": result.trace.failed_iteration,
-                     "report": report.to_dict()}
-        if entry["status"] == solvers.NUMERICAL_FAILURE:
+        trace = result.trace
+        report = metrics.evaluate(estimate, result.plan, original, source, target,
+                                  lam, oracle_cost=oracle_cost)
+        trace.to_csv(out / ("trace_%s.csv" % name))
+        if trace.status == solvers.NUMERICAL_FAILURE:
             exit_code = 2
-        summary["solvers"][name] = entry
+        summary["solvers"][name] = {"status": trace.status,
+                                    "iterations": trace.n_iterations,
+                                    "wall_ms": trace.wall_ms[-1] if trace.wall_ms else None,
+                                    "failed_iteration": trace.failed_iteration,
+                                    "report": report.to_dict()}
 
     if oracle_cost is not None and fista_estimate is not None:
         gap = metrics.theorem8_gap(-fista_estimate, oracle_cost, lam, target.size,

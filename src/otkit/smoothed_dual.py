@@ -2,11 +2,14 @@
 dual energy with analytic gradient and Hessian-vector products, projection
 onto the zero-mean hyperplane, and recovery of the approximate plan.
 
-All operations are pure functions of immutable inputs. The default evaluation
-path is log-domain: every per-row reduction shifts by the row maximum before
-exponentiating, so any smoothing scale ``lam > 0`` is representable. The
-multiplicative kernel path (``K = exp(-C/lam)``, ``v = exp(psi/lam)``) is kept
-as an opt-in for solvers that want to expose its overflow behavior.
+All operations are pure functions of immutable inputs. Every smoothed
+quantity, here and in both solvers, comes from one row pass over
+``exp((psi_j - c_ij - shift_i)/lam)``. The default path is log-domain: the
+shift is the row maximum of ``psi_j - c_ij`` (the c-transform), so any
+smoothing scale ``lam > 0`` is representable. Given the multiplicative kernel
+``K = exp(-C/lam)`` the pass returns ``K * exp(psi/lam)`` with zero shift;
+this opt-in path is kept for solvers that want to expose its overflow
+behavior.
 """
 
 from __future__ import annotations
@@ -111,20 +114,30 @@ def _psi_array(psi) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _row_stats(psi, cost: CostMatrix, lam: float):
-    """Shared per-row reductions for the smoothed operations.
+def _row_pass(psi: np.ndarray, C: np.ndarray, lam: float, K: np.ndarray | None = None):
+    """The smoothed c-transform of ``psi`` over the rows of ``C``.
 
-    Returns ``(vals_max, log_sum, weights)`` where ``vals_max`` is the row
-    maximum of ``psi_j - c_ij`` (the c-transform), ``log_sum`` is
-    ``log sum_j exp((psi_j - c_ij - vals_max)/lam)`` and ``weights`` holds the
-    shifted exponentials (softmax numerators). Shifting happens before the
-    division by ``lam`` so constant rows are reproduced exactly.
+    Returns ``(shift, weights, sums)`` with
+    ``weights_ij = exp((psi_j - c_ij - shift_i)/lam)`` and ``sums`` its row
+    sums, so the smoothed c-transform is ``shift + lam * log(sums / n)``. In
+    the log domain ``shift`` is the row maximum of ``psi_j - c_ij``, taken
+    before the division by ``lam`` so constant rows are reproduced exactly.
+    Given the kernel ``K = exp(-C/lam)`` the shift is zero and the weights
+    are ``K * exp(psi/lam)``, which may overflow to inf/nan.
     """
-    vals = _psi_array(psi)[None, :] - cost.entries
-    vals_max = vals.max(axis=1)
-    weights = np.exp((vals - vals_max[:, None]) / lam)
-    sums = weights.sum(axis=1)
-    return vals_max, np.log(sums), weights, sums
+    if not lam > 0.0:
+        raise ValueError("lam must be > 0")
+    if K is None:
+        # Built in place so the pass allocates one m x n buffer.
+        weights = psi[None, :] - C
+        shift = weights.max(axis=1)
+        weights -= shift[:, None]
+        weights /= lam
+        np.exp(weights, out=weights)
+    else:
+        shift = np.zeros(K.shape[0])
+        weights = K * np.exp(psi / lam)[None, :]
+    return shift, weights, weights.sum(axis=1)
 
 
 def c_transform(psi, cost: CostMatrix) -> np.ndarray:
@@ -147,11 +160,8 @@ def smoothed_c_transform(psi, cost: CostMatrix, lam: float) -> np.ndarray:
     Always finite for ``lam > 0`` and sandwiched within ``lam * log n`` below
     the exact c-transform.
     """
-    if not lam > 0.0:
-        raise ValueError("lam must be > 0")
-    n = cost.shape[1]
-    vals_max, log_sum, _, _ = _row_stats(psi, cost, lam)
-    return vals_max + lam * (log_sum - math.log(n))
+    shift, _, sums = _row_pass(_psi_array(psi), cost.entries, lam)
+    return shift + lam * (np.log(sums) - math.log(cost.shape[1]))
 
 
 def energy(psi, source: DiscreteMeasure, target: DiscreteMeasure, cost: CostMatrix) -> float:
@@ -180,19 +190,11 @@ def smoothed_energy(
     expected to check finiteness.
     """
     psi = _psi_array(psi)
-    if kernel_mode:
-        if not lam > 0.0:
-            raise ValueError("lam must be > 0")
-        n = cost.shape[1]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            K = np.exp(-cost.entries / lam)
-            v = np.exp(psi / lam)
-            log_rows = np.log(K @ v)
-            value = lam * float(source.weights @ log_rows) - float(
-                target.weights @ psi
-            ) - lam * math.log(n)
-        return value
-    return float(source.weights @ smoothed_c_transform(psi, cost, lam) - target.weights @ psi)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        K = np.exp(-cost.entries / lam) if kernel_mode else None
+        shift, _, sums = _row_pass(psi, cost.entries, lam, K)
+        rows = shift + lam * (np.log(sums) - math.log(cost.shape[1]))
+    return float(source.weights @ rows - target.weights @ psi)
 
 
 def smoothed_gradient(
@@ -208,20 +210,13 @@ def smoothed_gradient(
         g_j = sum_i mu_i * softmax_i((psi - c_i)/lam)_j - nu_j
 
     where ``softmax_i`` is the row softmax. Softmax rows sum to one, so the
-    gradient entries sum to zero up to rounding.
+    gradient entries sum to zero up to rounding. ``kernel_mode`` is as in
+    :func:`smoothed_energy`.
     """
-    psi = _psi_array(psi)
-    if kernel_mode:
-        if not lam > 0.0:
-            raise ValueError("lam must be > 0")
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            K = np.exp(-cost.entries / lam)
-            v = np.exp(psi / lam)
-            scaled = source.weights / (K @ v)
-            return v * (K.T @ scaled) - target.weights
-    _, _, weights, sums = _row_stats(psi, cost, lam)
-    softmax = weights / sums[:, None]
-    return source.weights @ softmax - target.weights
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        K = np.exp(-cost.entries / lam) if kernel_mode else None
+        _, weights, sums = _row_pass(_psi_array(psi), cost.entries, lam, K)
+        return (source.weights / sums) @ weights - target.weights
 
 
 def hessian_apply(
@@ -241,7 +236,7 @@ def hessian_apply(
     null space) and the largest eigenvalue is at most ``1/lam``.
     """
     w = np.asarray(direction, dtype=float)
-    _, _, weights, sums = _row_stats(psi, cost, lam)
+    _, weights, sums = _row_pass(_psi_array(psi), cost.entries, lam)
     softmax = weights / sums[:, None]
     mu = source.weights
     row_dots = softmax @ w
@@ -269,8 +264,6 @@ def recover_plan(
     smoothed optimizer the column sums match the target weights as well.
     Invariant under ``psi -> psi + k * 1``.
     """
-    if not lam > 0.0:
-        raise ValueError("lam must be > 0")
-    _, _, weights, sums = _row_stats(psi, cost, lam)
+    _, weights, sums = _row_pass(_psi_array(psi), cost.entries, lam)
     entries = (source.weights / sums)[:, None] * weights
     return TransportPlan(entries)

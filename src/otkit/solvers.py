@@ -18,7 +18,7 @@ import numpy as np
 
 from .costs import CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import Potential, TransportPlan, project_H, recover_plan
+from .smoothed_dual import Potential, TransportPlan, _row_pass, energy, project_H, recover_plan
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -113,16 +113,6 @@ def _rel_change(current: float, previous: float, floor: float = 1e-300) -> float
     return abs(current - previous) / denom
 
 
-def _lse_rows(mat: np.ndarray) -> np.ndarray:
-    mx = mat.max(axis=1)
-    return mx + np.log(np.exp(mat - mx[:, None]).sum(axis=1))
-
-
-def _lse_cols(mat: np.ndarray) -> np.ndarray:
-    mx = mat.max(axis=0)
-    return mx + np.log(np.exp(mat - mx[None, :]).sum(axis=0))
-
-
 def fista_solve(
     source: DiscreteMeasure,
     target: DiscreteMeasure,
@@ -155,9 +145,8 @@ def fista_solve(
     log_n = math.log(n)
     step = config.eta * lam
 
-    if config.kernel_mode:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            K = np.exp(-C / lam)
+    with np.errstate(over="ignore"):
+        K = np.exp(-C / lam) if config.kernel_mode else None
 
     trace = SolveTrace()
     start = time.perf_counter()
@@ -172,23 +161,15 @@ def fista_solve(
 
     offset = config.cost_offset
     while True:
-        # One fused evaluation at psi_t: c-transform row maxima give E, the
-        # shifted exponentials give E_lambda, the gradient, and the plan.
+        # One row pass at psi_t gives E_lambda, the gradient and the plan; in
+        # the log domain its shift is the c-transform, so E comes with it.
         # With true cost = C + offset, E_true(psi) = E_C(psi) - offset.
-        vals = psi[None, :] - C
-        row_max = vals.max(axis=1)
-        e_val = float(mu @ row_max - nu @ psi) - offset
-        if config.kernel_mode:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                v = np.exp(psi / lam)
-                kv = K @ v
-                grad = v * (K.T @ (mu / kv)) - nu
-                e_lam = lam * float(mu @ np.log(kv)) - float(nu @ psi) - lam * log_n - offset
-        else:
-            weights = np.exp((vals - row_max[:, None]) / lam)
-            sums = weights.sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            shift, weights, sums = _row_pass(psi, C, lam, K)
+            e_shift = float(mu @ shift - nu @ psi) - offset
+            e_val = e_shift if K is None else energy(psi, source, target, cost) - offset
+            e_lam = e_shift + lam * (float(mu @ np.log(sums)) - log_n)
             grad = (mu / sums) @ weights - nu
-            e_lam = e_val + lam * (float(mu @ np.log(sums)) - log_n)
 
         failed = not (math.isfinite(e_val) and math.isfinite(e_lam)
                       and np.all(np.isfinite(grad)))
@@ -204,12 +185,6 @@ def fista_solve(
         if stopping or t % config.trace_every == 0:
             if failed:
                 pc = dev = float("nan")
-            elif config.kernel_mode:
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    plan_now = (mu / kv)[:, None] * (K * v[None, :])
-                pc = float((plan_now * C).sum()) + offset * float(plan_now.sum())
-                dev = float(np.abs(plan_now.sum(axis=1) - mu).sum()
-                            + np.abs(plan_now.sum(axis=0) - nu).sum())
             else:
                 plan_rows = (mu / sums)[:, None] * weights
                 pc = float((plan_rows * C).sum()) + offset * float(plan_rows.sum())
@@ -254,13 +229,22 @@ def sinkhorn_solve(
     """Entropic matrix scaling on the kernel ``K = exp(-C/lam)``.
 
     One iteration is the full round ``u <- mu / (K v)``, ``v <- nu / (K^T u)``
-    with plan ``diag(u) K diag(v)``. The default path runs the identical
-    recursion on log-scalings (stable for any ``lam > 0``); ``kernel_mode``
-    runs the multiplicative form, whose overflow at small ``lam`` is reported
-    as a ``numerical_failure`` status carrying the iteration index. Stops when
-    the relative change of <P, C> drops below ``stop_rel_tol``; as in
-    :class:`FistaConfig`, ``cost_offset`` restores original cost units for the
-    trace and the stop metric after range centering.
+    with plan ``diag(u) K diag(v)``. It runs on the cost-unit potentials
+    ``f = lam log u`` and ``g = lam log v``, one smoothed c-transform row pass
+    per half:
+
+        f_i = lam log mu_i - lam log sum_j exp((g_j - c_ij)/lam)   (rows of C)
+        g_j = lam log nu_j - lam log sum_i exp((f_i - c_ij)/lam)   (rows of C.T)
+
+    The plan ``exp((f_i + g_j - c_ij)/lam)`` is read off the column half as
+    ``nu_j / sums_j`` times its weights, so its column sums equal ``nu`` up to
+    rounding. The default path is log-domain (stable for any ``lam > 0``);
+    ``kernel_mode`` hands the pass the multiplicative kernel, whose overflow
+    at small ``lam`` is reported as a ``numerical_failure`` status carrying
+    the iteration index. Stops when the relative change of <P, C> drops below
+    ``stop_rel_tol``; as in :class:`FistaConfig`, ``cost_offset`` restores
+    original cost units for the trace and the stop metric after range
+    centering.
     """
     if not lam > 0.0:
         raise ValueError("lam must be > 0")
@@ -273,16 +257,12 @@ def sinkhorn_solve(
     trace = SolveTrace()
     start = time.perf_counter()
 
-    neg_c = -C / lam
     log_mu = np.log(mu)
     log_nu = np.log(nu)
-    if kernel_mode:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            K = np.exp(neg_c)
-        v = np.ones(n)
-    else:
-        alpha = np.zeros(m)
-        beta = np.zeros(n)
+    with np.errstate(over="ignore"):
+        K = np.exp(-C / lam) if kernel_mode else None
+    KT = None if K is None else K.T
+    g = np.zeros(n)
 
     plan_entries = np.full((m, n), np.nan)
     pc_prev = None
@@ -291,15 +271,12 @@ def sinkhorn_solve(
     t = 0
 
     for t in range(1, max_iters + 1):
-        if kernel_mode:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                u = mu / (K @ v)
-                v = nu / (K.T @ u)
-                plan_entries = u[:, None] * K * v[None, :]
-        else:
-            alpha = log_mu - _lse_rows(neg_c + beta[None, :])
-            beta = log_nu - _lse_cols(neg_c + alpha[:, None])
-            plan_entries = np.exp(neg_c + alpha[:, None] + beta[None, :])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            shift, weights, sums = _row_pass(g, C, lam, K)
+            f = lam * (log_mu - np.log(sums)) - shift
+            shift, weights, sums = _row_pass(f, C.T, lam, KT)
+            g = lam * (log_nu - np.log(sums)) - shift
+            plan_entries = ((nu / sums)[:, None] * weights).T
 
         pc = float((plan_entries * C).sum()) + cost_offset * float(plan_entries.sum())
         dev = float(np.abs(plan_entries.sum(axis=1) - mu).sum()

@@ -156,6 +156,9 @@ class TestSmoothedEnergy:
         a = ok.smoothed_energy(psi, src, tgt, cost, 0.5)
         b = ok.smoothed_energy(psi, src, tgt, cost, 0.5, kernel_mode=True)
         assert a == pytest.approx(b, rel=1e-12)
+        a = ok.smoothed_gradient(psi, src, tgt, cost, 0.5)
+        b = ok.smoothed_gradient(psi, src, tgt, cost, 0.5, kernel_mode=True)
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_kernel_mode_overflows_where_log_domain_survives(self, rng):
         src, tgt, cost = small_random_instance(rng, 4, 4, cost_scale=2000.0)
@@ -288,6 +291,27 @@ class TestRecoverPlan:
                                                trace_every=10**9))
         assert result.trace.status == ok.CONVERGED
         np.testing.assert_allclose(result.plan.col_sums(), tgt.weights, atol=1e-7)
+
+
+SMOOTHED_FUNCTIONS = {
+    "smoothed_c_transform": lambda psi, src, tgt, cost, lam: ok.smoothed_c_transform(
+        psi, cost, lam),
+    "smoothed_energy": ok.smoothed_energy,
+    "smoothed_gradient": ok.smoothed_gradient,
+    "hessian_apply": lambda psi, src, tgt, cost, lam: ok.hessian_apply(
+        psi, src, tgt, cost, lam, np.ones(psi.size)),
+    "recover_plan": ok.recover_plan,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTHED_FUNCTIONS))
+def test_smoothed_functions_reject_nonpositive_lambda(name):
+    src = ok.from_points([[0.0], [1.0]], [0.5, 0.5])
+    tgt = ok.from_points([[0.0], [1.0]], [0.3, 0.7])
+    cost = ok.CostMatrix.from_entries(np.zeros((2, 2)))
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError, match="lam must be > 0"):
+            SMOOTHED_FUNCTIONS[name](np.zeros(2), src, tgt, cost, lam)
 
 
 class TestPotentialAndParams:

@@ -104,6 +104,21 @@ class TestFistaSolve:
         assert np.isfinite(result.potential.values).all()
         assert np.isfinite(result.plan.entries).all()
 
+    @pytest.mark.parametrize("kernel_mode", [False, True])
+    def test_first_trace_row_matches_dual_functions(self, kernel_mode, rng):
+        src, tgt, cost = small_random_instance(rng, 6, 5)
+        lam = 0.3
+        result = ok.fista_solve(src, tgt, cost, lam,
+                                ok.FistaConfig(max_iters=1, kernel_mode=kernel_mode))
+        trace = result.trace
+        zero = np.zeros(5)
+        grad = ok.smoothed_gradient(zero, src, tgt, cost, lam, kernel_mode=kernel_mode)
+        assert trace.iters[0] == 0
+        assert trace.energy[0] == pytest.approx(ok.energy(zero, src, tgt, cost), rel=1e-12)
+        assert trace.smoothed_energy[0] == pytest.approx(
+            ok.smoothed_energy(zero, src, tgt, cost, lam, kernel_mode=kernel_mode), rel=1e-12)
+        assert trace.marginal_dev[0] == pytest.approx(np.abs(grad).sum(), rel=1e-12)
+
     def test_convergence_ordering_of_estimates(self, rng):
         # at a tight tolerance: <P_lam, C> >= <P*, C> = -E(psi*) >= -E(psi_final),
         # and the sandwich gives -E_lam(psi) >= -E(psi) pointwise
