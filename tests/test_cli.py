@@ -129,6 +129,8 @@ class TestRunExperiment:
         assert "ot_cost_estimate=0.3" in out
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["solvers"]["exact"]["report"]["ot_cost_estimate"] == pytest.approx(0.3)
+        wall_ms = summary["solvers"]["exact"]["wall_ms"]
+        assert isinstance(wall_ms, float) and wall_ms > 0.0
 
     def test_summary_contains_bound_and_within(self, tmp_path):
         config = ExperimentConfig(instance="random_points", m=12, n=12, seed=3,

@@ -5,34 +5,70 @@ import numpy as np
 import pytest
 
 import otkit as ok
+from otkit import exact
 from otkit.exact import _tree_peel_schedules, northwest_corner, transportation_simplex
 from helpers import small_random_instance
+
+
+def is_spanning_tree(cells, m, n):
+    """``m + n - 1`` cells with no cycle, checked by union-find: a spanning
+    tree of K_{m,n}, rows as nodes 0..m-1 and columns as m..m+n-1."""
+    parent = list(range(m + n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in cells:
+        ri, rj = find(i), find(m + j)
+        if ri == rj:
+            return False
+        parent[ri] = rj
+    return len(cells) == m + n - 1
 
 
 def spanning_trees_by_filtering(m, n):
     """All spanning-tree edge sets of K_{m,n} via subset filtering; the
     independent check for the sequence-pair enumeration."""
     cells = [(i, j) for i in range(m) for j in range(n)]
-    trees = set()
-    for subset in itertools.combinations(cells, m + n - 1):
-        parent = list(range(m + n))
+    return {frozenset(i * n + j for i, j in subset)
+            for subset in itertools.combinations(cells, m + n - 1)
+            if is_spanning_tree(subset, m, n)}
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        acyclic = True
-        for i, j in subset:
-            ri, rj = find(i), find(m + j)
-            if ri == rj:
-                acyclic = False
-                break
-            parent[ri] = rj
-        if acyclic:
-            trees.add(frozenset(i * n + j for i, j in subset))
-    return trees
+def assert_optimal_basis(state, mu, nu, costs):
+    """Spanning-tree basis, exact marginals, and the dual certificate: no
+    negative reduced cost, zero reduced cost on every basic cell."""
+    m, n = costs.shape
+    assert len(set(state.cells)) == m + n - 1
+    assert is_spanning_tree(state.cells, m, n)
+    np.testing.assert_allclose(state.plan.sum(axis=1), mu, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(state.plan.sum(axis=0), nu, rtol=0, atol=1e-12)
+    reduced = state.reduced_costs(costs)
+    assert reduced.min() >= -1e-10
+    rows, cols = zip(*state.cells)
+    np.testing.assert_allclose(reduced[list(rows), list(cols)], 0.0, atol=1e-9)
+
+
+def dyadic_masses(rng, k):
+    """``k`` masses summing exactly to 1, each a power of two."""
+    parts = [1.0]
+    while len(parts) < k:
+        x = parts.pop(int(rng.integers(len(parts))))
+        parts += [x / 2, x / 2]
+    return np.array(parts)
+
+
+def degenerate_instance(rng, m, n, max_cost=3):
+    """Uniform or dyadic masses with small integer costs: many ties in both
+    the allocations and the reduced costs."""
+    if rng.integers(2):
+        mu, nu = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    else:
+        mu, nu = dyadic_masses(rng, m), dyadic_masses(rng, n)
+    return mu, nu, rng.integers(0, max_cost + 1, size=(m, n)).astype(float)
 
 
 class TestTreeEnumeration:
@@ -116,15 +152,25 @@ class TestExactSolve:
         for _ in range(10):
             src, tgt, cost = small_random_instance(rng, 8, 7)
             state = transportation_simplex(src.weights, tgt.weights, cost.entries)
-            reduced = state.reduced_costs(cost.entries)
-            assert reduced.min() >= -1e-10
-            basic = np.zeros(cost.shape, dtype=bool)
-            for i, j in state.cells:
-                basic[i, j] = True
-            np.testing.assert_allclose(reduced[basic], 0.0, atol=1e-9)
+            assert_optimal_basis(state, src.weights, tgt.weights, cost.entries)
+
+    def test_randomized_certificate_sweep(self):
+        # Half the instances are degenerate, where the pivots that re-hang the
+        # basis tree without moving mass are most frequent.
+        rng = np.random.default_rng(31)
+        for k in range(200):
+            m, n = (int(x) for x in rng.integers(1, 31, size=2))
+            if k % 2:
+                mu, nu, costs_ = degenerate_instance(rng, m, n)
+            else:
+                mu = ok.normalize(rng.uniform(0.1, 1.0, m))
+                nu = ok.normalize(rng.uniform(0.1, 1.0, n))
+                costs_ = rng.uniform(0.0, 1.0, size=(m, n))
+            state = transportation_simplex(mu, nu, costs_)
+            assert_optimal_basis(state, mu, nu, costs_)
 
     def test_degenerate_uniform_masses(self):
-        # maximally tied masses exercise the anti-cycling path
+        # maximally tied masses make many pivots degenerate
         n = 8
         mu = np.full(n, 1.0 / n)
         rng = np.random.default_rng(5)
@@ -143,6 +189,50 @@ class TestExactSolve:
         for plan in (fista.plan, sink.plan):
             dev = ok.marginal_deviation(plan, src, tgt)
             assert ok.plan_cost(plan, cost) >= lp_cost - dev * cost.c_max - 1e-9
+
+
+class TestBlandFallback:
+    """Bland's rule engaged after every degenerate pivot."""
+
+    @pytest.fixture
+    def bland_calls(self, monkeypatch):
+        """Force the fallback and record the ``bland`` flag of every pricing."""
+        monkeypatch.setattr(exact, "_DEGENERATE_STALL", 1)
+        calls = []
+        price = exact._price
+
+        def spy(costs, u, v, basic_flat, reduced, bland, opt_tol):
+            calls.append(bland)
+            return price(costs, u, v, basic_flat, reduced, bland, opt_tol)
+
+        monkeypatch.setattr(exact, "_price", spy)
+        return calls
+
+    def test_matches_brute_force(self, bland_calls):
+        rng = np.random.default_rng(47)
+        engaged = 0
+        for _ in range(40):
+            m, n = (int(x) for x in rng.integers(2, 6, size=2))
+            mu, nu = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+            entries = rng.integers(0, 3, size=(m, n)).astype(float)
+            src = ok.from_points(np.zeros((m, 1)), mu)
+            tgt = ok.from_points(np.zeros((n, 1)), nu)
+            cost = ok.CostMatrix.from_entries(entries)
+            bland_calls.clear()
+            _, simplex_cost = ok.exact_solve(src, tgt, cost)
+            engaged += any(bland_calls)
+            _, brute_cost = ok.brute_force_solve(src, tgt, cost)
+            assert abs(simplex_cost - brute_cost) <= 1e-10
+        assert engaged > 0
+
+    def test_certificate(self, bland_calls):
+        rng = np.random.default_rng(48)
+        for _ in range(30):
+            m, n = (int(x) for x in rng.integers(2, 26, size=2))
+            mu, nu, costs_ = degenerate_instance(rng, m, n, max_cost=2)
+            state = transportation_simplex(mu, nu, costs_)
+            assert_optimal_basis(state, mu, nu, costs_)
+        assert any(bland_calls)
 
 
 class TestBruteForce:
