@@ -52,28 +52,34 @@ class CostMatrix:
         return self.c_max - self.c_min
 
 
-def squared_euclidean(source: DiscreteMeasure, target: DiscreteMeasure) -> CostMatrix:
-    """Cost ``c_ij = ||x_i - y_j||^2``.
-
-    Accumulates per coordinate in index order so entries agree bitwise with a
-    naive double loop.
-    """
+def _squared_distances(source: DiscreteMeasure, target: DiscreteMeasure) -> np.ndarray:
+    """Fresh m x n array of ``||x_i - y_j||^2``, accumulated per coordinate in
+    index order so entries agree bitwise with a naive double loop."""
     x, y = source.points, target.points
     if source.dimension != target.dimension:
         raise ValueError("dimension mismatch: %d vs %d" % (source.dimension, target.dimension))
     out = np.zeros((source.size, target.size))
+    diff = np.empty_like(out)
     for k in range(source.dimension):
-        diff = x[:, k, None] - y[None, :, k]
-        out += diff * diff
-    return CostMatrix.from_entries(out)
+        np.subtract(x[:, k, None], y[None, :, k], out=diff)
+        diff *= diff
+        out += diff
+    return out
+
+
+def squared_euclidean(source: DiscreteMeasure, target: DiscreteMeasure) -> CostMatrix:
+    """Cost ``c_ij = ||x_i - y_j||^2``, bitwise equal to a naive double loop."""
+    return CostMatrix.from_entries(_squared_distances(source, target))
 
 
 def power_cost(source: DiscreteMeasure, target: DiscreteMeasure, p: float) -> CostMatrix:
     """Cost ``c_ij = ||x_i - y_j||^p`` for real exponent ``p > 0``."""
     if p <= 0.0:
         raise ValueError("p must be > 0")
-    sq = squared_euclidean(source, target).entries
-    return CostMatrix.from_entries(sq ** (p / 2.0))
+    entries = _squared_distances(source, target)
+    # In place, with the same scalar-exponent rules as ``entries ** (p / 2)``.
+    entries **= p / 2.0
+    return CostMatrix.from_entries(entries)
 
 
 def spherical(source: DiscreteMeasure, target: DiscreteMeasure) -> CostMatrix:
@@ -86,8 +92,10 @@ def spherical(source: DiscreteMeasure, target: DiscreteMeasure) -> CostMatrix:
         norms = np.linalg.norm(mea.points, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             raise ValueError("not on sphere: %s points must have unit norm" % name)
-    inner = np.clip(source.points @ target.points.T, -1.0, 1.0)
-    return CostMatrix.from_entries(np.arccos(inner))
+    entries = source.points @ target.points.T
+    np.clip(entries, -1.0, 1.0, out=entries)
+    np.arccos(entries, out=entries)
+    return CostMatrix.from_entries(entries)
 
 
 def center(cost: CostMatrix) -> CostMatrix:

@@ -5,6 +5,10 @@ Both solvers share the same relative-change stopping rule so iteration counts
 are comparable: FISTA monitors the dual energy E(psi), Sinkhorn monitors its
 transport-cost estimate <P, C>. Each solver records a per-iteration trace and
 reports a terminal status instead of ever returning non-finite values.
+
+Neither loop forms an m x n plan. The trace's <P, C> and marginal deviation,
+and Sinkhorn's failure check, come from the row pass's weights and sums plus
+O(m + n) vectors; the returned plan is built once, after the last iteration.
 """
 
 from __future__ import annotations
@@ -113,6 +117,13 @@ def _rel_change(current: float, previous: float, floor: float = 1e-300) -> float
     return abs(current - previous) / denom
 
 
+def _plan_cost(scale, weights, sums, C, offset: float) -> float:
+    """``<P, C> + offset * sum(P)`` for the plan ``P = scale[:, None] * weights``
+    over the rows of ``C``, without forming ``P``."""
+    return (float(scale @ np.einsum("ij,ij->i", weights, C))
+            + offset * float(scale @ sums))
+
+
 def fista_solve(
     source: DiscreteMeasure,
     target: DiscreteMeasure,
@@ -186,8 +197,7 @@ def fista_solve(
             if failed:
                 pc = dev = float("nan")
             else:
-                plan_rows = (mu / sums)[:, None] * weights
-                pc = float((plan_rows * C).sum()) + offset * float(plan_rows.sum())
+                pc = _plan_cost(mu / sums, weights, sums, C, offset)
                 dev = float(np.abs(grad).sum())  # row marginals are exact
             ms = (time.perf_counter() - start) * 1000.0
             trace.append(t, e_val, e_lam, pc, dev, ms)
@@ -236,12 +246,16 @@ def sinkhorn_solve(
         f_i = lam log mu_i - lam log sum_j exp((g_j - c_ij)/lam)   (rows of C)
         g_j = lam log nu_j - lam log sum_i exp((f_i - c_ij)/lam)   (rows of C.T)
 
-    The plan ``exp((f_i + g_j - c_ij)/lam)`` is read off the column half as
-    ``nu_j / sums_j`` times its weights, so its column sums equal ``nu`` up to
-    rounding. The default path is log-domain (stable for any ``lam > 0``);
+    The plan ``exp((f_i + g_j - c_ij)/lam)`` is ``nu_j / sums_j`` times the
+    column half's weights, so its column sums equal ``nu`` up to rounding. It
+    is formed once, on return. Each iteration takes <P, C> from the weights'
+    row dots with ``C.T`` and from ``sums``; trace and stop rows add the
+    marginal deviation, whose row marginals are ``(nu / sums) @ weights``.
+    The default path is log-domain (stable for any ``lam > 0``);
     ``kernel_mode`` hands the pass the multiplicative kernel, whose overflow
-    at small ``lam`` is reported as a ``numerical_failure`` status carrying
-    the iteration index. Stops when the relative change of <P, C> drops below
+    at small ``lam`` makes ``g`` or <P, C> non-finite and is reported as a
+    ``numerical_failure`` status carrying the iteration index; the returned
+    plan is then all zeros. Stops when the relative change of <P, C> drops below
     ``stop_rel_tol``; as in :class:`FistaConfig`, ``cost_offset`` restores
     original cost units for the trace and the stop metric after range
     centering.
@@ -261,10 +275,10 @@ def sinkhorn_solve(
     log_nu = np.log(nu)
     with np.errstate(over="ignore"):
         K = np.exp(-C / lam) if kernel_mode else None
+    CT = C.T
     KT = None if K is None else K.T
     g = np.zeros(n)
 
-    plan_entries = np.full((m, n), np.nan)
     pc_prev = None
     status = MAX_ITERS
     failed_at = None
@@ -274,14 +288,15 @@ def sinkhorn_solve(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             shift, weights, sums = _row_pass(g, C, lam, K)
             f = lam * (log_mu - np.log(sums)) - shift
-            shift, weights, sums = _row_pass(f, C.T, lam, KT)
+            shift, weights, sums = _row_pass(f, CT, lam, KT)
             g = lam * (log_nu - np.log(sums)) - shift
-            plan_entries = ((nu / sums)[:, None] * weights).T
+            scale = nu / sums
+            pc = _plan_cost(scale, weights, sums, CT, cost_offset)
 
-        pc = float((plan_entries * C).sum()) + cost_offset * float(plan_entries.sum())
-        dev = float(np.abs(plan_entries.sum(axis=1) - mu).sum()
-                    + np.abs(plan_entries.sum(axis=0) - nu).sum())
-        failed = not (math.isfinite(pc) and np.all(np.isfinite(plan_entries)))
+        # Each plan entry is scale_j * w_ji with 0 <= w_ji <= sums_j, so a
+        # non-finite entry needs a non-finite or zero sums_j, which makes g_j
+        # (or pc) non-finite.
+        failed = not (math.isfinite(pc) and np.all(np.isfinite(g)))
         stopping = failed
         if not failed:
             if pc_prev is not None and _rel_change(pc, pc_prev) < stop_rel_tol:
@@ -292,15 +307,17 @@ def sinkhorn_solve(
                 stopping = True
 
         if stopping or t % trace_every == 0:
+            if failed:
+                pc = dev = float("nan")
+            else:
+                dev = float(np.abs(np.einsum("j,ji->i", scale, weights) - mu).sum()
+                            + np.abs(scale * sums - nu).sum())
             ms = (time.perf_counter() - start) * 1000.0
-            trace.append(t, float("nan"), float("nan"),
-                         pc if not failed else float("nan"),
-                         dev if not failed else float("nan"), ms)
+            trace.append(t, float("nan"), float("nan"), pc, dev, ms)
 
         if failed:
             status = NUMERICAL_FAILURE
             failed_at = t
-            plan_entries = np.zeros((m, n))
             break
         if stopping:
             break
@@ -309,7 +326,9 @@ def sinkhorn_solve(
     trace.status = status
     trace.failed_iteration = failed_at
     trace.n_iterations = t
-    return SinkhornResult(TransportPlan(plan_entries), trace)
+    if failed:
+        return SinkhornResult(TransportPlan(np.zeros((m, n))), trace)
+    return SinkhornResult(TransportPlan((scale[:, None] * weights).T), trace)
 
 
 def corollary9_iteration_bound(psi_star_norm: float, lam: float, epsilon: float) -> int:

@@ -66,6 +66,12 @@ class TestPowerCost:
             with pytest.raises(ValueError, match="p must be > 0"):
                 ok.power_cost(src, tgt, p)
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_matches_naive_power_exactly(self, p):
+        src, tgt = random_point_instance(7, 9, 8, d=3)
+        sq = naive_squared_euclidean(src.points, tgt.points)
+        np.testing.assert_array_equal(ok.power_cost(src, tgt, p).entries, sq ** (p / 2.0))
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     def test_appendix_family_exponents(self, p):
         src, tgt = random_point_instance(2, 6, 6, d=5, source_dist="gaussian",
@@ -100,6 +106,13 @@ class TestSpherical:
         src = ok.from_points([[2.0, 0.0]], [1.0])
         with pytest.raises(ValueError, match="not on sphere"):
             ok.spherical(src, src)
+
+    def test_matches_clipped_arccos_exactly(self):
+        # source == target puts inner products at 1 up to rounding, so the clip acts
+        src, tgt = self._sphere_pair(m=9, n=8)
+        for a, b in ((src, tgt), (src, src)):
+            inner = np.clip(a.points @ b.points.T, -1.0, 1.0)
+            np.testing.assert_array_equal(ok.spherical(a, b).entries, np.arccos(inner))
 
     def test_range_within_zero_pi(self):
         src, tgt = self._sphere_pair()

@@ -108,15 +108,22 @@ class TestFistaSolve:
     def test_first_trace_row_matches_dual_functions(self, kernel_mode, rng):
         src, tgt, cost = small_random_instance(rng, 6, 5)
         lam = 0.3
+        offset = 1.7
         result = ok.fista_solve(src, tgt, cost, lam,
-                                ok.FistaConfig(max_iters=1, kernel_mode=kernel_mode))
+                                ok.FistaConfig(max_iters=1, kernel_mode=kernel_mode,
+                                               cost_offset=offset))
         trace = result.trace
         zero = np.zeros(5)
         grad = ok.smoothed_gradient(zero, src, tgt, cost, lam, kernel_mode=kernel_mode)
+        plan = ok.recover_plan(zero, src, tgt, cost, lam)
         assert trace.iters[0] == 0
-        assert trace.energy[0] == pytest.approx(ok.energy(zero, src, tgt, cost), rel=1e-12)
+        assert trace.energy[0] == pytest.approx(ok.energy(zero, src, tgt, cost) - offset,
+                                                rel=1e-12)
         assert trace.smoothed_energy[0] == pytest.approx(
-            ok.smoothed_energy(zero, src, tgt, cost, lam, kernel_mode=kernel_mode), rel=1e-12)
+            ok.smoothed_energy(zero, src, tgt, cost, lam, kernel_mode=kernel_mode) - offset,
+            rel=1e-12)
+        assert trace.plan_cost[0] == pytest.approx(
+            ok.plan_cost(plan, cost) + offset * plan.entries.sum(), rel=1e-12)
         assert trace.marginal_dev[0] == pytest.approx(np.abs(grad).sum(), rel=1e-12)
 
     def test_convergence_ordering_of_estimates(self, rng):
@@ -187,6 +194,56 @@ class TestSinkhornSolve:
         log_result = ok.sinkhorn_solve(src, tgt, cost, 1e-3, max_iters=100,
                                        stop_rel_tol=1e-9)
         assert log_result.trace.status != ok.NUMERICAL_FAILURE
+
+    def test_kernel_mode_column_half_overflow_reported(self):
+        # The row half stays finite on every iteration; at iteration 4 the
+        # column half's exp(f/lam) overflows. Reference: the plan formed each
+        # iteration and checked entry by entry.
+        C = np.array([[737.9, 709.1], [789.6, 709.8], [367.9, 384.9], [628.2, 642.9]])
+        src = ok.from_points(np.zeros((4, 1)), [0.24, 0.27, 0.25, 0.24])
+        tgt = ok.from_points(np.zeros((2, 1)), [0.71, 0.29])
+        mu, nu = src.weights, tgt.weights
+        K = np.exp(-C)
+        g = np.zeros(2)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for t in range(1, 100):
+                f = np.log(mu) - np.log((K * np.exp(g)).sum(axis=1))
+                assert np.isfinite(f).all()
+                weights = K.T * np.exp(f)
+                sums = weights.sum(axis=1)
+                if not np.isfinite(((nu / sums)[:, None] * weights).T).all():
+                    break
+                g = np.log(nu) - np.log(sums)
+        assert t == 4
+        result = ok.sinkhorn_solve(src, tgt, ok.CostMatrix.from_entries(C), 1.0,
+                                   max_iters=100, stop_rel_tol=1e-9, kernel_mode=True)
+        assert result.trace.status == ok.NUMERICAL_FAILURE
+        assert result.trace.failed_iteration == t
+        assert (result.plan.entries == 0.0).all()
+
+    @pytest.mark.parametrize("kernel_mode", [False, True])
+    def test_trace_matches_returned_plan(self, kernel_mode, rng):
+        src, tgt, cost = small_random_instance(rng, 7, 6)
+        offset = -2.3
+        result = ok.sinkhorn_solve(src, tgt, cost, 0.1, max_iters=30, stop_rel_tol=1e-30,
+                                   kernel_mode=kernel_mode, cost_offset=offset)
+        plan = result.plan
+        assert result.trace.plan_cost[-1] == pytest.approx(
+            ok.plan_cost(plan, cost) + offset * plan.entries.sum(), rel=1e-12)
+        assert result.trace.marginal_dev[-1] == pytest.approx(
+            ok.marginal_deviation(plan, src, tgt), abs=1e-14)
+
+    @pytest.mark.parametrize("kernel_mode", [False, True])
+    def test_final_row_independent_of_trace_every(self, kernel_mode, rng):
+        src, tgt, cost = small_random_instance(rng, 8, 7)
+        runs = [ok.sinkhorn_solve(src, tgt, cost, 0.05, max_iters=25, stop_rel_tol=1e-30,
+                                  kernel_mode=kernel_mode, trace_every=every, cost_offset=0.4)
+                for every in (1, 25)]
+        dense, sparse = ((run.trace.iters[-1], run.trace.plan_cost[-1],
+                          run.trace.marginal_dev[-1]) for run in runs)
+        assert len(runs[1].trace.iters) == 1
+        assert dense == sparse
+        np.testing.assert_array_equal(runs[0].plan.entries, runs[1].plan.entries)
 
     def test_kernel_and_log_domain_agree_when_safe(self, rng):
         src, tgt, cost = small_random_instance(rng, 7, 7)
