@@ -1,19 +1,91 @@
-"""Dense pairwise cost matrices and the range-centering transform.
+"""Dense pairwise cost matrices, their grid factors, and the range-centering
+transform.
 
 Costs are stored dense, row-major, with source atoms indexing rows; all
 solver reductions are per-row. Matrices are immutable after construction.
+
+When both measures of a squared Euclidean cost are full Cartesian grids in
+two or more dimensions (in any atom order), the cost also carries its
+:class:`GridFactors`: ``c_ij`` is a constant plus one small per-axis term per
+coordinate. The solvers use them to evaluate their log-domain passes one axis
+at a time; ``entries`` stays dense for everything else.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .measures import DiscreteMeasure
 
 UNIT_NORM_TOL = 1e-9
+# Size of the row blocks that ``_squared_distances`` accumulates through.
+_BLOCK_BYTES = 1 << 18
+
+
+@dataclass(frozen=True, eq=False)
+class GridFactors:
+    """Separable form of a cost between two full grids:
+
+        c_ij = offset + sum_k axes[k][a_k(i), b_k(j)]
+
+    ``axes[k]`` is the ``p_k x q_k`` matrix of squared coordinate differences
+    along axis ``k``. ``rows[i]`` is the flat (C-order) index of source atom
+    ``i`` in the ``(p_1, ..., p_d)`` grid, whose multi-index is
+    ``(a_1(i), ..., a_d(i))``; ``cols`` does the same for target atoms.
+    """
+
+    axes: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    offset: float = 0.0
+
+    def __post_init__(self):
+        for array in (*self.axes, self.rows, self.cols):
+            array.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Source and target grid shapes."""
+        return tuple(a.shape[0] for a in self.axes), tuple(a.shape[1] for a in self.axes)
+
+    @property
+    def T(self) -> "GridFactors":
+        """Factors of the transposed cost, target atoms indexing rows."""
+        return GridFactors(tuple(a.T for a in self.axes), self.cols, self.rows, self.offset)
+
+
+def _grid_layout(points: np.ndarray):
+    """Per-axis sorted coordinates and each atom's flat grid index, or None
+    unless the points are a full Cartesian grid (every index tuple exactly
+    once) in two or more dimensions."""
+    if points.shape[1] < 2:
+        return None
+    values, indices = [], []
+    for column in points.T:
+        axis, index = np.unique(column, return_inverse=True)
+        values.append(axis)
+        indices.append(index.ravel())
+    shape = tuple(axis.size for axis in values)
+    if math.prod(shape) != points.shape[0]:
+        return None
+    flat = np.ravel_multi_index(indices, shape)
+    if np.bincount(flat).max() > 1:
+        return None
+    return values, flat
+
+
+def _grid_factors(source: DiscreteMeasure, target: DiscreteMeasure) -> GridFactors | None:
+    layouts = _grid_layout(source.points), _grid_layout(target.points)
+    if None in layouts:
+        return None
+    (x_axes, rows), (y_axes, cols) = layouts
+    # Same arithmetic as ``_squared_distances``, one axis at a time.
+    axes = tuple(np.square(np.subtract.outer(x, y)) for x, y in zip(x_axes, y_axes))
+    return GridFactors(axes, rows, cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,12 +93,15 @@ class CostMatrix:
     """Dense m x n matrix of transport costs with cached extrema.
 
     ``c_min``/``c_max`` are the matrix minimum/maximum and ``spread`` is the
-    range ``c_max - c_min`` used to pick the smoothing scale.
+    range ``c_max - c_min`` used to pick the smoothing scale. ``grid`` holds
+    the separable factors of the same costs when they are known
+    (:func:`squared_euclidean` between full grids), else None.
     """
 
     entries: np.ndarray
     c_min: float
     c_max: float
+    grid: GridFactors | None = None
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -54,22 +129,40 @@ class CostMatrix:
 
 def _squared_distances(source: DiscreteMeasure, target: DiscreteMeasure) -> np.ndarray:
     """Fresh m x n array of ``||x_i - y_j||^2``, accumulated per coordinate in
-    index order so entries agree bitwise with a naive double loop."""
+    index order so entries agree bitwise with a naive double loop.
+
+    The first coordinate's squares are written straight into the result; the
+    others go through a difference buffer of a few rows, so building the
+    matrix allocates one m x n array.
+    """
     x, y = source.points, target.points
     if source.dimension != target.dimension:
         raise ValueError("dimension mismatch: %d vs %d" % (source.dimension, target.dimension))
-    out = np.zeros((source.size, target.size))
-    diff = np.empty_like(out)
-    for k in range(source.dimension):
-        np.subtract(x[:, k, None], y[None, :, k], out=diff)
-        diff *= diff
-        out += diff
+    m, n = source.size, target.size
+    out = np.empty((m, n))
+    np.subtract(x[:, 0, None], y[None, :, 0], out=out)
+    out *= out
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    diff = np.empty((min(step, m), n))
+    for start in range(0, m, step):
+        block = out[start:start + step]
+        buf = diff[:block.shape[0]]
+        for k in range(1, source.dimension):
+            np.subtract(x[start:start + step, k, None], y[None, :, k], out=buf)
+            buf *= buf
+            block += buf
     return out
 
 
 def squared_euclidean(source: DiscreteMeasure, target: DiscreteMeasure) -> CostMatrix:
-    """Cost ``c_ij = ||x_i - y_j||^2``, bitwise equal to a naive double loop."""
-    return CostMatrix.from_entries(_squared_distances(source, target))
+    """Cost ``c_ij = ||x_i - y_j||^2``, bitwise equal to a naive double loop.
+
+    Between two full grids in two or more dimensions the result carries its
+    :class:`GridFactors`.
+    """
+    entries = _squared_distances(source, target)
+    return CostMatrix(entries, float(entries.min()), float(entries.max()),
+                      _grid_factors(source, target))
 
 
 def power_cost(source: DiscreteMeasure, target: DiscreteMeasure, p: float) -> CostMatrix:
@@ -106,7 +199,9 @@ def center(cost: CostMatrix) -> CostMatrix:
     range available to ``exp(-c/lam)``.
     """
     mid = (cost.c_max + cost.c_min) / 2.0
-    return CostMatrix.from_entries(cost.entries - mid)
+    entries = cost.entries - mid
+    grid = None if cost.grid is None else replace(cost.grid, offset=cost.grid.offset - mid)
+    return CostMatrix(entries, float(entries.min()), float(entries.max()), grid)
 
 
 def save_cost_text(cost: CostMatrix, path) -> None:

@@ -10,6 +10,12 @@ smoothing scale ``lam > 0`` is representable. Given the multiplicative kernel
 ``K = exp(-C/lam)`` the pass returns ``K * exp(psi/lam)`` with zero shift;
 this opt-in path is kept for solvers that want to expose its overflow
 behavior.
+
+The solvers read only a few reductions of the pass: the shift, the row sums,
+the scaled column sums and the plan's cost. ``_row_reductions`` gives them
+from the dense m x n pass, or, in the log domain for a cost with grid
+factors, from one stabilized log-sum-exp (or max-plus) stage per grid axis,
+without an m x n array.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix
+from .costs import CostMatrix, GridFactors
 from .measures import DiscreteMeasure
 
 
@@ -138,6 +144,152 @@ def _row_pass(psi: np.ndarray, C: np.ndarray, lam: float, K: np.ndarray | None =
         shift = np.zeros(K.shape[0])
         weights = K * np.exp(psi / lam)[None, :]
     return shift, weights, weights.sum(axis=1)
+
+
+def _marginal_dev(row_sums, col_sums, row_target, col_target) -> float:
+    return float(np.abs(col_sums - col_target).sum() + np.abs(row_sums - row_target).sum())
+
+
+class _DenseRows:
+    """The row pass over a dense cost (or its kernel ``K``), kept whole.
+
+    ``shift`` and ``sums`` are as returned by :func:`_row_pass`; the methods
+    reduce the plan ``P = scale[:, None] * weights`` without forming it.
+    """
+
+    def __init__(self, psi, C, lam, K=None):
+        self.C = C
+        self.shift, self.weights, self.sums = _row_pass(psi, C, lam, K)
+
+    def col_sums(self, scale) -> np.ndarray:
+        """Column sums ``scale @ weights`` of ``P``."""
+        return scale @ self.weights
+
+    def marginal_dev(self, scale, row_target, col_target) -> float:
+        """``||P 1 - row_target||_1 + ||P^T 1 - col_target||_1``."""
+        # einsum sums in another order than the BLAS product of col_sums;
+        # Sinkhorn's trace reports D on dense costs in this one.
+        return _marginal_dev(scale * self.sums, np.einsum("i,ij->j", scale, self.weights),
+                             row_target, col_target)
+
+    def plan_cost(self, scale, offset: float) -> float:
+        """``<P, C> + offset * sum(P)``."""
+        return (float(scale @ np.einsum("ij,ij->i", self.weights, self.C))
+                + offset * float(scale @ self.sums))
+
+    def plan(self, scale) -> np.ndarray:
+        """``P`` itself, formed in place of the weights: the last use of the pass."""
+        self.weights *= scale[:, None]
+        return self.weights
+
+
+def _to_grid(values, flat_index, shape) -> np.ndarray:
+    """Atom-ordered values laid out on their grid."""
+    out = np.empty(values.size)
+    out[flat_index] = values
+    return out.reshape(shape)
+
+
+def _stage_kernels(grid: GridFactors, lam) -> list:
+    """Each axis matrix ``A_k / lam`` transposed to ``q_k x p_k`` and shaped
+    ``(q_k, 1, ..., 1, p_k)`` so that a stage input ``u`` of shape
+    ``(q_k, ...)`` broadcasts as ``u[..., None] - kernel``."""
+    ones = (1,) * (len(grid.axes) - 1)
+    return [(A / lam).T.reshape((A.shape[1],) + ones + (A.shape[0],)) for A in grid.axes]
+
+
+def _grid_max(u, kernels) -> np.ndarray:
+    """Separable max-plus ``max_j (u_j - sum_k B_k[a_k, b_k(j)])`` of ``u`` on
+    the ``(q_1, ..., q_d)`` grid. Each stage reduces the leading axis and
+    appends the new one, so the result is on the ``(p_1, ..., p_d)`` grid."""
+    for B in kernels:
+        u = (u[..., None] - B).max(axis=0)
+    return u
+
+
+def _grid_lse(u, kernels):
+    """Separable ``log sum_j exp(u_j - sum_k B_k[a_k, b_k(j)])``, staged as
+    :func:`_grid_max`, each stage stabilized by its own maximum.
+
+    Also returns the stages ``(E, s, top)``: a stage's exponentials ``E``
+    (summed index first), their sums ``s`` and the maximum ``top`` they are
+    taken relative to.
+    """
+    stages = []
+    for B in kernels:
+        t = u[..., None] - B
+        top = t.max(axis=0)
+        t -= top
+        np.exp(t, out=t)
+        s = t.sum(axis=0)
+        stages.append((t, s, top))
+        u = top + np.log(s)
+    return u, stages
+
+
+def _grid_mean_cost(stages, kernels) -> np.ndarray:
+    """``sum_j w_j sum_k B_k[a_k, b_k(j)] / sum_j w_j`` for the weights of a
+    :func:`_grid_lse` chain: each stage averages the cost carried so far plus
+    its own axis term under its normalized exponentials."""
+    mean = np.zeros(stages[0][0].shape[:-1])
+    for (E, s, _), B in zip(stages, kernels):
+        mean = (E * (mean[..., None] + B)).sum(axis=0) / s
+    return mean
+
+
+class _GridRows:
+    """The reductions of :class:`_DenseRows` in the log domain for a cost with
+    grid factors, from per-axis stages instead of an m x n pass.
+
+    With ``c_ij = offset + sum_k A_k[a_k(i), b_k(j)]`` and everything in units
+    of ``lam``, the shift is a max-plus chain and the row sums follow from a
+    log-sum-exp chain over the target axes. The column sums of ``P`` are a
+    log-sum-exp chain over the source axes of ``log scale_i - shift_i / lam``,
+    and ``<P, C>`` averages the axis terms under the row chain's own
+    exponentials. The grid offset cancels in ``psi_j - c_ij - shift_i``, so
+    only the reported shift and ``<P, C>`` carry it. ``C`` is read only by
+    :meth:`plan`, which forms the plan from the dense pass.
+    """
+
+    def __init__(self, psi, C, grid: GridFactors, lam):
+        if not lam > 0.0:
+            raise ValueError("lam must be > 0")
+        self.psi, self.C, self.grid, self.lam = psi, C, grid, lam
+        self._u = psi / lam
+        self._kernels = _stage_kernels(grid, lam)
+        lse, self._stages = _grid_lse(_to_grid(self._u, grid.cols, grid.shape[1]),
+                                      self._kernels)
+        # The max-plus chain shares its first stage with the log-sum-exp chain.
+        top = _grid_max(self._stages[0][2], self._kernels[1:])
+        self._top = top.ravel()[grid.rows]
+        self.shift = lam * self._top - grid.offset
+        self.sums = np.exp(lse - top).ravel()[grid.rows]
+
+    def col_sums(self, scale) -> np.ndarray:
+        grid = self.grid
+        h = _to_grid(np.log(scale) - self._top, grid.rows, grid.shape[0])
+        lse, _ = _grid_lse(h, _stage_kernels(grid.T, self.lam))
+        return np.exp(self._u + lse.ravel()[grid.cols])
+
+    def marginal_dev(self, scale, row_target, col_target) -> float:
+        return _marginal_dev(scale * self.sums, self.col_sums(scale), row_target, col_target)
+
+    def plan_cost(self, scale, offset: float) -> float:
+        mean = self.lam * _grid_mean_cost(self._stages, self._kernels).ravel()[self.grid.rows]
+        return (float(scale @ (self.sums * mean))
+                + (self.grid.offset + offset) * float(scale @ self.sums))
+
+    def plan(self, scale) -> np.ndarray:
+        return _DenseRows(self.psi, self.C, self.lam).plan(scale)
+
+
+def _row_reductions(psi, C, lam, K=None, grid: GridFactors | None = None):
+    """The row pass of ``psi`` over ``C`` as read by the solvers: per-axis
+    stages when ``grid`` holds the factors of ``C`` and the pass is
+    log-domain, else the dense pass with the kernel ``K`` if given."""
+    if grid is None or K is not None:
+        return _DenseRows(psi, C, lam, K)
+    return _GridRows(psi, C, grid, lam)
 
 
 def c_transform(psi, cost: CostMatrix) -> np.ndarray:
@@ -265,5 +417,5 @@ def recover_plan(
     Invariant under ``psi -> psi + k * 1``.
     """
     _, weights, sums = _row_pass(_psi_array(psi), cost.entries, lam)
-    entries = (source.weights / sums)[:, None] * weights
-    return TransportPlan(entries)
+    weights *= (source.weights / sums)[:, None]
+    return TransportPlan(weights)

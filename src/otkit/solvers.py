@@ -7,8 +7,17 @@ transport-cost estimate <P, C>. Each solver records a per-iteration trace and
 reports a terminal status instead of ever returning non-finite values.
 
 Neither loop forms an m x n plan. The trace's <P, C> and marginal deviation,
-and Sinkhorn's failure check, come from the row pass's weights and sums plus
+and Sinkhorn's failure check, come from reductions of the row pass plus
 O(m + n) vectors; the returned plan is built once, after the last iteration.
+Both loops read those reductions through ``smoothed_dual._row_reductions``:
+for a cost with grid factors (squared Euclidean between full grids) in the log
+domain they come from per-axis stages and no m x n array is touched until the
+plan is formed; otherwise, and always in kernel mode, from the dense pass.
+
+Below a relative tolerance of about 1e-13 the stop rule fires only when two
+successive monitored values agree to their last bits, so a "converged"
+iteration count there depends on summation order: the grid and dense passes,
+for one, can stop at different iterations.
 """
 
 from __future__ import annotations
@@ -22,7 +31,8 @@ import numpy as np
 
 from .costs import CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import Potential, TransportPlan, _row_pass, energy, project_H, recover_plan
+from .smoothed_dual import (Potential, TransportPlan, _row_reductions, energy, project_H,
+                            recover_plan)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -43,6 +53,11 @@ class FistaConfig:
     before solving (range centering). It is added back when reporting, so the
     trace and the relative-change stop rule see energies in original cost
     units; the iterates themselves are unaffected by any constant cost shift.
+
+    ``stop_rel_tol`` below about 1e-13 asks for two successive energies that
+    agree to their last bits, so the iteration at which such a run reports
+    ``converged`` depends on summation order (for one, on whether the grid or
+    the dense pass evaluates the energy).
     """
 
     eta: float = 1.0
@@ -117,13 +132,6 @@ def _rel_change(current: float, previous: float, floor: float = 1e-300) -> float
     return abs(current - previous) / denom
 
 
-def _plan_cost(scale, weights, sums, C, offset: float) -> float:
-    """``<P, C> + offset * sum(P)`` for the plan ``P = scale[:, None] * weights``
-    over the rows of ``C``, without forming ``P``."""
-    return (float(scale @ np.einsum("ij,ij->i", weights, C))
-            + offset * float(scale @ sums))
-
-
 def fista_solve(
     source: DiscreteMeasure,
     target: DiscreteMeasure,
@@ -176,11 +184,12 @@ def fista_solve(
         # the log domain its shift is the c-transform, so E comes with it.
         # With true cost = C + offset, E_true(psi) = E_C(psi) - offset.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            shift, weights, sums = _row_pass(psi, C, lam, K)
-            e_shift = float(mu @ shift - nu @ psi) - offset
+            rows = _row_reductions(psi, C, lam, K, cost.grid)
+            sums = rows.sums
+            e_shift = float(mu @ rows.shift - nu @ psi) - offset
             e_val = e_shift if K is None else energy(psi, source, target, cost) - offset
             e_lam = e_shift + lam * (float(mu @ np.log(sums)) - log_n)
-            grad = (mu / sums) @ weights - nu
+            grad = rows.col_sums(mu / sums) - nu
 
         failed = not (math.isfinite(e_val) and math.isfinite(e_lam)
                       and np.all(np.isfinite(grad)))
@@ -197,7 +206,7 @@ def fista_solve(
             if failed:
                 pc = dev = float("nan")
             else:
-                pc = _plan_cost(mu / sums, weights, sums, C, offset)
+                pc = rows.plan_cost(mu / sums, offset)
                 dev = float(np.abs(grad).sum())  # row marginals are exact
             ms = (time.perf_counter() - start) * 1000.0
             trace.append(t, e_val, e_lam, pc, dev, ms)
@@ -251,6 +260,8 @@ def sinkhorn_solve(
     is formed once, on return. Each iteration takes <P, C> from the weights'
     row dots with ``C.T`` and from ``sums``; trace and stop rows add the
     marginal deviation, whose row marginals are ``(nu / sums) @ weights``.
+    Both halves read the pass through ``_row_reductions``, so a cost with grid
+    factors is iterated one axis at a time, as in :func:`fista_solve`.
     The default path is log-domain (stable for any ``lam > 0``);
     ``kernel_mode`` hands the pass the multiplicative kernel, whose overflow
     at small ``lam`` makes ``g`` or <P, C> non-finite and is reported as a
@@ -258,12 +269,17 @@ def sinkhorn_solve(
     plan is then all zeros. Stops when the relative change of <P, C> drops below
     ``stop_rel_tol``; as in :class:`FistaConfig`, ``cost_offset`` restores
     original cost units for the trace and the stop metric after range
-    centering.
+    centering, and a ``stop_rel_tol`` below about 1e-13 makes the stopping
+    iteration depend on summation order.
     """
     if not lam > 0.0:
         raise ValueError("lam must be > 0")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if not stop_rel_tol > 0.0:
+        raise ValueError("stop_rel_tol must be > 0")
+    if trace_every < 1:
+        raise ValueError("trace_every must be >= 1")
     mu = source.weights
     nu = target.weights
     C = cost.entries
@@ -277,6 +293,8 @@ def sinkhorn_solve(
         K = np.exp(-C / lam) if kernel_mode else None
     CT = C.T
     KT = None if K is None else K.T
+    grid = cost.grid
+    grid_t = None if grid is None else grid.T
     g = np.zeros(n)
 
     pc_prev = None
@@ -286,12 +304,13 @@ def sinkhorn_solve(
 
     for t in range(1, max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            shift, weights, sums = _row_pass(g, C, lam, K)
-            f = lam * (log_mu - np.log(sums)) - shift
-            shift, weights, sums = _row_pass(f, CT, lam, KT)
-            g = lam * (log_nu - np.log(sums)) - shift
-            scale = nu / sums
-            pc = _plan_cost(scale, weights, sums, CT, cost_offset)
+            # Both halves bind one name, so no more than two passes are alive.
+            half = _row_reductions(g, C, lam, K, grid)
+            f = lam * (log_mu - np.log(half.sums)) - half.shift
+            half = _row_reductions(f, CT, lam, KT, grid_t)
+            g = lam * (log_nu - np.log(half.sums)) - half.shift
+            scale = nu / half.sums
+            pc = half.plan_cost(scale, cost_offset)
 
         # Each plan entry is scale_j * w_ji with 0 <= w_ji <= sums_j, so a
         # non-finite entry needs a non-finite or zero sums_j, which makes g_j
@@ -310,8 +329,7 @@ def sinkhorn_solve(
             if failed:
                 pc = dev = float("nan")
             else:
-                dev = float(np.abs(np.einsum("j,ji->i", scale, weights) - mu).sum()
-                            + np.abs(scale * sums - nu).sum())
+                dev = half.marginal_dev(scale, nu, mu)
             ms = (time.perf_counter() - start) * 1000.0
             trace.append(t, float("nan"), float("nan"), pc, dev, ms)
 
@@ -328,7 +346,7 @@ def sinkhorn_solve(
     trace.n_iterations = t
     if failed:
         return SinkhornResult(TransportPlan(np.zeros((m, n))), trace)
-    return SinkhornResult(TransportPlan((scale[:, None] * weights).T), trace)
+    return SinkhornResult(TransportPlan(half.plan(scale).T), trace)
 
 
 def corollary9_iteration_bound(psi_star_norm: float, lam: float, epsilon: float) -> int:

@@ -44,3 +44,18 @@ def reference_optimum(src, tgt, C, lam, eta=5.0):
                             trace_every=10**9)
     result = ok.fista_solve(src, tgt, C, lam, config)
     return result.potential
+
+
+def grid_points(rng, lengths, spacing=1.0, origin=0.0):
+    """Full Cartesian grid with ``lengths[k]`` coordinates along axis k,
+    spaced by ``spacing`` times a random factor in [0.5, 1.5), atoms in a
+    random order."""
+    axes = [origin + spacing * np.cumsum(rng.uniform(0.5, 1.5, size=n)) for n in lengths]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lengths))
+    return points[rng.permutation(len(points))]
+
+
+def grid_measure(rng, lengths, spacing=1.0, origin=0.0):
+    """A :func:`grid_points` grid with random strictly positive masses."""
+    points = grid_points(rng, lengths, spacing, origin)
+    return ok.from_points(points, rng.uniform(0.1, 1.0, size=len(points)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import otkit as ok
-from helpers import random_point_instance
+from helpers import grid_measure, grid_points, random_point_instance
 
 
 def naive_squared_euclidean(x, y):
@@ -45,6 +45,77 @@ class TestSquaredEuclidean:
         cost = ok.squared_euclidean(src, tgt)
         assert cost.c_min == cost.entries.min()
         assert cost.c_max == cost.entries.max()
+
+
+class TestGridFactors:
+    @staticmethod
+    def rebuilt(grid):
+        """Dense costs from the factors, summed per axis in index order."""
+        (shape_s, shape_t) = grid.shape
+        rows = np.unravel_index(grid.rows, shape_s)
+        cols = np.unravel_index(grid.cols, shape_t)
+        out = np.zeros((grid.rows.size, grid.cols.size))
+        for A, a, b in zip(grid.axes, rows, cols):
+            out += A[a[:, None], b[None, :]]
+        return out + grid.offset
+
+    @pytest.mark.parametrize("lengths_s, lengths_t", [((4, 3), (2, 5)), ((3, 1, 2), (2, 2, 3))])
+    def test_permuted_grids_factor_exactly(self, lengths_s, lengths_t, rng):
+        src = grid_measure(rng, lengths_s, spacing=0.37, origin=-1.1)
+        tgt = grid_measure(rng, lengths_t, spacing=1.9)
+        cost = ok.squared_euclidean(src, tgt)
+        assert cost.grid is not None
+        assert cost.grid.shape == (lengths_s, lengths_t)
+        assert cost.grid.offset == 0.0
+        np.testing.assert_array_equal(self.rebuilt(cost.grid), cost.entries)
+        np.testing.assert_array_equal(self.rebuilt(cost.grid.T), cost.entries.T)
+
+    def test_image_grid_detected(self):
+        img = np.arange(12, dtype=float).reshape(3, 4)
+        src = ok.from_image_grid(img)
+        cost = ok.squared_euclidean(src, ok.from_image_grid(img.T))
+        assert cost.grid.shape == ((3, 4), (4, 3))
+
+    def test_incomplete_or_repeated_grids_get_none(self, rng):
+        full = grid_points(rng, (3, 4))
+        tgt = grid_measure(rng, (3, 3))
+        missing = full[1:]
+        duplicated = np.vstack([full, full[:1]])
+        # Every axis value still present and 12 atoms, but one index tuple twice.
+        repeated = np.vstack([full[1:], full[2:3]])
+        for points in (missing, duplicated, repeated):
+            src = ok.from_points(points, np.ones(len(points)))
+            assert ok.squared_euclidean(src, tgt).grid is None
+            assert ok.squared_euclidean(tgt, src).grid is None
+
+    def test_clouds_and_lines_get_none(self, rng):
+        src, tgt = random_point_instance(3, 9, 9, d=2)
+        assert ok.squared_euclidean(src, tgt).grid is None
+        line = ok.from_points(np.arange(5.0)[:, None], np.ones(5))
+        assert ok.squared_euclidean(line, line).grid is None
+
+    def test_other_builders_attach_none(self, tmp_path, rng):
+        src, tgt = grid_measure(rng, (3, 2)), grid_measure(rng, (2, 4))
+        cost = ok.squared_euclidean(src, tgt)
+        assert ok.power_cost(src, tgt, 2.0).grid is None
+        assert ok.CostMatrix.from_entries(cost.entries).grid is None
+        ok.costs.save_cost_text(cost, tmp_path / "c.txt")
+        ok.costs.save_cost_binary(cost, tmp_path / "c.bin")
+        assert ok.costs.load_cost_text(tmp_path / "c.txt").grid is None
+        assert ok.costs.load_cost_binary(tmp_path / "c.bin").grid is None
+        octa = np.vstack([np.eye(3), -np.eye(3)])
+        sphere = ok.from_points(octa, np.ones(6))
+        assert ok.spherical(sphere, sphere).grid is None
+
+    def test_center_keeps_factors_with_shifted_offset(self, rng):
+        cost = ok.squared_euclidean(grid_measure(rng, (3, 4)), grid_measure(rng, (5, 2)))
+        centered = ok.center(cost)
+        mid = (cost.c_max + cost.c_min) / 2.0
+        assert centered.grid.offset == -mid
+        assert centered.grid.axes is cost.grid.axes
+        np.testing.assert_allclose(self.rebuilt(centered.grid), centered.entries,
+                                   rtol=0, atol=1e-13 * cost.c_max)
+        assert ok.center(centered).grid.offset == -mid - (centered.c_max + centered.c_min) / 2.0
 
 
 class TestPowerCost:

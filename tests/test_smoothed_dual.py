@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otkit as ok
-from helpers import small_random_instance
+from helpers import grid_measure, small_random_instance
+from otkit.smoothed_dual import _row_reductions
 
 
 def finite_difference_gradient(psi, src, tgt, cost, lam, h=1e-6):
@@ -312,6 +313,59 @@ def test_smoothed_functions_reject_nonpositive_lambda(name):
     for lam in (0.0, -1.0):
         with pytest.raises(ValueError, match="lam must be > 0"):
             SMOOTHED_FUNCTIONS[name](np.zeros(2), src, tgt, cost, lam)
+
+
+def solver_reductions(rows, psi, mu, nu, lam, offset):
+    """What the solvers read from one row pass: shift, E, E_lam, gradient,
+    <P, C> and the marginal deviation of P = (mu / sums)[:, None] * weights."""
+    scale = mu / rows.sums
+    e = float(mu @ rows.shift - nu @ psi)
+    e_lam = e + lam * (float(mu @ np.log(rows.sums)) - math.log(psi.size))
+    return dict(shift=rows.shift, E=e, E_lam=e_lam, grad=rows.col_sums(scale) - nu,
+                plan_cost=rows.plan_cost(scale, offset),
+                D=rows.marginal_dev(scale, mu, nu))
+
+
+# Every exponent (psi_j - c_ij - shift_i) / lam is formed with at most about 16
+# roundings of quantities bounded by R = (|psi|_inf + |c|_inf) / lam <= 1.5 T
+# below (psi within the cost width, centered costs within half of it), so the
+# pass weights carry relative errors below 16 * 2.2e-16 * 30 ~ 1e-13 on either
+# path. 1e-12 leaves a factor of ten for the sums over up to 343 atoms.
+GRID_TOL = 1e-12
+
+
+@settings(max_examples=60)
+@given(d=st.sampled_from([2, 3]), data=st.data())
+def test_grid_pass_matches_dense_pass(d, data):
+    lengths = st.tuples(*[st.integers(1, 7)] * d)
+    spacing = st.floats(0.05, 5.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    src = grid_measure(rng, data.draw(lengths, label="source"), data.draw(spacing),
+                       data.draw(st.floats(-3.0, 3.0)))
+    tgt = grid_measure(rng, data.draw(lengths, label="target"), data.draw(spacing))
+    original = ok.squared_euclidean(src, tgt)
+    cost = ok.center(original)
+    assert cost.grid is not None
+    offset = (original.c_max + original.c_min) / 2.0
+    width = max(cost.spread, 1.0)
+    lam = width / data.draw(st.floats(0.5, 20.0), label="T")
+    entries = cost.entries
+    for C, grid, mu, nu in ((entries, cost.grid, src.weights, tgt.weights),
+                            (entries.T, cost.grid.T, tgt.weights, src.weights)):
+        psi = rng.uniform(-width, width, size=nu.size)
+        scale = width + np.abs(C).max()
+        fast = solver_reductions(_row_reductions(psi, C, lam, grid=grid), psi, mu, nu, lam,
+                                 offset)
+        dense = ok.CostMatrix.from_entries(C)
+        assert dense.grid is None
+        slow = solver_reductions(_row_reductions(psi, dense.entries, lam, grid=dense.grid),
+                                 psi, mu, nu, lam, offset)
+        for name in ("shift", "E", "E_lam"):
+            np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=GRID_TOL * scale)
+        assert abs(fast["plan_cost"] - slow["plan_cost"]) <= GRID_TOL * (scale + abs(offset))
+        # P carries unit mass, so D and the gradient's L1 norm are relative to it.
+        assert abs(fast["D"] - slow["D"]) <= GRID_TOL
+        assert np.abs(fast["grad"] - slow["grad"]).sum() <= GRID_TOL
 
 
 class TestPotentialAndParams:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import otkit as ok
-from helpers import (criterion1_instance, random_point_instance, reference_optimum,
-                     small_random_instance)
+from helpers import (criterion1_instance, grid_measure, random_point_instance,
+                     reference_optimum, small_random_instance)
 
 
 class TestThetaSchedule:
@@ -185,6 +185,20 @@ class TestSinkhornSolve:
         assert result.trace.status == ok.CONVERGED
         assert ok.plan_cost(result.plan, cost) >= lp_cost - 1e-9
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(trace_every=0), "trace_every must be >= 1"),
+        (dict(trace_every=-3), "trace_every must be >= 1"),
+        (dict(stop_rel_tol=0.0), "stop_rel_tol must be > 0"),
+        (dict(stop_rel_tol=-1.0), "stop_rel_tol must be > 0"),
+    ])
+    def test_rejects_bad_trace_every_and_stop_rel_tol(self, kwargs, message, rng):
+        src, tgt, cost = small_random_instance(rng, 3, 3)
+        with pytest.raises(ValueError, match=message):
+            ok.sinkhorn_solve(src, tgt, cost, 0.1, **kwargs)
+        # FistaConfig states the same rules in the same words.
+        with pytest.raises(ValueError, match=message):
+            ok.FistaConfig(**kwargs)
+
     def test_kernel_mode_overflow_reported(self, rng):
         src, tgt, cost = small_random_instance(rng, 5, 5, cost_scale=3000.0)
         result = ok.sinkhorn_solve(src, tgt, cost, 1e-3, max_iters=100,
@@ -258,6 +272,63 @@ class TestSinkhornSolve:
         assert all(math.isnan(e) for e in result.trace.energy)
         assert all(math.isfinite(p) for p in result.trace.plan_cost)
         assert all(d >= 0.0 for d in result.trace.marginal_dev)
+
+
+class TestGridCosts:
+    """Solves on a cost with grid factors against the same costs without them."""
+
+    @staticmethod
+    def grid_and_dense(cost):
+        dense = ok.CostMatrix.from_entries(cost.entries)
+        assert cost.grid is not None and dense.grid is None
+        return cost, dense
+
+    def test_kernel_mode_failure_unchanged(self, rng):
+        # At lam = spread / 3000 exp(-C/lam) overflows: both solvers fail in
+        # kernel mode, at the same iteration with or without factors.
+        src = grid_measure(rng, (4, 4))
+        tgt = grid_measure(rng, (3, 5))
+        cost = ok.center(ok.squared_euclidean(src, tgt))
+        lam = cost.spread / 3000.0
+        runs = [(ok.fista_solve(src, tgt, c, lam, ok.FistaConfig(
+                     eta=1, max_iters=50, stop_rel_tol=1e-9, kernel_mode=True)),
+                 ok.sinkhorn_solve(src, tgt, c, lam, max_iters=50, stop_rel_tol=1e-9,
+                                   kernel_mode=True))
+                for c in self.grid_and_dense(cost)]
+        for on_grid, dense in zip(*runs):
+            assert on_grid.trace.status == dense.trace.status == ok.NUMERICAL_FAILURE
+            assert on_grid.trace.failed_iteration == dense.trace.failed_iteration is not None
+            np.testing.assert_array_equal(on_grid.plan.entries, dense.plan.entries)
+
+    def test_synthetic_image_matches_dense(self):
+        # The sed-paper instance at 12 x 12. The preset's eta = 50 is outside
+        # FISTA's stable range at this size: there two dense solves whose sums
+        # only run in a different order drift apart by 1e-9 at the paper stop,
+        # so this compares at eta = 5, where rounding is not amplified.
+        from dataclasses import replace
+
+        from otkit import cli
+        config = replace(cli.config_from_sources("sed-paper", overrides=dict(image_size=12)),
+                         seed=1)
+        src, tgt = cli.build_instance(config)
+        original = cli.build_cost(config, src, tgt)
+        offset = (original.c_max + original.c_min) / 2.0
+        lam = original.spread / config.T
+        runs = [(ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
+                     eta=5.0, max_iters=3000, stop_rel_tol=config.stop_rel_tol,
+                     cost_offset=offset)),
+                 ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=3000,
+                                   stop_rel_tol=config.stop_rel_tol, cost_offset=offset))
+                for cost in self.grid_and_dense(ok.center(original))]
+        for on_grid, dense in zip(*runs):
+            assert on_grid.trace.status == dense.trace.status == ok.CONVERGED
+            assert on_grid.trace.iters == dense.trace.iters
+            assert on_grid.trace.n_iterations == dense.trace.n_iterations > 1
+            for field in ("marginal_dev", "plan_cost"):
+                np.testing.assert_allclose(getattr(on_grid.trace, field),
+                                           getattr(dense.trace, field), rtol=1e-10)
+            np.testing.assert_allclose(on_grid.plan.entries, dense.plan.entries,
+                                       rtol=0, atol=1e-12)
 
 
 class TestCorollary9Bound:
