@@ -8,11 +8,12 @@ quantity, here and in both solvers, comes from one row pass over
 shift is the row maximum of ``psi_j - c_ij`` (the c-transform), so any
 smoothing scale ``lam > 0`` is representable. Given the multiplicative kernel
 ``K = exp(-C/lam)`` the pass returns ``K * exp(psi/lam)`` with zero shift;
-this opt-in path is kept for solvers that want to expose its overflow
+only the solvers' opt-in kernel mode takes this path, to expose its overflow
 behavior.
 
 The solvers read only a few reductions of the pass: the shift, the row sums,
-the scaled column sums and the plan's cost. ``_row_reductions`` gives them
+the scaled column sums and the plan's cost (the marginal deviation follows
+from the sums through ``_marginal_dev``). ``_row_reductions`` gives them
 from the dense m x n pass, or, in the log domain for a cost with grid
 factors, from one stabilized log-sum-exp (or max-plus) stage per grid axis,
 without an m x n array.
@@ -147,6 +148,7 @@ def _row_pass(psi: np.ndarray, C: np.ndarray, lam: float, K: np.ndarray | None =
 
 
 def _marginal_dev(row_sums, col_sums, row_target, col_target) -> float:
+    """``||row_sums - row_target||_1 + ||col_sums - col_target||_1``."""
     return float(np.abs(col_sums - col_target).sum() + np.abs(row_sums - row_target).sum())
 
 
@@ -164,13 +166,6 @@ class _DenseRows:
     def col_sums(self, scale) -> np.ndarray:
         """Column sums ``scale @ weights`` of ``P``."""
         return scale @ self.weights
-
-    def marginal_dev(self, scale, row_target, col_target) -> float:
-        """``||P 1 - row_target||_1 + ||P^T 1 - col_target||_1``."""
-        # einsum sums in another order than the BLAS product of col_sums;
-        # Sinkhorn's trace reports D on dense costs in this one.
-        return _marginal_dev(scale * self.sums, np.einsum("i,ij->j", scale, self.weights),
-                             row_target, col_target)
 
     def plan_cost(self, scale, offset: float) -> float:
         """``<P, C> + offset * sum(P)``."""
@@ -271,9 +266,6 @@ class _GridRows:
         lse, _ = _grid_lse(h, _stage_kernels(grid.T, self.lam))
         return np.exp(self._u + lse.ravel()[grid.cols])
 
-    def marginal_dev(self, scale, row_target, col_target) -> float:
-        return _marginal_dev(scale * self.sums, self.col_sums(scale), row_target, col_target)
-
     def plan_cost(self, scale, offset: float) -> float:
         mean = self.lam * _grid_mean_cost(self._stages, self._kernels).ravel()[self.grid.rows]
         return (float(scale @ (self.sums * mean))
@@ -332,21 +324,14 @@ def smoothed_energy(
     target: DiscreteMeasure,
     cost: CostMatrix,
     lam: float,
-    kernel_mode: bool = False,
 ) -> float:
     """Smoothed dual energy: the c-transform max replaced by its Log-Sum-Exp.
 
     Satisfies ``E_lam(psi) <= E(psi) <= E_lam(psi) + lam * log n`` for every
-    ``psi``. With ``kernel_mode`` the log-sum is evaluated through the
-    multiplicative kernel and may overflow to inf/nan; callers opting in are
-    expected to check finiteness.
+    ``psi``.
     """
     psi = _psi_array(psi)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        K = np.exp(-cost.entries / lam) if kernel_mode else None
-        shift, _, sums = _row_pass(psi, cost.entries, lam, K)
-        rows = shift + lam * (np.log(sums) - math.log(cost.shape[1]))
-    return float(source.weights @ rows - target.weights @ psi)
+    return float(source.weights @ smoothed_c_transform(psi, cost, lam) - target.weights @ psi)
 
 
 def smoothed_gradient(
@@ -355,20 +340,16 @@ def smoothed_gradient(
     target: DiscreteMeasure,
     cost: CostMatrix,
     lam: float,
-    kernel_mode: bool = False,
 ) -> np.ndarray:
     """Gradient of the smoothed energy:
 
         g_j = sum_i mu_i * softmax_i((psi - c_i)/lam)_j - nu_j
 
     where ``softmax_i`` is the row softmax. Softmax rows sum to one, so the
-    gradient entries sum to zero up to rounding. ``kernel_mode`` is as in
-    :func:`smoothed_energy`.
+    gradient entries sum to zero up to rounding.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        K = np.exp(-cost.entries / lam) if kernel_mode else None
-        _, weights, sums = _row_pass(_psi_array(psi), cost.entries, lam, K)
-        return (source.weights / sums) @ weights - target.weights
+    _, weights, sums = _row_pass(_psi_array(psi), cost.entries, lam)
+    return (source.weights / sums) @ weights - target.weights
 
 
 def hessian_apply(

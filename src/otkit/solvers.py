@@ -1,10 +1,12 @@
 """Iterative solvers for the smoothed dual problem: FISTA with the zero-mean
 projection as its proximal step, and a Sinkhorn matrix-scaling baseline.
 
-Both solvers share the same relative-change stopping rule so iteration counts
-are comparable: FISTA monitors the dual energy E(psi), Sinkhorn monitors its
-transport-cost estimate <P, C>. Each solver records a per-iteration trace and
-reports a terminal status instead of ever returning non-finite values.
+Both solvers stop by one rule, so iteration counts are comparable: FISTA
+monitors the dual energy E(psi), Sinkhorn its transport-cost estimate <P, C>.
+Each records a per-iteration trace and reports a terminal status instead of
+ever returning non-finite values. The rule, the validation of its settings,
+the trace cadence and wall clock and the terminal status live in one private
+object, ``_StopRule``, that both loops drive; each loop keeps only its math.
 
 Neither loop forms an m x n plan. The trace's <P, C> and marginal deviation,
 and Sinkhorn's failure check, come from reductions of the row pass plus
@@ -31,8 +33,8 @@ import numpy as np
 
 from .costs import CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import (Potential, TransportPlan, _row_reductions, energy, project_H,
-                            recover_plan)
+from .smoothed_dual import (Potential, TransportPlan, _marginal_dev, _row_reductions, energy,
+                            project_H, recover_plan)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -51,13 +53,9 @@ class FistaConfig:
 
     ``cost_offset`` is the constant that was subtracted from the cost matrix
     before solving (range centering). It is added back when reporting, so the
-    trace and the relative-change stop rule see energies in original cost
-    units; the iterates themselves are unaffected by any constant cost shift.
-
-    ``stop_rel_tol`` below about 1e-13 asks for two successive energies that
-    agree to their last bits, so the iteration at which such a run reports
-    ``converged`` depends on summation order (for one, on whether the grid or
-    the dense pass evaluates the energy).
+    trace and the stop rule see energies in original cost units; the iterates
+    themselves are unaffected by any constant cost shift. ``max_iters``,
+    ``stop_rel_tol`` and ``trace_every`` are as in :class:`_StopRule`.
     """
 
     eta: float = 1.0
@@ -70,12 +68,7 @@ class FistaConfig:
     def __post_init__(self):
         if not self.eta > 0.0:
             raise ValueError("eta must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.stop_rel_tol > 0.0:
-            raise ValueError("stop_rel_tol must be > 0")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
+        _StopRule.check(self.max_iters, self.stop_rel_tol, self.trace_every)
 
 
 @dataclass
@@ -125,11 +118,70 @@ class SinkhornResult(NamedTuple):
     trace: SolveTrace
 
 
-def _rel_change(current: float, previous: float, floor: float = 1e-300) -> float:
+def _rel_change(current: float, previous: float) -> float:
     denom = abs(previous)
-    if denom < floor:
+    if denom < 1e-300:
         return abs(current - previous)
     return abs(current - previous) / denom
+
+
+class _StopRule:
+    """The stop rule, trace cadence and terminal status of both solvers.
+
+    Each iteration ``t`` a solver hands :meth:`row_due` its monitored value
+    and whether the iterate is finite. A non-finite iterate stops the run
+    with ``numerical_failure``; otherwise it stops ``converged`` when the
+    relative change from the previous iteration's value (the absolute change
+    if that underflows) drops below ``stop_rel_tol``, and with ``max_iters``
+    once ``t`` reaches ``max_iters``. A row is due on the stopping iteration
+    and on every ``trace_every``-th; the solver evaluates the row's <P, C>
+    and marginal deviation only then, as NaN on a failed iteration, and hands
+    them to :meth:`record`, which stamps the wall clock.
+
+    The trace is a ``SolveTrace()`` looked up at solve time, so a caller may
+    swap in a subclass that watches every row go through ``append``.
+    """
+
+    def __init__(self, max_iters: int, stop_rel_tol: float, trace_every: int):
+        self.check(max_iters, stop_rel_tol, trace_every)
+        self.max_iters = max_iters
+        self.stop_rel_tol = stop_rel_tol
+        self.trace_every = trace_every
+        self.trace = SolveTrace()
+        self.stopped = False
+        self._previous = None
+        self._start = time.perf_counter()
+
+    @staticmethod
+    def check(max_iters: int, stop_rel_tol: float, trace_every: int) -> None:
+        if max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if not stop_rel_tol > 0.0:
+            raise ValueError("stop_rel_tol must be > 0")
+        if trace_every < 1:
+            raise ValueError("trace_every must be >= 1")
+
+    def row_due(self, t: int, value: float, finite: bool) -> bool:
+        """Decide whether iteration ``t`` ends the run; True if it gets a row."""
+        if not finite:
+            status = NUMERICAL_FAILURE
+        elif (self._previous is not None
+              and _rel_change(value, self._previous) < self.stop_rel_tol):
+            status = CONVERGED
+        elif t >= self.max_iters:
+            status = MAX_ITERS
+        else:
+            self._previous = value
+            return t % self.trace_every == 0
+        self.stopped = True
+        self.trace.status = status
+        self.trace.failed_iteration = t if status == NUMERICAL_FAILURE else None
+        self.trace.n_iterations = t
+        return True
+
+    def record(self, t: int, e: float, e_lam: float, pc: float, dev: float) -> None:
+        ms = (time.perf_counter() - self._start) * 1000.0
+        self.trace.append(t, e, e_lam, pc, dev, ms)
 
 
 def fista_solve(
@@ -147,11 +199,9 @@ def fista_solve(
         theta_{t+1} = (1 + sqrt(1 + 4 theta_t^2)) / 2
         psi_{t+1} = z_{t+1} + ((theta_t - 1)/theta_{t+1}) (z_{t+1} - z_t)
 
-    and stops when the relative change of E(psi) drops below
-    ``config.stop_rel_tol`` (absolute change if |E| underflows). The returned
-    potential is the final proximal point z, which carries the accelerated
-    convergence guarantee; the trace rows are evaluated at the momentum
-    iterates psi_t.
+    and stops by :class:`_StopRule` on E(psi_t). The returned potential is
+    the final proximal point z, which carries the accelerated convergence
+    guarantee; the trace rows are evaluated at the momentum iterates psi_t.
     """
     if not lam > 0.0:
         raise ValueError("lam must be > 0")
@@ -167,15 +217,10 @@ def fista_solve(
     with np.errstate(over="ignore"):
         K = np.exp(-C / lam) if config.kernel_mode else None
 
-    trace = SolveTrace()
-    start = time.perf_counter()
-
+    rule = _StopRule(config.max_iters, config.stop_rel_tol, config.trace_every)
     psi = np.zeros(n)
     z = np.zeros(n)
     theta = 1.0
-    e_prev = None
-    status = MAX_ITERS
-    failed_at = None
     t = 0
 
     offset = config.cost_offset
@@ -191,34 +236,16 @@ def fista_solve(
             e_lam = e_shift + lam * (float(mu @ np.log(sums)) - log_n)
             grad = rows.col_sums(mu / sums) - nu
 
-        failed = not (math.isfinite(e_val) and math.isfinite(e_lam)
-                      and np.all(np.isfinite(grad)))
-        stopping = failed
-        if not failed:
-            if e_prev is not None and _rel_change(e_val, e_prev) < config.stop_rel_tol:
-                status = CONVERGED
-                stopping = True
-            elif t >= config.max_iters:
-                status = MAX_ITERS
-                stopping = True
-
-        if stopping or t % config.trace_every == 0:
-            if failed:
-                pc = dev = float("nan")
-            else:
-                pc = rows.plan_cost(mu / sums, offset)
-                dev = float(np.abs(grad).sum())  # row marginals are exact
-            ms = (time.perf_counter() - start) * 1000.0
-            trace.append(t, e_val, e_lam, pc, dev, ms)
-
-        if failed:
-            status = NUMERICAL_FAILURE
-            failed_at = t
-            break
-        if stopping:
+        finite = (math.isfinite(e_val) and math.isfinite(e_lam)
+                  and np.all(np.isfinite(grad)))
+        if rule.row_due(t, e_val, finite):
+            # Row marginals are exact, so D is the gradient's L1 norm.
+            pc, dev = ((rows.plan_cost(mu / sums, offset), float(np.abs(grad).sum()))
+                       if finite else (math.nan, math.nan))
+            rule.record(t, e_val, e_lam, pc, dev)
+        if rule.stopped:
             break
 
-        e_prev = e_val
         z_new = project_H(psi - step * grad)
         theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         psi = z_new + ((theta - 1.0) / theta_new) * (z_new - z)
@@ -226,12 +253,9 @@ def fista_solve(
         theta = theta_new
         t += 1
 
-    trace.status = status
-    trace.failed_iteration = failed_at
-    trace.n_iterations = t
     potential = Potential(project_H(z), normalized=True)
     plan = recover_plan(potential, source, target, cost, lam)
-    return FistaResult(potential, plan, trace)
+    return FistaResult(potential, plan, rule.trace)
 
 
 def sinkhorn_solve(
@@ -258,34 +282,22 @@ def sinkhorn_solve(
     The plan ``exp((f_i + g_j - c_ij)/lam)`` is ``nu_j / sums_j`` times the
     column half's weights, so its column sums equal ``nu`` up to rounding. It
     is formed once, on return. Each iteration takes <P, C> from the weights'
-    row dots with ``C.T`` and from ``sums``; trace and stop rows add the
-    marginal deviation, whose row marginals are ``(nu / sums) @ weights``.
-    Both halves read the pass through ``_row_reductions``, so a cost with grid
-    factors is iterated one axis at a time, as in :func:`fista_solve`.
-    The default path is log-domain (stable for any ``lam > 0``);
-    ``kernel_mode`` hands the pass the multiplicative kernel, whose overflow
-    at small ``lam`` makes ``g`` or <P, C> non-finite and is reported as a
-    ``numerical_failure`` status carrying the iteration index; the returned
-    plan is then all zeros. Stops when the relative change of <P, C> drops below
-    ``stop_rel_tol``; as in :class:`FistaConfig`, ``cost_offset`` restores
-    original cost units for the trace and the stop metric after range
-    centering, and a ``stop_rel_tol`` below about 1e-13 makes the stopping
-    iteration depend on summation order.
+    row dots with ``C.T`` and from ``sums``, and stops by :class:`_StopRule`
+    on it; trace rows add the marginal deviation. Both halves read the pass
+    through ``_row_reductions``, so a cost with grid factors is iterated one
+    axis at a time, as in :func:`fista_solve`. The default path is log-domain
+    (stable for any ``lam > 0``); ``kernel_mode`` hands the pass the
+    multiplicative kernel, whose overflow at small ``lam`` makes ``g`` or
+    <P, C> non-finite, so the run ends as a ``numerical_failure`` and the
+    returned plan is all zeros. ``cost_offset`` is as in :class:`FistaConfig`.
     """
     if not lam > 0.0:
         raise ValueError("lam must be > 0")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if not stop_rel_tol > 0.0:
-        raise ValueError("stop_rel_tol must be > 0")
-    if trace_every < 1:
-        raise ValueError("trace_every must be >= 1")
+    rule = _StopRule(max_iters, stop_rel_tol, trace_every)
     mu = source.weights
     nu = target.weights
     C = cost.entries
     m, n = C.shape
-    trace = SolveTrace()
-    start = time.perf_counter()
 
     log_mu = np.log(mu)
     log_nu = np.log(nu)
@@ -297,12 +309,9 @@ def sinkhorn_solve(
     grid_t = None if grid is None else grid.T
     g = np.zeros(n)
 
-    pc_prev = None
-    status = MAX_ITERS
-    failed_at = None
     t = 0
-
-    for t in range(1, max_iters + 1):
+    while not rule.stopped:
+        t += 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # Both halves bind one name, so no more than two passes are alive.
             half = _row_reductions(g, C, lam, K, grid)
@@ -315,38 +324,15 @@ def sinkhorn_solve(
         # Each plan entry is scale_j * w_ji with 0 <= w_ji <= sums_j, so a
         # non-finite entry needs a non-finite or zero sums_j, which makes g_j
         # (or pc) non-finite.
-        failed = not (math.isfinite(pc) and np.all(np.isfinite(g)))
-        stopping = failed
-        if not failed:
-            if pc_prev is not None and _rel_change(pc, pc_prev) < stop_rel_tol:
-                status = CONVERGED
-                stopping = True
-            elif t == max_iters:
-                status = MAX_ITERS
-                stopping = True
+        finite = math.isfinite(pc) and np.all(np.isfinite(g))
+        if rule.row_due(t, pc, finite):
+            dev = (_marginal_dev(scale * half.sums, half.col_sums(scale), nu, mu)
+                   if finite else math.nan)
+            rule.record(t, math.nan, math.nan, pc if finite else math.nan, dev)
 
-        if stopping or t % trace_every == 0:
-            if failed:
-                pc = dev = float("nan")
-            else:
-                dev = half.marginal_dev(scale, nu, mu)
-            ms = (time.perf_counter() - start) * 1000.0
-            trace.append(t, float("nan"), float("nan"), pc, dev, ms)
-
-        if failed:
-            status = NUMERICAL_FAILURE
-            failed_at = t
-            break
-        if stopping:
-            break
-        pc_prev = pc
-
-    trace.status = status
-    trace.failed_iteration = failed_at
-    trace.n_iterations = t
-    if failed:
-        return SinkhornResult(TransportPlan(np.zeros((m, n))), trace)
-    return SinkhornResult(TransportPlan(half.plan(scale).T), trace)
+    if not finite:
+        return SinkhornResult(TransportPlan(np.zeros((m, n))), rule.trace)
+    return SinkhornResult(TransportPlan(half.plan(scale).T), rule.trace)
 
 
 def corollary9_iteration_bound(psi_star_norm: float, lam: float, epsilon: float) -> int:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import otkit as ok
 from helpers import grid_measure, small_random_instance
-from otkit.smoothed_dual import _row_reductions
+from otkit.smoothed_dual import _marginal_dev, _row_reductions
 
 
 def finite_difference_gradient(psi, src, tgt, cost, lam, h=1e-6):
@@ -150,24 +150,6 @@ class TestSmoothedEnergy:
         assert gaps[0] > gaps[1] > gaps[2] >= 0.0
         for lam, gap in zip((1.0, 0.1, 0.01), gaps):
             assert gap <= lam * math.log(6) + 1e-12
-
-    def test_kernel_mode_matches_log_domain_when_safe(self, rng):
-        src, tgt, cost = small_random_instance(rng, 5, 4)
-        psi = rng.standard_normal(4)
-        a = ok.smoothed_energy(psi, src, tgt, cost, 0.5)
-        b = ok.smoothed_energy(psi, src, tgt, cost, 0.5, kernel_mode=True)
-        assert a == pytest.approx(b, rel=1e-12)
-        a = ok.smoothed_gradient(psi, src, tgt, cost, 0.5)
-        b = ok.smoothed_gradient(psi, src, tgt, cost, 0.5, kernel_mode=True)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
-
-    def test_kernel_mode_overflows_where_log_domain_survives(self, rng):
-        src, tgt, cost = small_random_instance(rng, 4, 4, cost_scale=2000.0)
-        psi = rng.standard_normal(4)
-        lam = 1e-3
-        assert math.isfinite(ok.smoothed_energy(psi, src, tgt, cost, lam))
-        kernel = ok.smoothed_energy(psi, src, tgt, cost, lam, kernel_mode=True)
-        assert not math.isfinite(kernel)
 
 
 class TestSmoothedGradient:
@@ -323,7 +305,7 @@ def solver_reductions(rows, psi, mu, nu, lam, offset):
     e_lam = e + lam * (float(mu @ np.log(rows.sums)) - math.log(psi.size))
     return dict(shift=rows.shift, E=e, E_lam=e_lam, grad=rows.col_sums(scale) - nu,
                 plan_cost=rows.plan_cost(scale, offset),
-                D=rows.marginal_dev(scale, mu, nu))
+                D=_marginal_dev(scale * rows.sums, rows.col_sums(scale), mu, nu))
 
 
 # Every exponent (psi_j - c_ij - shift_i) / lam is formed with at most about 16

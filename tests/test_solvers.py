@@ -4,8 +4,52 @@ import numpy as np
 import pytest
 
 import otkit as ok
+from otkit import solvers
 from helpers import (criterion1_instance, grid_measure, random_point_instance,
                      reference_optimum, small_random_instance)
+
+
+def assert_final_row_independent_of_trace_every(solve):
+    """A run to ``max_iters = 25`` traced every iteration and once: the last
+    row, the iteration count, the potential (if any) and the plan agree."""
+    dense, sparse = solve(1), solve(25)
+    assert dense.trace.iters == list(range(dense.trace.iters[0], 26))
+    assert sparse.trace.iters == [t for t in dense.trace.iters if t % 25 == 0]
+    # Every column but wall_ms; Sinkhorn's E columns are NaN.
+    np.testing.assert_array_equal(list(dense.trace.rows())[-1][:5],
+                                  list(sparse.trace.rows())[-1][:5])
+    assert dense.trace.n_iterations == sparse.trace.n_iterations == 25
+    assert dense.trace.status == sparse.trace.status == ok.MAX_ITERS
+    if hasattr(dense, "potential"):
+        np.testing.assert_array_equal(dense.potential.values, sparse.potential.values)
+    np.testing.assert_array_equal(dense.plan.entries, sparse.plan.entries)
+
+
+SOLVES = {
+    "fista": lambda src, tgt, cost, **kw: ok.fista_solve(src, tgt, cost, 0.1,
+                                                         ok.FistaConfig(**kw)),
+    "sinkhorn": lambda src, tgt, cost, **kw: ok.sinkhorn_solve(src, tgt, cost, 0.1, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_trace_class_looked_up_at_solve_time(name, monkeypatch, rng):
+    # Callers may swap solvers.SolveTrace for a subclass that watches each row
+    # as it is recorded; every row must go through its append.
+    class Counting(solvers.SolveTrace):
+        appends = 0
+
+        def append(self, *row):
+            Counting.appends += 1
+            super().append(*row)
+
+    monkeypatch.setattr(solvers, "SolveTrace", Counting)
+    src, tgt, cost = small_random_instance(rng, 6, 5)
+    trace = SOLVES[name](src, tgt, cost, max_iters=40, stop_rel_tol=1e-300,
+                         trace_every=3).trace
+    assert type(trace) is Counting
+    assert Counting.appends == len(trace.iters) > 1
+    assert trace.iters[-1] == trace.n_iterations == 40
 
 
 class TestThetaSchedule:
@@ -95,6 +139,14 @@ class TestFistaSolve:
         assert a.trace.smoothed_energy == b.trace.smoothed_energy
         np.testing.assert_array_equal(a.potential.values, b.potential.values)
 
+    @pytest.mark.parametrize("kernel_mode", [False, True])
+    def test_final_row_independent_of_trace_every(self, kernel_mode, rng):
+        src, tgt, cost = small_random_instance(rng, 8, 7)
+        assert_final_row_independent_of_trace_every(
+            lambda every: ok.fista_solve(src, tgt, cost, 0.05, ok.FistaConfig(
+                max_iters=25, stop_rel_tol=1e-30, kernel_mode=kernel_mode,
+                trace_every=every, cost_offset=0.4)))
+
     def test_kernel_mode_failure_status(self, rng):
         src, tgt, cost = small_random_instance(rng, 5, 5, cost_scale=3000.0)
         config = ok.FistaConfig(eta=1, max_iters=100, stop_rel_tol=1e-9, kernel_mode=True)
@@ -114,13 +166,14 @@ class TestFistaSolve:
                                                cost_offset=offset))
         trace = result.trace
         zero = np.zeros(5)
-        grad = ok.smoothed_gradient(zero, src, tgt, cost, lam, kernel_mode=kernel_mode)
+        # Kernel mode must agree with the log-domain functions where it is safe.
+        grad = ok.smoothed_gradient(zero, src, tgt, cost, lam)
         plan = ok.recover_plan(zero, src, tgt, cost, lam)
         assert trace.iters[0] == 0
         assert trace.energy[0] == pytest.approx(ok.energy(zero, src, tgt, cost) - offset,
                                                 rel=1e-12)
         assert trace.smoothed_energy[0] == pytest.approx(
-            ok.smoothed_energy(zero, src, tgt, cost, lam, kernel_mode=kernel_mode) - offset,
+            ok.smoothed_energy(zero, src, tgt, cost, lam) - offset,
             rel=1e-12)
         assert trace.plan_cost[0] == pytest.approx(
             ok.plan_cost(plan, cost) + offset * plan.entries.sum(), rel=1e-12)
@@ -250,14 +303,10 @@ class TestSinkhornSolve:
     @pytest.mark.parametrize("kernel_mode", [False, True])
     def test_final_row_independent_of_trace_every(self, kernel_mode, rng):
         src, tgt, cost = small_random_instance(rng, 8, 7)
-        runs = [ok.sinkhorn_solve(src, tgt, cost, 0.05, max_iters=25, stop_rel_tol=1e-30,
-                                  kernel_mode=kernel_mode, trace_every=every, cost_offset=0.4)
-                for every in (1, 25)]
-        dense, sparse = ((run.trace.iters[-1], run.trace.plan_cost[-1],
-                          run.trace.marginal_dev[-1]) for run in runs)
-        assert len(runs[1].trace.iters) == 1
-        assert dense == sparse
-        np.testing.assert_array_equal(runs[0].plan.entries, runs[1].plan.entries)
+        assert_final_row_independent_of_trace_every(
+            lambda every: ok.sinkhorn_solve(src, tgt, cost, 0.05, max_iters=25,
+                                            stop_rel_tol=1e-30, kernel_mode=kernel_mode,
+                                            trace_every=every, cost_offset=0.4))
 
     def test_kernel_and_log_domain_agree_when_safe(self, rng):
         src, tgt, cost = small_random_instance(rng, 7, 7)
