@@ -39,11 +39,16 @@ def spanning_trees_by_filtering(m, n):
 
 
 def assert_optimal_basis(state, mu, nu, costs):
-    """Spanning-tree basis, exact marginals, and the dual certificate: no
-    negative reduced cost, zero reduced cost on every basic cell."""
+    """Spanning-tree basis, a nonnegative plan carried by the basic cells
+    alone, exact marginals, and the dual certificate: no negative reduced
+    cost, zero reduced cost on every basic cell."""
     m, n = costs.shape
     assert len(set(state.cells)) == m + n - 1
     assert is_spanning_tree(state.cells, m, n)
+    assert (state.plan >= 0).all()
+    off_basis = np.ones((m, n), dtype=bool)
+    off_basis[tuple(zip(*state.cells))] = False
+    np.testing.assert_array_equal(state.plan[off_basis], 0.0)
     np.testing.assert_allclose(state.plan.sum(axis=1), mu, rtol=0, atol=1e-12)
     np.testing.assert_allclose(state.plan.sum(axis=0), nu, rtol=0, atol=1e-12)
     reduced = state.reduced_costs(costs)
@@ -166,6 +171,29 @@ class TestExactSolve:
                 mu = ok.normalize(rng.uniform(0.1, 1.0, m))
                 nu = ok.normalize(rng.uniform(0.1, 1.0, n))
                 costs_ = rng.uniform(0.0, 1.0, size=(m, n))
+            state = transportation_simplex(mu, nu, costs_)
+            assert_optimal_basis(state, mu, nu, costs_)
+
+    def test_optimality_rests_on_recomputed_potentials(self, monkeypatch):
+        # Wipe the potentials whenever pricing the incrementally updated ones
+        # finds no entering cell: the recompute that follows must rebuild every
+        # one of them from the costs along the current tree.
+        price = exact._price
+        last = [0]
+
+        def wiping(costs, u, v, basic_flat, reduced, bland, opt_tol):
+            flat = price(costs, u, v, basic_flat, reduced, bland, opt_tol)
+            if flat < 0 and last[0] >= 0:
+                u[:] = v[:] = np.nan
+            last[0] = flat
+            return flat
+
+        monkeypatch.setattr(exact, "_price", wiping)
+        rng = np.random.default_rng(32)
+        for _ in range(60):
+            m, n = (int(x) for x in rng.integers(1, 21, size=2))
+            mu, nu, costs_ = degenerate_instance(rng, m, n)
+            last[0] = 0
             state = transportation_simplex(mu, nu, costs_)
             assert_optimal_basis(state, mu, nu, costs_)
 
