@@ -206,10 +206,15 @@ def center(cost: CostMatrix) -> CostMatrix:
 
 def save_cost_text(cost: CostMatrix, path) -> None:
     """Write the text format: first line ``m n``, then m rows of n decimals."""
-    m, n = cost.shape
+    _write_text_matrix(cost.entries, path)
+
+
+def _write_text_matrix(entries: np.ndarray, path) -> None:
+    """The text format of both costs and transport plans."""
+    m, n = entries.shape
     with open(path, "w") as fh:
         fh.write("%d %d\n" % (m, n))
-        for row in cost.entries:
+        for row in entries:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 

@@ -7,10 +7,12 @@ Instances are solved exactly (up to floating-point rounding). The basis is one
 rooted spanning tree kept across pivots, so a pivot costs one pricing pass over
 the m x n reduced costs plus work proportional to the cycle and the subtree it
 moves; the 784 x 784 ``sed-paper`` instance solves in about 23 s on 2 CPUs.
-After set-up the tree is traversed by one walk, every parent before its
-children: from the root it recomputes the potentials from scratch and, in
-reverse, the final allocation from the marginals; from the entering endpoint
-it visits the subtree a pivot moves.
+The northwest-corner staircase builds that rooted tree as it goes, each cell
+hanging one new row or column from a node already placed. After set-up the
+tree is traversed by one walk, every parent before its children: from the
+root it recomputes the potentials from scratch and, in reverse, the final
+allocation from the marginals; from the entering endpoint it visits the
+subtree a pivot moves.
 """
 
 from __future__ import annotations
@@ -49,57 +51,44 @@ class BasisState:
 
 
 def northwest_corner(mu: np.ndarray, nu: np.ndarray):
-    """Initial basic feasible solution via the northwest-corner rule.
+    """Initial basis by the northwest-corner rule, as a tree rooted at row 0.
 
-    Returns ``(cells, plan)`` with exactly ``m + n - 1`` basic cells forming a
-    staircase (hence a spanning tree); degenerate zero allocations appear when
-    a supply and a demand are exhausted simultaneously.
+    Returns ``(cells, parent, depth, pos, children, flow)``. ``cells`` holds
+    the ``m + n - 1`` basic cells of the staircase from ``(0, 0)`` to
+    ``(m-1, n-1)``; degenerate zero allocations appear when a supply and a
+    demand are exhausted simultaneously. Rows are nodes 0..m-1, columns
+    m..m+n-1. Each cell adds one new node (the next row or column), which
+    hangs from the cell's other endpoint and owns it: ``cells[pos[x]]`` joins
+    ``x`` to ``parent[x]`` and carries ``flow[x]``. The root owns no cell
+    (``pos[0] == -1``).
     """
     m, n = mu.size, nu.size
-    a = mu.astype(float).copy()
-    b = nu.astype(float).copy()
-    plan = np.zeros((m, n))
+    a = mu.astype(float).tolist()
+    b = nu.astype(float).tolist()
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    pos = [-1] * (m + n)
+    flow = [0.0] * (m + n)
+    children = [set() for _ in range(m + n)]
     cells = []
     i = j = 0
+    node, hub = m, 0  # the first cell hangs column 0 from the root
     while True:
         x = min(a[i], b[j])
-        plan[i, j] = x
+        parent[node], depth[node], pos[node], flow[node] = hub, depth[hub] + 1, len(cells), x
+        children[hub].add(node)
         cells.append((i, j))
         a[i] -= x
         b[j] -= x
         if i == m - 1 and j == n - 1:
             break
-        if a[i] <= b[j] and i < m - 1:
+        if (a[i] <= b[j] and i < m - 1) or j == n - 1:
             i += 1
-        elif j < n - 1:
-            j += 1
+            node, hub = i, m + j
         else:
-            i += 1
-    return cells, plan
-
-
-def _rooted_tree(cells, m: int, n: int):
-    """Parent, depth, children and owned cell position of every node of the
-    basis tree rooted at row 0. Rows are nodes 0..m-1, columns m..m+n-1; each
-    non-root node owns the basic cell ``cells[pos[node]]`` joining it to its
-    parent, and the root owns none (``pos[0] == -1``)."""
-    adj = [[] for _ in range(m + n)]
-    for k, (i, j) in enumerate(cells):
-        adj[i].append((m + j, k))
-        adj[m + j].append((i, k))
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
-    pos = [-1] * (m + n)
-    children = [set() for _ in range(m + n)]
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y, k in adj[x]:
-            if y != parent[x]:
-                parent[y], depth[y], pos[y] = x, depth[x] + 1, k
-                children[x].add(y)
-                stack.append(y)
-    return parent, depth, pos, children
+            j += 1
+            node, hub = m + j, i
+    return cells, parent, depth, pos, children, flow
 
 
 def _walk(children, x):
@@ -140,13 +129,7 @@ def _price(costs, u, v, basic_flat, reduced, bland: bool, opt_tol: float):
     return flat if flat_reduced[flat] < -opt_tol else -1
 
 
-def transportation_simplex(
-    mu: np.ndarray,
-    nu: np.ndarray,
-    costs: np.ndarray,
-    opt_tol: float = REDUCED_COST_TOL,
-    max_pivots: int | None = None,
-) -> BasisState:
+def transportation_simplex(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> BasisState:
     """Solve ``min <P, C>`` over the transportation polytope exactly.
 
     The basis is one spanning tree rooted at row 0 that persists across
@@ -170,12 +153,8 @@ def transportation_simplex(
     m, n = costs.shape
     if abs(mu.sum() - nu.sum()) > MASS_BALANCE_TOL:
         raise ValueError("total source and target mass must match")
-    if max_pivots is None:
-        max_pivots = 20 * (m + n) * max(m, n) + 1000
 
-    cells, plan = northwest_corner(mu, nu)
-    parent, depth, pos, children = _rooted_tree(cells, m, n)
-    flow = [float(plan[cells[k]]) if k >= 0 else 0.0 for k in pos]
+    cells, parent, depth, pos, children, flow = northwest_corner(mu, nu)
     basic_flat = np.array([i * n + j for i, j in cells])
     # +1 on rows, -1 on columns: the sign of a subtree's potential shift.
     side = np.concatenate([np.ones(m), -np.ones(n)])
@@ -186,11 +165,11 @@ def transportation_simplex(
 
     stall = 0
     bland = False
-    for _ in range(max_pivots):
-        flat = _price(costs, u, v, basic_flat, reduced, bland, opt_tol)
+    for _ in range(20 * (m + n) * max(m, n) + 1000):
+        flat = _price(costs, u, v, basic_flat, reduced, bland, REDUCED_COST_TOL)
         if flat < 0:
             order = _tree_potentials(potentials, costs, cells, parent, pos, children)
-            flat = _price(costs, u, v, basic_flat, reduced, bland, opt_tol)
+            flat = _price(costs, u, v, basic_flat, reduced, bland, REDUCED_COST_TOL)
             if flat < 0:
                 break
         r = reduced.flat[flat]

@@ -8,11 +8,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .costs import CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import TransportPlan
+from .smoothed_dual import TransportPlan, _marginal_dev
 
 
 def plan_cost(plan: TransportPlan, cost: CostMatrix) -> float:
@@ -32,8 +30,7 @@ def marginal_deviation(plan: TransportPlan, source: DiscreteMeasure,
     """
     if plan.entries.shape != (source.size, target.size):
         raise ValueError("plan shape does not match the measures")
-    return float(np.abs(plan.row_sums() - source.weights).sum()
-                 + np.abs(plan.col_sums() - target.weights).sum())
+    return _marginal_dev(plan.row_sums(), plan.col_sums(), source.weights, target.weights)
 
 
 class Theorem8Gap(NamedTuple):

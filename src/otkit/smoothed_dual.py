@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix, GridFactors
+from .costs import CostMatrix, GridFactors, _write_text_matrix
 from .measures import DiscreteMeasure
 
 
@@ -51,10 +51,6 @@ class Potential:
             raise ValueError("normalized potential must have zero mean")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def zeros(cls, n: int) -> "Potential":
-        return cls(np.zeros(n), normalized=True)
 
 
 @dataclass(frozen=True)
@@ -100,12 +96,8 @@ class TransportPlan:
         return self.entries.sum(axis=0)
 
     def save_text(self, path) -> None:
-        """Text format: first line ``m n``, then m rows of n decimals."""
-        m, n = self.entries.shape
-        with open(path, "w") as fh:
-            fh.write("%d %d\n" % (m, n))
-            for row in self.entries:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        """The text format of costs (``costs.load_cost_text`` reads it back)."""
+        _write_text_matrix(self.entries, path)
 
     def save_csv_triples(self, path, threshold: float = 0.0) -> None:
         """CSV rows ``i,j,p_ij`` for entries strictly above ``threshold``."""

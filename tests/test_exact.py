@@ -92,6 +92,32 @@ class TestTreeEnumeration:
         assert np.unique(sorted_cells, axis=0).shape[0] == 390625
 
 
+def assert_northwest_tree(mu, nu, atol=1e-12):
+    """The northwest-corner start is a staircase spanning tree rooted at row 0
+    whose flows meet the marginals; returns its cells and flows."""
+    m, n = mu.size, nu.size
+    cells, parent, depth, pos, children, flow = northwest_corner(mu, nu)
+    assert len(cells) == len(set(cells)) == m + n - 1
+    assert is_spanning_tree(cells, m, n)
+    assert cells[0] == (0, 0) and cells[-1] == (m - 1, n - 1)
+    for (i0, j0), (i1, j1) in zip(cells, cells[1:]):
+        assert (i1, j1) in ((i0 + 1, j0), (i0, j0 + 1))
+    assert parent[0] == -1 and pos[0] == -1 and depth[0] == 0 and flow[0] == 0.0
+    for x in range(1, m + n):
+        i, j = cells[pos[x]]
+        assert {x, parent[x]} == {i, m + j}
+        assert depth[x] == depth[parent[x]] + 1
+    for x in range(m + n):
+        assert children[x] == {y for y in range(1, m + n) if parent[y] == x}
+    assert all(type(f) is float and f >= 0.0 for f in flow)
+    plan = np.zeros((m, n))
+    for x in range(1, m + n):
+        plan[cells[pos[x]]] = flow[x]
+    np.testing.assert_allclose(plan.sum(axis=1), mu, rtol=0, atol=atol)
+    np.testing.assert_allclose(plan.sum(axis=0), nu, rtol=0, atol=atol)
+    return cells, flow
+
+
 class TestNorthwestCorner:
     def test_basis_size_and_marginals(self, rng):
         for _ in range(20):
@@ -99,18 +125,25 @@ class TestNorthwestCorner:
             n = int(rng.integers(1, 7))
             mu = ok.normalize(rng.uniform(0.1, 1.0, m))
             nu = ok.normalize(rng.uniform(0.1, 1.0, n))
-            cells, plan = northwest_corner(mu, nu)
-            assert len(cells) == m + n - 1
-            assert len(set(cells)) == m + n - 1
-            np.testing.assert_allclose(plan.sum(axis=1), mu, atol=1e-12)
-            np.testing.assert_allclose(plan.sum(axis=0), nu, atol=1e-12)
+            assert_northwest_tree(mu, nu)
 
     def test_degenerate_ties(self):
         mu = np.array([0.5, 0.5])
         nu = np.array([0.5, 0.5])
-        cells, plan = northwest_corner(mu, nu)
+        cells, flow = assert_northwest_tree(mu, nu, atol=1e-15)
         assert len(cells) == 3
-        np.testing.assert_allclose(plan.sum(axis=1), mu, atol=1e-15)
+        assert sorted(flow[1:]) == [0.0, 0.5, 0.5]
+
+    def test_degenerate_instances(self, rng):
+        for _ in range(40):
+            mu, nu, _ = degenerate_instance(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+            assert_northwest_tree(mu, nu)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 5), (4, 1)])
+    def test_edge_shapes(self, m, n):
+        mu, nu = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+        cells, _ = assert_northwest_tree(mu, nu)
+        assert cells == [(i, j) for i in range(m) for j in range(n)]
 
 
 class TestExactSolve:

@@ -376,6 +376,13 @@ class TestPlanExport:
         assert lines[0] == "2 2"
         assert len(lines) == 3
 
+    def test_text_round_trip(self, tmp_path, rng):
+        entries = rng.uniform(0.0, 1.0, (3, 4)) / 7.0
+        entries[1, 2] = 0.0
+        path = tmp_path / "plan.txt"
+        ok.TransportPlan(entries).save_text(path)
+        np.testing.assert_array_equal(ok.costs.load_cost_text(path).entries, entries)
+
     def test_csv_triples_threshold(self, tmp_path):
         plan = ok.TransportPlan(np.array([[0.25, 1e-9], [0.0, 0.75]]))
         path = tmp_path / "plan.csv"
