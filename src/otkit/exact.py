@@ -113,20 +113,21 @@ def _tree_potentials(potentials, costs, cells, parent, pos, children):
     return order
 
 
-def _price(costs, u, v, basic_flat, reduced, bland: bool, opt_tol: float):
+def _price(costs, u, v, basic_flat, reduced, bland: bool):
     """Entering cell as a flat index, or -1 when no reduced cost is below
-    ``-opt_tol``. Dantzig's most negative reduced cost, or Bland's smallest
-    violating index when ``bland``. ``reduced`` is an m x n work buffer; basic
-    cells are zeroed so rounding on them can never make them enter."""
+    ``-REDUCED_COST_TOL``. Dantzig's most negative reduced cost, or Bland's
+    smallest violating index when ``bland``. ``reduced`` is an m x n work
+    buffer; basic cells are zeroed so rounding on them can never make them
+    enter."""
     np.subtract(costs, u[:, None], out=reduced)
     reduced -= v[None, :]
     flat_reduced = reduced.ravel()
     flat_reduced[basic_flat] = 0.0
     if bland:
-        violating = flat_reduced < -opt_tol
+        violating = flat_reduced < -REDUCED_COST_TOL
         return int(np.argmax(violating)) if violating.any() else -1
     flat = int(np.argmin(flat_reduced))
-    return flat if flat_reduced[flat] < -opt_tol else -1
+    return flat if flat_reduced[flat] < -REDUCED_COST_TOL else -1
 
 
 def transportation_simplex(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) -> BasisState:
@@ -166,10 +167,10 @@ def transportation_simplex(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) ->
     stall = 0
     bland = False
     for _ in range(20 * (m + n) * max(m, n) + 1000):
-        flat = _price(costs, u, v, basic_flat, reduced, bland, REDUCED_COST_TOL)
+        flat = _price(costs, u, v, basic_flat, reduced, bland)
         if flat < 0:
             order = _tree_potentials(potentials, costs, cells, parent, pos, children)
-            flat = _price(costs, u, v, basic_flat, reduced, bland, REDUCED_COST_TOL)
+            flat = _price(costs, u, v, basic_flat, reduced, bland)
             if flat < 0:
                 break
         r = reduced.flat[flat]

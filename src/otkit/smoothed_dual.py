@@ -3,13 +3,14 @@ dual energy with analytic gradient and Hessian-vector products, projection
 onto the zero-mean hyperplane, and recovery of the approximate plan.
 
 All operations are pure functions of immutable inputs. Every smoothed
-quantity, here and in both solvers, comes from one row pass over
-``exp((psi_j - c_ij - shift_i)/lam)``. The default path is log-domain: the
-shift is the row maximum of ``psi_j - c_ij`` (the c-transform), so any
-smoothing scale ``lam > 0`` is representable. Given the multiplicative kernel
-``K = exp(-C/lam)`` the pass returns ``K * exp(psi/lam)`` with zero shift;
-only the solvers' opt-in kernel mode takes this path, to expose its overflow
-behavior.
+quantity here, and every one the solvers evaluate from a potential, comes from
+one row pass over ``exp((psi_j - c_ij - shift_i)/lam)``; between such passes
+Sinkhorn's dense log-domain loop only rescales the plan of its last one (see
+``solvers``). The default path is log-domain: the shift is the row maximum
+of ``psi_j - c_ij`` (the c-transform), so any smoothing scale ``lam > 0`` is
+representable. Given the multiplicative kernel ``K = exp(-C/lam)`` the pass
+returns ``K * exp(psi/lam)`` with zero shift; only the solvers' opt-in kernel
+mode takes this path, to expose its overflow behavior.
 
 The solvers read only a few reductions of the pass: the shift, the row sums,
 the scaled column sums and the plan's cost (the marginal deviation follows

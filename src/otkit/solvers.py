@@ -8,18 +8,26 @@ ever returning non-finite values. The rule, the validation of its settings,
 the trace cadence and wall clock and the terminal status live in one private
 object, ``_StopRule``, that both loops drive; each loop keeps only its math.
 
-Neither loop forms an m x n plan. The trace's <P, C> and marginal deviation,
-and Sinkhorn's failure check, come from reductions of the row pass plus
-O(m + n) vectors; the returned plan is built once, after the last iteration.
-Both loops read those reductions through ``smoothed_dual._row_reductions``:
-for a cost with grid factors (squared Euclidean between full grids) in the log
-domain they come from per-axis stages and no m x n array is touched until the
-plan is formed; otherwise, and always in kernel mode, from the dense pass.
+FISTA's loop forms no m x n plan: the trace's <P, C> and marginal deviation
+come from reductions of the row pass plus O(m + n) vectors, and the returned
+plan is built once, after the last iteration. Both loops read their passes
+through ``smoothed_dual._row_reductions``: for a cost with grid factors
+(squared Euclidean between full grids) in the log domain they come from
+per-axis stages and no m x n array is touched until the plan is formed;
+otherwise, and always in kernel mode, from the dense pass.
+
+On a dense cost in the log domain Sinkhorn runs those passes only now and
+then. Between them it holds the absorbed plan kernel
+``K_ij = exp((f_i + g_j - c_ij)/lam)`` of its last log-domain iteration, and
+``K o C``, and iterates by matrix-vector scaling; a scaling that leaves a
+fixed range is folded back into the potentials (``_AbsorbedKernel``). The
+loop holds at most two m x n arrays, as the passes do.
 
 Below a relative tolerance of about 1e-13 the stop rule fires only when two
 successive monitored values agree to their last bits, so a "converged"
 iteration count there depends on summation order: the grid and dense passes,
-for one, can stop at different iterations.
+for one, and Sinkhorn's absorbed and log-domain iterations, for another, can
+stop at different iterations.
 """
 
 from __future__ import annotations
@@ -258,6 +266,58 @@ def fista_solve(
     return FistaResult(potential, plan, rule.trace)
 
 
+# The absorbed kernel's scalings are accepted within [exp(-tau), exp(tau)].
+_ABSORB_TAU = 30.0
+
+
+def _in_scaling_range(x) -> bool:
+    """Every entry of ``x`` within ``[exp(-tau), exp(tau)]``; False on NaN."""
+    return bool(math.exp(-_ABSORB_TAU) <= x.min() and x.max() <= math.exp(_ABSORB_TAU))
+
+
+class _AbsorbedKernel:
+    """Sinkhorn's plan ``K_ij = exp((f_i + g_j - c_ij)/lam)`` at its last
+    log-domain iteration, iterated as ``diag(u) K diag(v)`` by matrix-vector
+    scaling from ``u = v = 1`` (log-stabilized scaling with absorption:
+    Schmitzer, SIAM J. Sci. Comput. 2019, Alg. 2).
+
+    ``KT`` is ``K^T``, the column half's plan formed in place of its weights,
+    and ``KCT`` is ``(K o C)^T``; together they are the two m x n arrays the
+    log-domain passes would hold. The potentials of the scaled plan are
+    ``f + lam log u`` and ``g + lam log v``.
+    """
+
+    def __init__(self, KT, CT):
+        self.KT = KT
+        self.KCT = KT * CT
+        self.u = np.ones(KT.shape[1])
+        self.v = np.ones(KT.shape[0])
+
+    def step(self, mu, nu, offset: float):
+        """One round ``u <- mu / (K v)``, ``v <- nu / (K^T u)``; returns
+        ``<P, C> + offset * sum(P)`` of the new plan, or None, keeping the
+        last accepted scalings, if a new one leaves the range."""
+        u = mu / (self.v @ self.KT)
+        if not _in_scaling_range(u):
+            return None
+        col = self.KT @ u
+        v = nu / col
+        if not _in_scaling_range(v):
+            return None
+        self.u, self.v, self._col = u, v, col
+        return float(v @ (self.KCT @ u)) + offset * float(v @ col)
+
+    def marginal_dev(self, mu, nu) -> float:
+        return _marginal_dev(self.v * self._col, self.u * (self.v @ self.KT), nu, mu)
+
+    def plan(self) -> np.ndarray:
+        """``diag(u) K diag(v)``, formed in place of ``K``: the last use of it."""
+        del self.KCT
+        self.KT *= self.v[:, None]
+        self.KT *= self.u
+        return self.KT.T
+
+
 def sinkhorn_solve(
     source: DiscreteMeasure,
     target: DiscreteMeasure,
@@ -280,16 +340,30 @@ def sinkhorn_solve(
         g_j = lam log nu_j - lam log sum_i exp((f_i - c_ij)/lam)   (rows of C.T)
 
     The plan ``exp((f_i + g_j - c_ij)/lam)`` is ``nu_j / sums_j`` times the
-    column half's weights, so its column sums equal ``nu`` up to rounding. It
-    is formed once, on return. Each iteration takes <P, C> from the weights'
-    row dots with ``C.T`` and from ``sums``, and stops by :class:`_StopRule`
-    on it; trace rows add the marginal deviation. Both halves read the pass
-    through ``_row_reductions``, so a cost with grid factors is iterated one
-    axis at a time, as in :func:`fista_solve`. The default path is log-domain
-    (stable for any ``lam > 0``); ``kernel_mode`` hands the pass the
-    multiplicative kernel, whose overflow at small ``lam`` makes ``g`` or
-    <P, C> non-finite, so the run ends as a ``numerical_failure`` and the
-    returned plan is all zeros. ``cost_offset`` is as in :class:`FistaConfig`.
+    column half's weights, so its column sums equal ``nu`` up to rounding.
+    Each iteration takes <P, C> from the weights' row dots with ``C.T`` and
+    from ``sums``, and stops by :class:`_StopRule` on it; trace rows add the
+    marginal deviation. Both halves read the pass through ``_row_reductions``,
+    so a cost with grid factors is iterated one axis at a time, as in
+    :func:`fista_solve`, and its plan is formed once, on return.
+
+    On a dense cost in the log domain the plan of a log-domain iteration is
+    formed in place and kept as the absorbed kernel ``K`` of
+    :class:`_AbsorbedKernel`. The next iterations scale it,
+    ``u <- mu / (K v)``, ``v <- nu / (K^T u)``, with <P, C> from ``K o C``:
+    three matrix-vector products, and one more on trace rows. When a new
+    scaling leaves ``[exp(-tau), exp(tau)]`` (``tau = 30``) it is discarded,
+    the last accepted ``v`` is folded into ``g`` and that iteration runs as
+    the two log-domain passes, after which the new plan is absorbed. A
+    non-finite scaling fails that range check, so the passes make the failure
+    decisions, and at most two m x n arrays are alive. The returned plan is
+    ``diag(u) K diag(v)``, formed in place.
+
+    The default path is log-domain (stable for any ``lam > 0``);
+    ``kernel_mode`` hands the pass the multiplicative kernel, whose overflow
+    at small ``lam`` makes ``g`` or <P, C> non-finite, so the run ends as a
+    ``numerical_failure`` and the returned plan is all zeros. ``cost_offset``
+    is as in :class:`FistaConfig`.
     """
     if not lam > 0.0:
         raise ValueError("lam must be > 0")
@@ -307,31 +381,48 @@ def sinkhorn_solve(
     KT = None if K is None else K.T
     grid = cost.grid
     grid_t = None if grid is None else grid.T
+    absorb = K is None and grid is None
+    absorbed = None
     g = np.zeros(n)
 
     t = 0
     while not rule.stopped:
         t += 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # Both halves bind one name, so no more than two passes are alive.
-            half = _row_reductions(g, C, lam, K, grid)
-            f = lam * (log_mu - np.log(half.sums)) - half.shift
-            half = _row_reductions(f, CT, lam, KT, grid_t)
-            g = lam * (log_nu - np.log(half.sums)) - half.shift
-            scale = nu / half.sums
-            pc = half.plan_cost(scale, cost_offset)
+            pc = None if absorbed is None else absorbed.step(mu, nu, cost_offset)
+            if pc is None:
+                if absorbed is not None:
+                    g += lam * np.log(absorbed.v)
+                    absorbed = None
+                # Both halves bind one name, so no more than two passes are alive.
+                half = _row_reductions(g, C, lam, K, grid)
+                f = lam * (log_mu - np.log(half.sums)) - half.shift
+                half = _row_reductions(f, CT, lam, KT, grid_t)
+                g = lam * (log_nu - np.log(half.sums)) - half.shift
+                scale = nu / half.sums
+                pc = half.plan_cost(scale, cost_offset)
 
         # Each plan entry is scale_j * w_ji with 0 <= w_ji <= sums_j, so a
         # non-finite entry needs a non-finite or zero sums_j, which makes g_j
-        # (or pc) non-finite.
+        # (or pc) non-finite. An absorbed step keeps g, and its scalings are
+        # finite by the range check.
         finite = math.isfinite(pc) and np.all(np.isfinite(g))
         if rule.row_due(t, pc, finite):
-            dev = (_marginal_dev(scale * half.sums, half.col_sums(scale), nu, mu)
-                   if finite else math.nan)
+            if not finite:
+                dev = math.nan
+            elif absorbed is not None:
+                dev = absorbed.marginal_dev(mu, nu)
+            else:
+                dev = _marginal_dev(scale * half.sums, half.col_sums(scale), nu, mu)
             rule.record(t, math.nan, math.nan, pc if finite else math.nan, dev)
+        if absorb and absorbed is None and finite and not rule.stopped:
+            absorbed = _AbsorbedKernel(half.plan(scale), CT)
+            half = None
 
     if not finite:
         return SinkhornResult(TransportPlan(np.zeros((m, n))), rule.trace)
+    if absorbed is not None:
+        return SinkhornResult(TransportPlan(absorbed.plan()), rule.trace)
     return SinkhornResult(TransportPlan(half.plan(scale).T), rule.trace)
 
 

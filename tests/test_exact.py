@@ -214,8 +214,8 @@ class TestExactSolve:
         price = exact._price
         last = [0]
 
-        def wiping(costs, u, v, basic_flat, reduced, bland, opt_tol):
-            flat = price(costs, u, v, basic_flat, reduced, bland, opt_tol)
+        def wiping(costs, u, v, basic_flat, reduced, bland):
+            flat = price(costs, u, v, basic_flat, reduced, bland)
             if flat < 0 and last[0] >= 0:
                 u[:] = v[:] = np.nan
             last[0] = flat
@@ -262,9 +262,9 @@ class TestBlandFallback:
         calls = []
         price = exact._price
 
-        def spy(costs, u, v, basic_flat, reduced, bland, opt_tol):
+        def spy(costs, u, v, basic_flat, reduced, bland):
             calls.append(bland)
-            return price(costs, u, v, basic_flat, reduced, bland, opt_tol)
+            return price(costs, u, v, basic_flat, reduced, bland)
 
         monkeypatch.setattr(exact, "_price", spy)
         return calls

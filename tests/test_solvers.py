@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import otkit as ok
 from otkit import solvers
@@ -323,6 +325,112 @@ class TestSinkhornSolve:
         assert all(math.isnan(e) for e in result.trace.energy)
         assert all(math.isfinite(p) for p in result.trace.plan_cost)
         assert all(d >= 0.0 for d in result.trace.marginal_dev)
+
+
+def log_domain_sinkhorn(mu, nu, C, lam, max_iters, stop_rel_tol):
+    """Plain log-domain Sinkhorn with the plan formed every iteration.
+
+    Returns each iteration's <P, C> and marginal deviation, the status by
+    the relative-change rule and the last plan.
+    """
+    def lse(x, axis):
+        top = x.max(axis=axis, keepdims=True)
+        return np.squeeze(top + np.log(np.exp(x - top).sum(axis=axis, keepdims=True)), axis)
+
+    g = np.zeros(C.shape[1])
+    costs, devs = [], []
+    for t in range(1, max_iters + 1):
+        f = lam * (np.log(mu) - lse((g[None, :] - C) / lam, 1))
+        g = lam * (np.log(nu) - lse((f[:, None] - C) / lam, 0))
+        plan = np.exp((f[:, None] + g[None, :] - C) / lam)
+        costs.append(float((plan * C).sum()))
+        devs.append(float(np.abs(plan.sum(axis=0) - nu).sum()
+                          + np.abs(plan.sum(axis=1) - mu).sum()))
+        if t > 1 and abs(costs[-1] - costs[-2]) < stop_rel_tol * abs(costs[-2]):
+            return costs, devs, ok.CONVERGED, plan
+    return costs, devs, ok.MAX_ITERS, plan
+
+
+def count_row_passes(monkeypatch):
+    """Record every call of ``solvers._row_reductions``."""
+    calls = []
+    plain = solvers._row_reductions
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_row_reductions", spy)
+    return calls
+
+
+class TestAbsorbedKernel:
+    """Dense log-domain Sinkhorn scales the absorbed plan kernel between
+    log-domain iterations; it must follow the plain log-domain loop."""
+
+    @staticmethod
+    def assert_matches_log_domain(src, tgt, cost, lam, max_iters, stop_rel_tol,
+                                  rtol, plan_atol):
+        result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=max_iters,
+                                   stop_rel_tol=stop_rel_tol)
+        costs, devs, status, plan = log_domain_sinkhorn(
+            src.weights, tgt.weights, cost.entries, lam, max_iters, stop_rel_tol)
+        assert result.trace.iters == list(range(1, len(costs) + 1))
+        assert result.trace.n_iterations == len(costs)
+        assert result.trace.status == status
+        np.testing.assert_allclose(result.trace.plan_cost, costs, rtol=rtol, atol=0)
+        # D sums m + n residuals whose rounding moves it by up to about 3e-14
+        # at lam = 1e-3; near that floor only an absolute comparison holds.
+        np.testing.assert_allclose(result.trace.marginal_dev, devs, rtol=rtol, atol=1e-13)
+        np.testing.assert_allclose(result.plan.entries, plan, rtol=0, atol=plan_atol)
+
+    def test_matches_log_domain_loop(self, rng):
+        src, tgt, cost = small_random_instance(rng, 8, 7, cost_scale=10.0)
+        self.assert_matches_log_domain(src, tgt, cost, 0.1, 200, 1e-300,
+                                       rtol=1e-12, plan_atol=1e-14)
+
+    def test_matches_log_domain_loop_through_fallback(self, rng, monkeypatch):
+        # The kernel-mode overflow instance: the scalings drift by about e^0.9
+        # an iteration and leave [e^-30, e^30] at iteration 36, which then
+        # runs as two log-domain passes from g with the last v folded in. The
+        # exponents reach c_max / lam = 3e6, so rounding alone moves each plan
+        # entry by about 1e-9 relative, in the reference as in the solver.
+        src, tgt, cost = small_random_instance(rng, 5, 5, cost_scale=3000.0)
+        passes = count_row_passes(monkeypatch)
+        self.assert_matches_log_domain(src, tgt, cost, 1e-3, 36, 1e-300,
+                                       rtol=1e-8, plan_atol=1e-8)
+        assert len(passes) == 4
+
+    @settings(max_examples=60)
+    @given(log_lam=st.floats(-3.0, 0.0), m=st.integers(2, 12), n=st.integers(2, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_log_domain_loop_property(self, log_lam, m, n, seed):
+        # Costs lie in [0, 1], so the exponents reach 1 / lam <= 1e3 and
+        # their rounding moves plan entries by up to about 2e-13 relative.
+        src, tgt, cost = small_random_instance(np.random.default_rng(seed), m, n)
+        self.assert_matches_log_domain(src, tgt, cost, 10.0 ** log_lam, 100, 1e-8,
+                                       rtol=1e-11, plan_atol=1e-12)
+
+    @pytest.mark.parametrize("path", ["dense", "kernel_mode", "grid"])
+    def test_row_passes(self, path, rng, monkeypatch):
+        # Only the dense log-domain loop absorbs; kernel mode and grid costs
+        # run both passes every iteration.
+        if path == "grid":
+            src, tgt = grid_measure(rng, (4, 4)), grid_measure(rng, (3, 5))
+            cost = ok.center(ok.squared_euclidean(src, tgt))
+            lam = cost.spread / 20.0
+        else:
+            src, tgt, cost = small_random_instance(rng, 12, 10, cost_scale=10.0)
+            lam = 0.05
+        passes = count_row_passes(monkeypatch)
+        result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=300, stop_rel_tol=1e-300,
+                                   kernel_mode=path == "kernel_mode")
+        if path == "dense":
+            assert result.trace.n_iterations == 300
+            assert len(passes) <= 60
+        else:
+            assert result.trace.n_iterations > 10
+            assert len(passes) == 2 * result.trace.n_iterations
 
 
 class TestGridCosts:
