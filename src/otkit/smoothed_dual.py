@@ -48,7 +48,9 @@ class Potential:
             raise ValueError("potential must be a nonempty 1D array")
         if not np.all(np.isfinite(values)):
             raise ValueError("potential entries must be finite")
-        if self.normalized and abs(values.sum()) > 1e-10 * values.size:
+        # The sum's own rounding grows with the entries' magnitude.
+        if (self.normalized and abs(values.sum())
+                > 1e-10 * values.size * max(1.0, float(np.abs(values).max()))):
             raise ValueError("normalized potential must have zero mean")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

@@ -21,7 +21,8 @@ then. Between them it holds the absorbed plan kernel
 ``K_ij = exp((f_i + g_j - c_ij)/lam)`` of its last log-domain iteration, and
 ``K o C``, and iterates by matrix-vector scaling; a scaling that leaves a
 fixed range is folded back into the potentials (``_AbsorbedKernel``). The
-loop holds at most two m x n arrays, as the passes do.
+kernel answers the column half's reductions, so one loop body serves every
+Sinkhorn iteration, holding at most two m x n arrays, as the passes do.
 
 Below a relative tolerance of about 1e-13 the stop rule fires only when two
 successive monitored values agree to their last bits, so a "converged"
@@ -192,6 +193,18 @@ class _StopRule:
         self.trace.append(t, e, e_lam, pc, dev, ms)
 
 
+def _setup(source, target, cost: CostMatrix, lam: float, kernel_mode: bool):
+    """Both solvers' checked ``mu``, ``nu``, ``C`` and kernel-mode ``K = exp(-C/lam)``."""
+    if not lam > 0.0:
+        raise ValueError("lam must be > 0")
+    mu, nu, C = source.weights, target.weights, cost.entries
+    if (mu.size, nu.size) != C.shape:
+        raise ValueError("measure sizes do not match the cost matrix")
+    with np.errstate(over="ignore"):
+        K = np.exp(-C / lam) if kernel_mode else None
+    return mu, nu, C, K
+
+
 def fista_solve(
     source: DiscreteMeasure,
     target: DiscreteMeasure,
@@ -211,20 +224,10 @@ def fista_solve(
     the final proximal point z, which carries the accelerated convergence
     guarantee; the trace rows are evaluated at the momentum iterates psi_t.
     """
-    if not lam > 0.0:
-        raise ValueError("lam must be > 0")
-    mu = source.weights
-    nu = target.weights
-    C = cost.entries
-    m, n = C.shape
-    if mu.size != m or nu.size != n:
-        raise ValueError("measure sizes do not match the cost matrix")
+    mu, nu, C, K = _setup(source, target, cost, lam, config.kernel_mode)
+    n = nu.size
     log_n = math.log(n)
     step = config.eta * lam
-
-    with np.errstate(over="ignore"):
-        K = np.exp(-C / lam) if config.kernel_mode else None
-
     rule = _StopRule(config.max_iters, config.stop_rel_tol, config.trace_every)
     psi = np.zeros(n)
     z = np.zeros(n)
@@ -284,7 +287,9 @@ class _AbsorbedKernel:
     ``KT`` is ``K^T``, the column half's plan formed in place of its weights,
     and ``KCT`` is ``(K o C)^T``; together they are the two m x n arrays the
     log-domain passes would hold. The potentials of the scaled plan are
-    ``f + lam log u`` and ``g + lam log v``.
+    ``f + lam log u`` and ``g + lam log v``. After :meth:`rescale` the kernel
+    reads as the column half's pass, with weights ``K^T diag(u)`` and
+    ``sums = K^T u``, so ``scale = nu / sums`` is ``v``.
     """
 
     def __init__(self, KT, CT):
@@ -293,29 +298,31 @@ class _AbsorbedKernel:
         self.u = np.ones(KT.shape[1])
         self.v = np.ones(KT.shape[0])
 
-    def step(self, mu, nu, offset: float):
-        """One round ``u <- mu / (K v)``, ``v <- nu / (K^T u)``; returns
-        ``<P, C> + offset * sum(P)`` of the new plan, or None, keeping the
-        last accepted scalings, if a new one leaves the range."""
+    def rescale(self, mu, nu) -> bool:
+        """One round ``u <- mu / (K v)``, ``v <- nu / (K^T u)``; False,
+        keeping the last accepted scalings, if a new one leaves the range."""
         u = mu / (self.v @ self.KT)
         if not _in_scaling_range(u):
-            return None
-        col = self.KT @ u
-        v = nu / col
+            return False
+        sums = self.KT @ u
+        v = nu / sums
         if not _in_scaling_range(v):
-            return None
-        self.u, self.v, self._col = u, v, col
-        return float(v @ (self.KCT @ u)) + offset * float(v @ col)
+            return False
+        self.u, self.v, self.sums = u, v, sums
+        return True
 
-    def marginal_dev(self, mu, nu) -> float:
-        return _marginal_dev(self.v * self._col, self.u * (self.v @ self.KT), nu, mu)
+    def col_sums(self, scale) -> np.ndarray:
+        return (scale @ self.KT) * self.u
 
-    def plan(self) -> np.ndarray:
-        """``diag(u) K diag(v)``, formed in place of ``K``: the last use of it."""
+    def plan_cost(self, scale, offset: float) -> float:
+        return float(scale @ (self.KCT @ self.u)) + offset * float(scale @ self.sums)
+
+    def plan(self, scale) -> np.ndarray:
+        """The plan's transpose, formed in place of ``K^T``: the last use of it."""
         del self.KCT
-        self.KT *= self.v[:, None]
+        self.KT *= scale[:, None]
         self.KT *= self.u
-        return self.KT.T
+        return self.KT
 
 
 def sinkhorn_solve(
@@ -356,8 +363,8 @@ def sinkhorn_solve(
     the last accepted ``v`` is folded into ``g`` and that iteration runs as
     the two log-domain passes, after which the new plan is absorbed. A
     non-finite scaling fails that range check, so the passes make the failure
-    decisions, and at most two m x n arrays are alive. The returned plan is
-    ``diag(u) K diag(v)``, formed in place.
+    decisions, and at most two m x n arrays are alive. The kernel answers the
+    column half's reductions, so <P, C>, D and the plan come from one body.
 
     The default path is log-domain (stable for any ``lam > 0``);
     ``kernel_mode`` hands the pass the multiplicative kernel, whose overflow
@@ -365,18 +372,11 @@ def sinkhorn_solve(
     ``numerical_failure`` and the returned plan is all zeros. ``cost_offset``
     is as in :class:`FistaConfig`.
     """
-    if not lam > 0.0:
-        raise ValueError("lam must be > 0")
+    mu, nu, C, K = _setup(source, target, cost, lam, kernel_mode)
     rule = _StopRule(max_iters, stop_rel_tol, trace_every)
-    mu = source.weights
-    nu = target.weights
-    C = cost.entries
     m, n = C.shape
-
     log_mu = np.log(mu)
     log_nu = np.log(nu)
-    with np.errstate(over="ignore"):
-        K = np.exp(-C / lam) if kernel_mode else None
     CT = C.T
     KT = None if K is None else K.T
     grid = cost.grid
@@ -389,40 +389,34 @@ def sinkhorn_solve(
     while not rule.stopped:
         t += 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            pc = None if absorbed is None else absorbed.step(mu, nu, cost_offset)
-            if pc is None:
+            if absorbed is not None and absorbed.rescale(mu, nu):
+                half = absorbed
+            else:
                 if absorbed is not None:
                     g += lam * np.log(absorbed.v)
-                    absorbed = None
-                # Both halves bind one name, so no more than two passes are alive.
+                # Drop the kernel; both halves bind one name: two passes alive at most.
+                half = absorbed = None
                 half = _row_reductions(g, C, lam, K, grid)
                 f = lam * (log_mu - np.log(half.sums)) - half.shift
                 half = _row_reductions(f, CT, lam, KT, grid_t)
                 g = lam * (log_nu - np.log(half.sums)) - half.shift
-                scale = nu / half.sums
-                pc = half.plan_cost(scale, cost_offset)
+            scale = nu / half.sums
+            pc = half.plan_cost(scale, cost_offset)
 
         # Each plan entry is scale_j * w_ji with 0 <= w_ji <= sums_j, so a
         # non-finite entry needs a non-finite or zero sums_j, which makes g_j
-        # (or pc) non-finite. An absorbed step keeps g, and its scalings are
+        # (or pc) non-finite. An absorbed round keeps g, and its scalings are
         # finite by the range check.
         finite = math.isfinite(pc) and np.all(np.isfinite(g))
         if rule.row_due(t, pc, finite):
-            if not finite:
-                dev = math.nan
-            elif absorbed is not None:
-                dev = absorbed.marginal_dev(mu, nu)
-            else:
-                dev = _marginal_dev(scale * half.sums, half.col_sums(scale), nu, mu)
+            dev = (_marginal_dev(scale * half.sums, half.col_sums(scale), nu, mu)
+                   if finite else math.nan)
             rule.record(t, math.nan, math.nan, pc if finite else math.nan, dev)
         if absorb and absorbed is None and finite and not rule.stopped:
             absorbed = _AbsorbedKernel(half.plan(scale), CT)
-            half = None
 
     if not finite:
         return SinkhornResult(TransportPlan(np.zeros((m, n))), rule.trace)
-    if absorbed is not None:
-        return SinkhornResult(TransportPlan(absorbed.plan()), rule.trace)
     return SinkhornResult(TransportPlan(half.plan(scale).T), rule.trace)
 
 

@@ -132,6 +132,16 @@ class TestRunExperiment:
         wall_ms = summary["solvers"]["exact"]["wall_ms"]
         assert isinstance(wall_ms, float) and wall_ms > 0.0
 
+    def test_wall_ms_covers_the_whole_solve(self, tmp_path):
+        config = ExperimentConfig(instance="random_points", m=12, n=12, seed=3,
+                                  solvers=("fista", "sinkhorn"), max_iters=200,
+                                  out=str(tmp_path))
+        summary, _ = run_experiment(config)
+        for name in ("fista", "sinkhorn"):
+            lines = (tmp_path / ("trace_%s.csv" % name)).read_text().splitlines()
+            last_row_ms = float(lines[-1].split(",")[-1])
+            assert summary["solvers"][name]["wall_ms"] > last_row_ms
+
     def test_summary_contains_bound_and_within(self, tmp_path):
         config = ExperimentConfig(instance="random_points", m=12, n=12, seed=3,
                                   solvers=("fista", "sinkhorn", "exact"), T=200.0,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ def test_trace_class_looked_up_at_solve_time(name, monkeypatch, rng):
     assert type(trace) is Counting
     assert Counting.appends == len(trace.iters) > 1
     assert trace.iters[-1] == trace.n_iterations == 40
+
+
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_rejects_measure_sizes_not_matching_cost(name):
+    src = ok.from_points(np.zeros((4, 1)), np.full(4, 0.25))
+    tgt = ok.from_points(np.zeros((5, 1)), np.full(5, 0.2))
+    cost = ok.CostMatrix.from_entries(np.ones((4, 6)))
+    with pytest.raises(ValueError, match="measure sizes do not match the cost matrix"):
+        SOLVES[name](src, tgt, cost)
 
 
 class TestThetaSchedule:
@@ -150,6 +160,18 @@ class TestFistaSolve:
             lambda every: ok.fista_solve(src, tgt, cost, 0.05, ok.FistaConfig(
                 max_iters=25, stop_rel_tol=1e-30, kernel_mode=kernel_mode,
                 trace_every=every, cost_offset=0.4)))
+
+    def test_large_costs_return_zero_mean_potential(self):
+        # Potentials reach 2.5e7 here, and the rounding of their sum alone
+        # (about 2e-9) exceeds a zero-mean tolerance that ignores magnitude.
+        rng = np.random.default_rng(1)
+        src = ok.from_points(rng.uniform(size=(8, 2)), np.full(8, 0.125))
+        tgt = ok.from_points(rng.uniform(size=(8, 2)), np.full(8, 0.125))
+        cost = ok.CostMatrix.from_entries(rng.uniform(size=(8, 8)) * 1e8)
+        result = ok.fista_solve(src, tgt, cost, cost.spread / 500,
+                                ok.FistaConfig(eta=5, max_iters=300))
+        assert np.abs(result.potential.values).max() > 1e7
+        assert np.isfinite(result.plan.entries).all()
 
     def test_kernel_mode_failure_status(self, rng):
         src, tgt, cost = small_random_instance(rng, 5, 5, cost_scale=3000.0)
@@ -292,12 +314,20 @@ class TestSinkhornSolve:
         assert result.trace.failed_iteration == t
         assert (result.plan.entries == 0.0).all()
 
-    @pytest.mark.parametrize("kernel_mode", [False, True])
-    def test_trace_matches_returned_plan(self, kernel_mode, rng):
-        src, tgt, cost = small_random_instance(rng, 7, 6)
+    @pytest.mark.parametrize("kernel_mode, shape, cost_scale, lam, max_iters", [
+        (False, (7, 6), 1.0, 0.1, 30),
+        (True, (7, 6), 1.0, 0.1, 30),
+        # The absorbed kernel's scalings leave their range at iteration 36,
+        # so the returned plan is that of a log-domain fallback.
+        (False, (5, 5), 3000.0, 1e-3, 36),
+    ], ids=["False", "True", "fallback"])
+    def test_trace_matches_returned_plan(self, kernel_mode, shape, cost_scale, lam,
+                                         max_iters, rng):
+        src, tgt, cost = small_random_instance(rng, *shape, cost_scale=cost_scale)
         offset = -2.3
-        result = ok.sinkhorn_solve(src, tgt, cost, 0.1, max_iters=30, stop_rel_tol=1e-30,
-                                   kernel_mode=kernel_mode, cost_offset=offset)
+        result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=max_iters,
+                                   stop_rel_tol=1e-30, kernel_mode=kernel_mode,
+                                   cost_offset=offset)
         plan = result.plan
         assert result.trace.plan_cost[-1] == pytest.approx(
             ok.plan_cost(plan, cost) + offset * plan.entries.sum(), rel=1e-12)
@@ -431,6 +461,26 @@ class TestAbsorbedKernel:
         else:
             assert result.trace.n_iterations > 10
             assert len(passes) == 2 * result.trace.n_iterations
+
+
+    @pytest.mark.parametrize("cost_scale, lam, passes", [(3000.0, 1e-3, 18), (1.0, 0.05, 2)],
+                             ids=["fallbacks", "no_fallback"])
+    def test_at_most_two_plan_arrays_alive(self, cost_scale, lam, passes, monkeypatch):
+        # With fallbacks (18 passes in 120 iterations) and without: the kernel
+        # and K o C, or the two passes, and never the kernel beside a pass.
+        m = n = 300
+        src, tgt, cost = small_random_instance(np.random.default_rng(12345), m, n,
+                                               cost_scale=cost_scale)
+        calls = count_row_passes(monkeypatch)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=120, stop_rel_tol=1e-300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == passes
+        assert peak - baseline <= 2.5 * m * n * 8
 
 
 class TestGridCosts:
