@@ -71,6 +71,9 @@ class ExperimentConfig:
             raise ConfigError("unknown cost kind %r" % self.cost_kind)
         if self.instance not in INSTANCE_KINDS:
             raise ConfigError("unknown instance kind %r" % self.instance)
+        for name in ("m", "n", "d", "image_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError("%s must be >= 1" % name)
         if not self.p > 0.0:
             raise ConfigError("p must be > 0")
         if not self.T > 0.0:

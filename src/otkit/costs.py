@@ -22,7 +22,8 @@ import numpy as np
 from .measures import DiscreteMeasure
 
 UNIT_NORM_TOL = 1e-9
-# Size of the row blocks that ``_squared_distances`` accumulates through.
+# Size of the row blocks that ``_squared_distances`` accumulates through and
+# that ``smoothed_dual._row_max`` reduces.
 _BLOCK_BYTES = 1 << 18
 
 

@@ -5,12 +5,15 @@ onto the zero-mean hyperplane, and recovery of the approximate plan.
 All operations are pure functions of immutable inputs. Every smoothed
 quantity here, and every one the solvers evaluate from a potential, comes from
 one row pass over ``exp((psi_j - c_ij - shift_i)/lam)``; between such passes
-Sinkhorn's dense log-domain loop only rescales the plan of its last one (see
-``solvers``). The default path is log-domain: the shift is the row maximum
-of ``psi_j - c_ij`` (the c-transform), so any smoothing scale ``lam > 0`` is
-representable. Given the multiplicative kernel ``K = exp(-C/lam)`` the pass
-returns ``K * exp(psi/lam)`` with zero shift; only the solvers' opt-in kernel
-mode takes this path, to expose its overflow behavior.
+both solvers' dense log-domain loops only rescale the weights of their last
+one (see ``solvers``). The default path is log-domain: the shift is the row
+maximum of ``psi_j - c_ij`` (the c-transform), so any smoothing scale
+``lam > 0`` is representable. The exact c-transform alone, as ``energy`` and
+FISTA's rescaled passes take it, comes from ``_row_max``, a block of rows at a
+time, without an m x n array. Given the multiplicative kernel
+``K = exp(-C/lam)`` the pass returns ``K * exp(psi/lam)`` with zero shift;
+only the solvers' opt-in kernel mode takes this path, to expose its overflow
+behavior.
 
 The solvers read only a few reductions of the pass: the shift, the row sums,
 the scaled column sums and the plan's cost (the marginal deviation follows
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix, GridFactors, _write_text_matrix
+from .costs import _BLOCK_BYTES, CostMatrix, GridFactors, _write_text_matrix
 from .measures import DiscreteMeasure
 
 
@@ -279,10 +282,24 @@ def _row_reductions(psi, C, lam, K=None, grid: GridFactors | None = None):
     return _GridRows(psi, C, grid, lam)
 
 
+def _row_max(psi: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Row maxima ``max_j (psi_j - c_ij)``, taken a block of rows at a time
+    through one reused buffer, so no m x n array is allocated. A maximum is
+    exact, so blocking leaves every value bitwise unchanged."""
+    m, n = C.shape
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    buf = np.empty((min(step, m), n))
+    out = np.empty(m)
+    for start in range(0, m, step):
+        block = buf[:min(step, m - start)]
+        np.subtract(psi, C[start:start + step], out=block)
+        block.max(axis=1, out=out[start:start + step])
+    return out
+
+
 def c_transform(psi, cost: CostMatrix) -> np.ndarray:
     """Per-row conjugate ``max_j (psi_j - c_ij)``, one value per source atom."""
-    vals = _psi_array(psi)[None, :] - cost.entries
-    return vals.max(axis=1)
+    return _row_max(_psi_array(psi), cost.entries)
 
 
 def c_transform_argmax(psi, cost: CostMatrix) -> np.ndarray:
@@ -364,8 +381,8 @@ def hessian_apply(
     null space) and the largest eigenvalue is at most ``1/lam``.
     """
     w = np.asarray(direction, dtype=float)
-    _, weights, sums = _row_pass(_psi_array(psi), cost.entries, lam)
-    softmax = weights / sums[:, None]
+    _, softmax, sums = _row_pass(_psi_array(psi), cost.entries, lam)
+    softmax /= sums[:, None]
     mu = source.weights
     row_dots = softmax @ w
     return ((mu @ softmax) * w - (mu * row_dots) @ softmax) / lam

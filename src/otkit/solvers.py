@@ -16,13 +16,18 @@ through ``smoothed_dual._row_reductions``: for a cost with grid factors
 per-axis stages and no m x n array is touched until the plan is formed;
 otherwise, and always in kernel mode, from the dense pass.
 
-On a dense cost in the log domain Sinkhorn runs those passes only now and
-then. Between them it holds the absorbed plan kernel
-``K_ij = exp((f_i + g_j - c_ij)/lam)`` of its last log-domain iteration, and
-``K o C``, and iterates by matrix-vector scaling; a scaling that leaves a
-fixed range is folded back into the potentials (``_AbsorbedKernel``). The
-kernel answers the column half's reductions, so one loop body serves every
-Sinkhorn iteration, holding at most two m x n arrays, as the passes do.
+On a dense cost in the log domain both solvers run those passes only now
+and then, and read the iterations between them from the weights of the last
+one by matrix-vector products (stabilized scaling with absorption). Sinkhorn
+holds the absorbed plan kernel ``K_ij = exp((f_i + g_j - c_ij)/lam)`` of its
+last log-domain iteration, and ``K o C``, and iterates by scaling it; a
+scaling that leaves a fixed range is folded back into the potentials
+(``_AbsorbedKernel``). FISTA holds the weights of its last dense row pass and
+rescales them by ``exp((psi - psi0)/lam)`` while that stays in the same range,
+taking only the exact row max from ``C`` (``_AbsorbedRows``). Each kernel
+answers the reductions of the pass it stands for, so one loop body serves
+every iteration of its solver; Sinkhorn holds at most two m x n arrays and
+FISTA one, as their passes do.
 
 Below a relative tolerance of about 1e-13 the stop rule fires only when two
 successive monitored values agree to their last bits, so a "converged"
@@ -42,8 +47,8 @@ import numpy as np
 
 from .costs import CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import (Potential, TransportPlan, _marginal_dev, _row_reductions, energy,
-                            project_H, recover_plan)
+from .smoothed_dual import (Potential, TransportPlan, _marginal_dev, _row_max, _row_reductions,
+                            energy, project_H, recover_plan)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -223,12 +228,25 @@ def fista_solve(
     and stops by :class:`_StopRule` on E(psi_t). The returned potential is
     the final proximal point z, which carries the accelerated convergence
     guarantee; the trace rows are evaluated at the momentum iterates psi_t.
+
+    Each iteration reads one row pass at psi_t. On a dense cost in the log
+    domain the weights of the last dense pass, at an earlier iterate psi_a,
+    are kept as :class:`_AbsorbedRows`, and while
+    ``max|psi_t - psi_a| / lam <= tau`` (``tau = 30``) the pass at psi_t is
+    read from them by two matrix-vector products, with the exact row max
+    taken from ``C`` a block of rows at a time, so E stays exact. Otherwise,
+    and on a NaN, the kernel is dropped and the dense pass at psi_t runs and
+    becomes the new kernel, so the dense pass makes the failure decisions
+    and one m x n array is alive. Grid costs and kernel mode run their pass
+    every iteration.
     """
     mu, nu, C, K = _setup(source, target, cost, lam, config.kernel_mode)
     n = nu.size
     log_n = math.log(n)
     step = config.eta * lam
     rule = _StopRule(config.max_iters, config.stop_rel_tol, config.trace_every)
+    absorb = K is None and cost.grid is None
+    absorbed = None
     psi = np.zeros(n)
     z = np.zeros(n)
     theta = 1.0
@@ -240,7 +258,14 @@ def fista_solve(
         # the log domain its shift is the c-transform, so E comes with it.
         # With true cost = C + offset, E_true(psi) = E_C(psi) - offset.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows = _row_reductions(psi, C, lam, K, cost.grid)
+            if absorbed is not None and absorbed.rescale(psi):
+                rows = absorbed
+            else:
+                # Drop the kernel: the pass that replaces it is the one m x n array.
+                rows = absorbed = None
+                rows = _row_reductions(psi, C, lam, K, cost.grid)
+                if absorb:
+                    absorbed = _AbsorbedRows(rows, psi, lam)
             sums = rows.sums
             e_shift = float(mu @ rows.shift - nu @ psi) - offset
             e_val = e_shift if K is None else energy(psi, source, target, cost) - offset
@@ -264,6 +289,8 @@ def fista_solve(
         theta = theta_new
         t += 1
 
+    # Drop the kernel: the plan formed below is then the one m x n array.
+    rows = absorbed = None
     potential = Potential(project_H(z), normalized=True)
     plan = recover_plan(potential, source, target, cost, lam)
     return FistaResult(potential, plan, rule.trace)
@@ -276,6 +303,44 @@ _ABSORB_TAU = 30.0
 def _in_scaling_range(x) -> bool:
     """Every entry of ``x`` within ``[exp(-tau), exp(tau)]``; False on NaN."""
     return bool(math.exp(-_ABSORB_TAU) <= x.min() and x.max() <= math.exp(_ABSORB_TAU))
+
+
+class _AbsorbedRows:
+    """FISTA's dense log-domain row pass at ``psi0``, with weights
+    ``W0_ij = exp((psi0_j - c_ij - s_i)/lam)`` and ``s`` its row max, read
+    at nearby potentials by matrix-vector products (the absorption of
+    :class:`_AbsorbedKernel`, applied to the row half).
+
+    At ``psi`` let ``e = exp((psi - psi0)/lam)`` and ``h`` be the exact row
+    max of ``psi_j - c_ij``. The pass's weights are then ``r_i W0_ij e_j``
+    with ``r = exp((s - h)/lam)``, and ``|s_i - h_i| <= max|psi - psi0|``,
+    so ``r`` stays in range with ``e``. :meth:`rescale` reads them as the
+    pass does: ``shift = h`` (the c-transform, so E stays exact),
+    ``sums = r * (W0 e)`` and the scaled column sums, with ``W0`` the pass's
+    own weights array, so no other m x n array is held.
+    """
+
+    def __init__(self, rows, psi0, lam):
+        self.W0, self.C, self.s = rows.weights, rows.C, rows.shift
+        self.psi0, self.lam = psi0, lam
+
+    def rescale(self, psi) -> bool:
+        """The pass at ``psi``; False if ``e`` leaves the range (or is NaN)."""
+        e = np.exp((psi - self.psi0) / self.lam)
+        if not _in_scaling_range(e):
+            return False
+        self.e = e
+        self.shift = _row_max(psi, self.C)
+        self.r = np.exp((self.s - self.shift) / self.lam)
+        self.sums = (self.W0 @ e) * self.r
+        return True
+
+    def col_sums(self, scale) -> np.ndarray:
+        return ((scale * self.r) @ self.W0) * self.e
+
+    def plan_cost(self, scale, offset: float) -> float:
+        return (float((scale * self.r) @ np.einsum("ij,ij,j->i", self.W0, self.C, self.e))
+                + offset * float(scale @ self.sums))
 
 
 class _AbsorbedKernel:

@@ -44,6 +44,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="T must be > 0"):
             ExperimentConfig(T=0.0).validate()
 
+    @pytest.mark.parametrize("name, value", [("m", 0), ("n", -1), ("d", 0), ("image_size", 0)])
+    def test_sizes_below_one_rejected(self, name, value):
+        # Each names its own field: measures.random_measure would call n "m",
+        # and a zero-size image fails inside numpy.
+        with pytest.raises(ConfigError, match="^%s must be >= 1$" % name):
+            ExperimentConfig(**{name: value}).validate()
+
     def test_precedence_preset_file_flags(self, tmp_path):
         config_file = tmp_path / "exp.cfg"
         config_file.write_text("# comment line\nT = 123.0\nm = 44\nsolvers = fista\n")

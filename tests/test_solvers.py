@@ -381,6 +381,32 @@ def log_domain_sinkhorn(mu, nu, C, lam, max_iters, stop_rel_tol):
     return costs, devs, ok.MAX_ITERS, plan
 
 
+def plain_fista(src, tgt, cost, lam, eta, max_iters, stop_rel_tol, offset=0.0):
+    """FISTA from the public dual functions, with full passes for E, E_lambda,
+    the gradient and the plan at every iteration.
+
+    Returns each iteration's E, E_lambda, <P, C> and marginal deviation, the
+    status by the relative-change rule on E and the last proximal point z.
+    """
+    psi = z = np.zeros(tgt.size)
+    theta = 1.0
+    rows = []
+    for t in range(max_iters + 1):
+        e = ok.energy(psi, src, tgt, cost) - offset
+        plan = ok.recover_plan(psi, src, tgt, cost, lam)
+        rows.append((e, ok.smoothed_energy(psi, src, tgt, cost, lam) - offset,
+                     ok.plan_cost(plan, cost) + offset * plan.entries.sum(),
+                     ok.marginal_deviation(plan, src, tgt)))
+        if t > 0 and abs(e - rows[-2][0]) < stop_rel_tol * abs(rows[-2][0]):
+            return rows, ok.CONVERGED, z
+        if t == max_iters:
+            return rows, ok.MAX_ITERS, z
+        z_new = ok.project_H(psi - eta * lam * ok.smoothed_gradient(psi, src, tgt, cost, lam))
+        theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        psi = z_new + ((theta - 1.0) / theta_new) * (z_new - z)
+        z, theta = z_new, theta_new
+
+
 def count_row_passes(monkeypatch):
     """Record every call of ``solvers._row_reductions``."""
     calls = []
@@ -392,6 +418,27 @@ def count_row_passes(monkeypatch):
 
     monkeypatch.setattr(solvers, "_row_reductions", spy)
     return calls
+
+
+def row_pass_instance(path, rng):
+    """A dense instance for the ``dense`` and ``kernel_mode`` paths, a centered
+    one with grid factors for ``grid``, and its ``lam``."""
+    if path == "grid":
+        src, tgt = grid_measure(rng, (4, 4)), grid_measure(rng, (3, 5))
+        cost = ok.center(ok.squared_euclidean(src, tgt))
+        return src, tgt, cost, cost.spread / 20.0
+    return (*small_random_instance(rng, 12, 10, cost_scale=10.0), 0.05)
+
+
+def traced_peak(solve) -> int:
+    """Bytes that ``solve()`` allocates at its peak, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        solve()
+        return tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
 
 
 class TestAbsorbedKernel:
@@ -445,13 +492,7 @@ class TestAbsorbedKernel:
     def test_row_passes(self, path, rng, monkeypatch):
         # Only the dense log-domain loop absorbs; kernel mode and grid costs
         # run both passes every iteration.
-        if path == "grid":
-            src, tgt = grid_measure(rng, (4, 4)), grid_measure(rng, (3, 5))
-            cost = ok.center(ok.squared_euclidean(src, tgt))
-            lam = cost.spread / 20.0
-        else:
-            src, tgt, cost = small_random_instance(rng, 12, 10, cost_scale=10.0)
-            lam = 0.05
+        src, tgt, cost, lam = row_pass_instance(path, rng)
         passes = count_row_passes(monkeypatch)
         result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=300, stop_rel_tol=1e-300,
                                    kernel_mode=path == "kernel_mode")
@@ -472,15 +513,86 @@ class TestAbsorbedKernel:
         src, tgt, cost = small_random_instance(np.random.default_rng(12345), m, n,
                                                cost_scale=cost_scale)
         calls = count_row_passes(monkeypatch)
-        tracemalloc.start()
-        try:
-            baseline = tracemalloc.get_traced_memory()[0]
-            ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=120, stop_rel_tol=1e-300)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=120,
+                                                     stop_rel_tol=1e-300))
         assert len(calls) == passes
-        assert peak - baseline <= 2.5 * m * n * 8
+        assert peak <= 2.5 * m * n * 8
+
+
+class TestAbsorbedRows:
+    """Dense log-domain FISTA reads its row pass from the weights of the last
+    dense pass between dense passes; it must follow the plain loop."""
+
+    @staticmethod
+    def assert_matches_plain(src, tgt, cost, lam, eta, max_iters, stop_rel_tol, offset=0.0):
+        result = ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
+            eta=eta, max_iters=max_iters, stop_rel_tol=stop_rel_tol, cost_offset=offset))
+        rows, status, z = plain_fista(src, tgt, cost, lam, eta, max_iters, stop_rel_tol,
+                                      offset)
+        e, e_lam, costs, devs = np.array(rows).T
+        assert result.trace.iters == list(range(len(rows)))
+        assert result.trace.n_iterations == len(rows) - 1
+        assert result.trace.status == status
+        # E is exact on both sides; E_lambda and <P, C> differ only by the
+        # summation order of the weights, about 1e-13 relative at worst.
+        np.testing.assert_allclose(result.trace.energy, e, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(result.trace.smoothed_energy, e_lam, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(result.trace.plan_cost, costs, rtol=1e-12, atol=1e-13)
+        # D cancels near the optimum; as for Sinkhorn, only an absolute
+        # comparison holds near its rounding floor.
+        np.testing.assert_allclose(result.trace.marginal_dev, devs, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(result.potential.values, ok.project_H(z), rtol=0, atol=1e-13)
+
+    def test_matches_plain_loop(self, rng, monkeypatch):
+        src, tgt, cost = small_random_instance(rng, 8, 7, cost_scale=10.0)
+        passes = count_row_passes(monkeypatch)
+        self.assert_matches_plain(src, tgt, cost, 0.05, 1.0, 300, 1e-300, offset=0.7)
+        assert len(passes) < 10
+
+    def test_matches_plain_loop_through_fallbacks(self, rng, monkeypatch):
+        # Exponents reach c_max / lam = 3e6, and psi leaves the kernel's range
+        # every few iterations: 23 dense passes in 121 iterations.
+        src, tgt, cost = small_random_instance(rng, 5, 5, cost_scale=3000.0)
+        passes = count_row_passes(monkeypatch)
+        self.assert_matches_plain(src, tgt, cost, 1e-3, 1.0, 120, 1e-300)
+        assert len(passes) == 23
+
+    @settings(max_examples=60)
+    @given(log_lam=st.floats(-3.0, 0.0), m=st.integers(2, 12), n=st.integers(2, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_plain_loop_property(self, log_lam, m, n, seed):
+        src, tgt, cost = small_random_instance(np.random.default_rng(seed), m, n)
+        self.assert_matches_plain(src, tgt, cost, 10.0 ** log_lam, 1.0, 100, 1e-8)
+
+    @pytest.mark.parametrize("path", ["dense", "kernel_mode", "grid"])
+    def test_row_passes(self, path, rng, monkeypatch):
+        # Only the dense log-domain loop absorbs; kernel mode and grid costs
+        # run one pass every iteration.
+        src, tgt, cost, lam = row_pass_instance(path, rng)
+        passes = count_row_passes(monkeypatch)
+        result = ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
+            max_iters=300, stop_rel_tol=1e-300, kernel_mode=path == "kernel_mode"))
+        assert result.trace.n_iterations == 300
+        if path == "dense":
+            assert len(passes) <= 10
+        else:
+            assert len(passes) == result.trace.n_iterations + 1
+
+    @pytest.mark.parametrize("cost_scale, lam, eta, passes", [(3000.0, 1e-3, 20.0, 15),
+                                                              (1.0, 0.05, 1.0, 1)],
+                             ids=["fallbacks", "no_fallback"])
+    def test_one_plan_array_alive(self, cost_scale, lam, eta, passes, monkeypatch):
+        # With fallbacks (15 passes in 121 iterations) and without: the
+        # kernel, or the pass that replaces it, and then the returned plan,
+        # never two of them at once (measured: 1.52 arrays).
+        m = n = 300
+        src, tgt, cost = small_random_instance(np.random.default_rng(12345), m, n,
+                                               cost_scale=cost_scale)
+        calls = count_row_passes(monkeypatch)
+        peak = traced_peak(lambda: ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
+            eta=eta, max_iters=120, stop_rel_tol=1e-300)))
+        assert len(calls) == passes
+        assert peak <= 1.75 * m * n * 8
 
 
 class TestGridCosts:
