@@ -6,21 +6,28 @@ All operations are pure functions of immutable inputs. Every smoothed
 quantity here, and every one the solvers evaluate from a potential, comes from
 one row pass over ``exp((psi_j - c_ij - shift_i)/lam)``; between such passes
 both solvers' dense log-domain loops only rescale the weights of their last
-one (see ``solvers``). The default path is log-domain: the shift is the row
-maximum of ``psi_j - c_ij`` (the c-transform), so any smoothing scale
-``lam > 0`` is representable. The exact c-transform alone, as ``energy`` and
-FISTA's rescaled passes take it, comes from ``_row_max``, a block of rows at a
-time, without an m x n array. Given the multiplicative kernel
+one (see ``solvers``). The default path is log-domain: the dense pass's
+shift is the row maximum of ``psi_j - c_ij`` (the c-transform), so any
+smoothing scale ``lam > 0`` is representable. The exact c-transform alone,
+as ``c_transform``, ``c_transform_argmax``, ``energy`` and FISTA's rescaled
+passes take it, comes a block of rows at a time (``_blocked_rows``), without
+an m x n array. Given the multiplicative kernel
 ``K = exp(-C/lam)`` the pass returns ``K * exp(psi/lam)`` with zero shift;
 only the solvers' opt-in kernel mode takes this path, to expose its overflow
 behavior.
 
 The solvers read only a few reductions of the pass: the shift, the row sums,
 the scaled column sums and the plan's cost (the marginal deviation follows
-from the sums through ``_marginal_dev``). ``_row_reductions`` gives them
-from the dense m x n pass, or, in the log domain for a cost with grid
-factors, from one stabilized log-sum-exp (or max-plus) stage per grid axis,
-without an m x n array.
+from the sums through ``_marginal_dev``), and, for FISTA's hard E, the exact
+c-transform. ``_row_reductions`` gives them from the dense m x n pass, or, in
+the log domain for a cost with grid factors, from one stage per grid axis,
+without an m x n array. A stage is a matrix product with the axis kernel
+``exp(-A_k/lam)``, stabilized by the maximum over the summed axis, while that
+kernel stays a normal float (``max(A_k)/lam <= _PRODUCT_MAX``, about 690);
+otherwise it is a log-sum-exp over the ``q x r x p`` exponents. Such a pass
+is stabilized by its own log-sum-exp rather than by the c-transform, which is
+a separate max-plus chain run only for FISTA's E. The two kinds of stage sum
+in different orders, so their results agree to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -136,13 +143,18 @@ def _row_pass(psi: np.ndarray, C: np.ndarray, lam: float, K: np.ndarray | None =
         # Built in place so the pass allocates one m x n buffer.
         weights = psi[None, :] - C
         shift = weights.max(axis=1)
-        weights -= shift[:, None]
-        weights /= lam
-        np.exp(weights, out=weights)
+        _exp_rows(weights, shift, lam)
     else:
         shift = np.zeros(K.shape[0])
         weights = K * np.exp(psi / lam)[None, :]
     return shift, weights, weights.sum(axis=1)
+
+
+def _exp_rows(weights, shift, lam) -> np.ndarray:
+    """``exp((weights - shift[:, None]) / lam)``, in place."""
+    weights -= shift[:, None]
+    weights /= lam
+    return np.exp(weights, out=weights)
 
 
 def _marginal_dev(row_sums, col_sums, row_target, col_target) -> float:
@@ -158,8 +170,13 @@ class _DenseRows:
     """
 
     def __init__(self, psi, C, lam, K=None):
-        self.C = C
+        self.psi, self.C, self._kernel = psi, C, K is not None
         self.shift, self.weights, self.sums = _row_pass(psi, C, lam, K)
+
+    def c_transform(self) -> np.ndarray:
+        """The exact c-transform ``max_j (psi_j - c_ij)``: the log-domain
+        shift, or, behind a kernel, from ``C``."""
+        return _row_max(self.psi, self.C) if self._kernel else self.shift
 
     def col_sums(self, scale) -> np.ndarray:
         """Column sums ``scale @ weights`` of ``P``."""
@@ -176,58 +193,128 @@ class _DenseRows:
         return self.weights
 
 
-def _to_grid(values, flat_index, shape) -> np.ndarray:
-    """Atom-ordered values laid out on their grid."""
+def _to_grid(values, flat_index) -> np.ndarray:
+    """Atom-ordered values laid out on their grid, flattened in C order."""
     out = np.empty(values.size)
     out[flat_index] = values
-    return out.reshape(shape)
+    return out
 
 
-def _stage_kernels(grid: GridFactors, lam) -> list:
-    """Each axis matrix ``A_k / lam`` transposed to ``q_k x p_k`` and shaped
-    ``(q_k, 1, ..., 1, p_k)`` so that a stage input ``u`` of shape
-    ``(q_k, ...)`` broadcasts as ``u[..., None] - kernel``."""
-    ones = (1,) * (len(grid.axes) - 1)
-    return [(A / lam).T.reshape((A.shape[1],) + ones + (A.shape[0],)) for A in grid.axes]
+# The largest axis exponent ``max(A_k)/lam`` that a stage takes as a matrix
+# product with ``exp(-A_k/lam)``: every kernel entry is then a normal float,
+# e^18 above the smallest, so a stage's sums keep their relative precision.
+_PRODUCT_MAX = -math.log(np.finfo(float).tiny) - 18.0
 
 
-def _grid_max(u, kernels) -> np.ndarray:
-    """Separable max-plus ``max_j (u_j - sum_k B_k[a_k, b_k(j)])`` of ``u`` on
-    the ``(q_1, ..., q_d)`` grid. Each stage reduces the leading axis and
-    appends the new one, so the result is on the ``(p_1, ..., p_d)`` grid."""
-    for B in kernels:
-        u = (u[..., None] - B).max(axis=0)
-    return u
+class _AxisStage:
+    """One grid axis of a separable chain, over ``B = A / lam`` with the
+    summed index first (``q x p``). A stage maps ``U`` of shape ``(q, r)`` to
+    ``(r, p)``: the summed index of ``U`` leaves and the new one is appended.
 
-
-def _grid_lse(u, kernels):
-    """Separable ``log sum_j exp(u_j - sum_k B_k[a_k, b_k(j)])``, staged as
-    :func:`_grid_max`, each stage stabilized by its own maximum.
-
-    Also returns the stages ``(E, s, top)``: a stage's exponentials ``E``
-    (summed index first), their sums ``s`` and the maximum ``top`` they are
-    taken relative to.
+    Within :data:`_PRODUCT_MAX` the log-sum-exp stage is the matrix product
+    ``top + log(exp(U - top)^T K)`` with ``K = exp(-B)`` and ``top`` the
+    maximum of ``U`` over the summed axis, which needs no ``q x r x p``
+    temporary; beyond it ``K`` would underflow, and the stage subtracts,
+    maximizes and exponentiates the ``q x r x p`` exponents themselves. The
+    choice is made per axis, once per solve.
     """
-    stages = []
-    for B in kernels:
-        t = u[..., None] - B
+
+    def __init__(self, B):
+        self.B = B
+        self.product = float(B.max()) <= _PRODUCT_MAX
+        if self.product:
+            self.K = np.exp(-B)
+            self.KB = self.K * B
+
+    def lse(self, U):
+        """``log sum_b exp(U[b, r] - B[b, a])`` as an ``(r, p)`` array, and
+        the stage's weights with their sums, for :meth:`mean`."""
+        if self.product:
+            top = U.max(axis=0)
+            X = np.exp(U - top)
+            S = X.T @ self.K
+            return top[:, None] + np.log(S), (X, S)
+        t = U[:, :, None] - self.B[:, None, :]
         top = t.max(axis=0)
         t -= top
         np.exp(t, out=t)
         s = t.sum(axis=0)
-        stages.append((t, s, top))
-        u = top + np.log(s)
-    return u, stages
+        return top + np.log(s), (t, s)
+
+    def mean(self, weights, M):
+        """The average of ``M[b, r] + B[b, a]`` over ``b`` under a stage's
+        weights; ``M`` is None for zeros."""
+        if self.product:
+            X, S = weights
+            total = X.T @ self.KB
+            if M is not None:
+                total += (X * M).T @ self.K
+            return total / S
+        E, s = weights
+        t = self.B[:, None, :] if M is None else M[:, :, None] + self.B[:, None, :]
+        return (E * t).sum(axis=0) / s
+
+    def max(self, U):
+        """``max_b (U[b, r] - B[b, a])`` as an ``(r, p)`` array."""
+        return (U[:, :, None] - self.B[:, None, :]).max(axis=0)
 
 
-def _grid_mean_cost(stages, kernels) -> np.ndarray:
+def _leading(u, stage):
+    """A stage input: the grid values ``u`` with the stage's axis leading."""
+    return u.reshape(stage.B.shape[0], -1)
+
+
+def _grid_lse(u, stages):
+    """Separable ``log sum_j exp(u_j - sum_k B_k[a_k, b_k(j)])`` of ``u`` on
+    the ``(q_1, ..., q_d)`` grid, one stage per axis; the result is on the
+    ``(p_1, ..., p_d)`` grid. Also returns each stage's weights."""
+    weights = []
+    for stage in stages:
+        u, w = stage.lse(_leading(u, stage))
+        weights.append(w)
+    return u.ravel(), weights
+
+
+def _grid_max(u, stages) -> np.ndarray:
+    """The max-plus chain ``max_j (u_j - sum_k B_k[a_k, b_k(j)])``, staged as
+    :func:`_grid_lse`."""
+    for stage in stages:
+        u = stage.max(_leading(u, stage))
+    return u.ravel()
+
+
+def _grid_mean_cost(weights, stages) -> np.ndarray:
     """``sum_j w_j sum_k B_k[a_k, b_k(j)] / sum_j w_j`` for the weights of a
     :func:`_grid_lse` chain: each stage averages the cost carried so far plus
-    its own axis term under its normalized exponentials."""
-    mean = np.zeros(stages[0][0].shape[:-1])
-    for (E, s, _), B in zip(stages, kernels):
-        mean = (E * (mean[..., None] + B)).sum(axis=0) / s
-    return mean
+    its own axis term."""
+    mean = None
+    for w, stage in zip(weights, stages):
+        mean = stage.mean(w, None if mean is None else _leading(mean, stage))
+    return mean.ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class _GridStages:
+    """A grid cost's axis stages at one ``lam``, built once per solve by
+    :meth:`build`: the row chain over ``A_k^T / lam`` (target axes summed)
+    and the column chain over ``A_k / lam`` (source axes summed). :attr:`T`
+    serves the transposed cost with the same stages."""
+
+    grid: GridFactors
+    lam: float
+    row: tuple
+    col: tuple
+
+    @classmethod
+    def build(cls, grid: GridFactors, lam) -> "_GridStages":
+        if not lam > 0.0:
+            raise ValueError("lam must be > 0")
+        return cls(grid, lam, tuple(_AxisStage(A.T / lam) for A in grid.axes),
+                   tuple(_AxisStage(A / lam) for A in grid.axes))
+
+    @property
+    def T(self) -> "_GridStages":
+        return _GridStages(self.grid.T, self.lam, self.col, self.row)
 
 
 class _GridRows:
@@ -235,66 +322,76 @@ class _GridRows:
     grid factors, from per-axis stages instead of an m x n pass.
 
     With ``c_ij = offset + sum_k A_k[a_k(i), b_k(j)]`` and everything in units
-    of ``lam``, the shift is a max-plus chain and the row sums follow from a
-    log-sum-exp chain over the target axes. The column sums of ``P`` are a
-    log-sum-exp chain over the source axes of ``log scale_i - shift_i / lam``,
-    and ``<P, C>`` averages the axis terms under the row chain's own
-    exponentials. The grid offset cancels in ``psi_j - c_ij - shift_i``, so
-    only the reported shift and ``<P, C>`` carry it. ``C`` is read only by
-    :meth:`plan`, which forms the plan from the dense pass.
+    of ``lam``, the pass is stabilized by its own log-sum-exp: the shift is
+    the row chain over the target axes, so the weights are each row's softmax
+    and their sums are one. The column sums of ``P`` are the column chain over
+    the source axes of ``log scale_i - shift_i / lam``, and ``<P, C>``
+    averages the axis terms under the row chain's own weights. The exact
+    c-transform is a separate max-plus chain, run only when asked for. The
+    grid offset cancels in ``psi_j - c_ij - shift_i``, so only the reported
+    shifts and ``<P, C>`` carry it. ``C`` is read only by :meth:`plan`,
+    which forms the plan against the same shift.
     """
 
-    def __init__(self, psi, C, grid: GridFactors, lam):
-        if not lam > 0.0:
-            raise ValueError("lam must be > 0")
-        self.psi, self.C, self.grid, self.lam = psi, C, grid, lam
-        self._u = psi / lam
-        self._kernels = _stage_kernels(grid, lam)
-        lse, self._stages = _grid_lse(_to_grid(self._u, grid.cols, grid.shape[1]),
-                                      self._kernels)
-        # The max-plus chain shares its first stage with the log-sum-exp chain.
-        top = _grid_max(self._stages[0][2], self._kernels[1:])
-        self._top = top.ravel()[grid.rows]
-        self.shift = lam * self._top - grid.offset
-        self.sums = np.exp(lse - top).ravel()[grid.rows]
+    def __init__(self, psi, C, stages: _GridStages):
+        grid, lam = stages.grid, stages.lam
+        self.psi, self.C, self.stages = psi, C, stages
+        self._u = _to_grid(psi / lam, grid.cols)
+        lse, self._weights = _grid_lse(self._u, stages.row)
+        self._lse = lse[grid.rows]
+        self.shift = lam * self._lse - grid.offset
+        self.sums = np.ones(self._lse.size)
+
+    def c_transform(self) -> np.ndarray:
+        grid = self.stages.grid
+        return self.stages.lam * _grid_max(self._u, self.stages.row)[grid.rows] - grid.offset
 
     def col_sums(self, scale) -> np.ndarray:
-        grid = self.grid
-        h = _to_grid(np.log(scale) - self._top, grid.rows, grid.shape[0])
-        lse, _ = _grid_lse(h, _stage_kernels(grid.T, self.lam))
-        return np.exp(self._u + lse.ravel()[grid.cols])
+        grid = self.stages.grid
+        lse, _ = _grid_lse(_to_grid(np.log(scale) - self._lse, grid.rows), self.stages.col)
+        return np.exp((self._u + lse)[grid.cols])
 
     def plan_cost(self, scale, offset: float) -> float:
-        mean = self.lam * _grid_mean_cost(self._stages, self._kernels).ravel()[self.grid.rows]
-        return (float(scale @ (self.sums * mean))
-                + (self.grid.offset + offset) * float(scale @ self.sums))
+        grid, lam = self.stages.grid, self.stages.lam
+        mean = lam * _grid_mean_cost(self._weights, self.stages.row)[grid.rows]
+        return float(scale @ mean) + (grid.offset + offset) * float(scale @ self.sums)
 
     def plan(self, scale) -> np.ndarray:
-        return _DenseRows(self.psi, self.C, self.lam).plan(scale)
+        weights = _exp_rows(self.psi[None, :] - self.C, self.shift, self.stages.lam)
+        weights *= scale[:, None]
+        return weights
 
 
-def _row_reductions(psi, C, lam, K=None, grid: GridFactors | None = None):
+def _row_reductions(psi, C, lam, K=None, grid=None):
     """The row pass of ``psi`` over ``C`` as read by the solvers: per-axis
-    stages when ``grid`` holds the factors of ``C`` and the pass is
-    log-domain, else the dense pass with the kernel ``K`` if given."""
+    stages when ``grid`` holds the factors of ``C`` (or, built once per
+    solve, their :class:`_GridStages` at ``lam``) and the pass is log-domain,
+    else the dense pass with the kernel ``K`` if given."""
     if grid is None or K is not None:
         return _DenseRows(psi, C, lam, K)
-    return _GridRows(psi, C, grid, lam)
+    if isinstance(grid, GridFactors):
+        grid = _GridStages.build(grid, lam)
+    return _GridRows(psi, C, grid)
 
 
-def _row_max(psi: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Row maxima ``max_j (psi_j - c_ij)``, taken a block of rows at a time
-    through one reused buffer, so no m x n array is allocated. A maximum is
-    exact, so blocking leaves every value bitwise unchanged."""
+def _blocked_rows(psi: np.ndarray, C: np.ndarray, reduce, out: np.ndarray) -> np.ndarray:
+    """``reduce`` of each row of ``psi_j - c_ij`` into ``out``, taken a block
+    of rows at a time through one reused buffer, so no m x n array is
+    allocated. Each row is reduced whole, so blocking leaves every value
+    bitwise unchanged."""
     m, n = C.shape
     step = max(1, _BLOCK_BYTES // (8 * n))
     buf = np.empty((min(step, m), n))
-    out = np.empty(m)
     for start in range(0, m, step):
         block = buf[:min(step, m - start)]
         np.subtract(psi, C[start:start + step], out=block)
-        block.max(axis=1, out=out[start:start + step])
+        reduce(block, axis=1, out=out[start:start + step])
     return out
+
+
+def _row_max(psi: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Row maxima ``max_j (psi_j - c_ij)``, a block of rows at a time."""
+    return _blocked_rows(psi, C, np.ndarray.max, np.empty(C.shape[0]))
 
 
 def c_transform(psi, cost: CostMatrix) -> np.ndarray:
@@ -304,8 +401,8 @@ def c_transform(psi, cost: CostMatrix) -> np.ndarray:
 
 def c_transform_argmax(psi, cost: CostMatrix) -> np.ndarray:
     """Row indices achieving the c-transform max; ties break to the lowest j."""
-    vals = _psi_array(psi)[None, :] - cost.entries
-    return vals.argmax(axis=1)
+    return _blocked_rows(_psi_array(psi), cost.entries, np.ndarray.argmax,
+                         np.empty(cost.shape[0], dtype=np.intp))
 
 
 def smoothed_c_transform(psi, cost: CostMatrix, lam: float) -> np.ndarray:

@@ -14,7 +14,11 @@ plan is built once, after the last iteration. Both loops read their passes
 through ``smoothed_dual._row_reductions``: for a cost with grid factors
 (squared Euclidean between full grids) in the log domain they come from
 per-axis stages and no m x n array is touched until the plan is formed;
-otherwise, and always in kernel mode, from the dense pass.
+otherwise, and always in kernel mode, from the dense pass. ``_setup`` builds
+the grid's axis kernels once per solve and decides, per axis, whether its
+stages run as matrix products (``max(A_k)/lam`` within about 690) or in the
+log domain. A grid pass is stabilized by its own log-sum-exp, so FISTA takes
+E from a separate max-plus chain and Sinkhorn's halves run none.
 
 On a dense cost in the log domain both solvers run those passes only now
 and then, and read the iterations between them from the weights of the last
@@ -32,8 +36,8 @@ FISTA one, as their passes do.
 Below a relative tolerance of about 1e-13 the stop rule fires only when two
 successive monitored values agree to their last bits, so a "converged"
 iteration count there depends on summation order: the grid and dense passes,
-for one, and Sinkhorn's absorbed and log-domain iterations, for another, can
-stop at different iterations.
+a grid axis's matrix-product and log-domain stages, and Sinkhorn's absorbed
+and log-domain iterations can each stop at different iterations.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ import numpy as np
 
 from .costs import CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import (Potential, TransportPlan, _marginal_dev, _row_max, _row_reductions,
-                            energy, project_H, recover_plan)
+from .smoothed_dual import (Potential, TransportPlan, _GridStages, _marginal_dev, _row_max,
+                            _row_reductions, project_H, recover_plan)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -199,7 +203,8 @@ class _StopRule:
 
 
 def _setup(source, target, cost: CostMatrix, lam: float, kernel_mode: bool):
-    """Both solvers' checked ``mu``, ``nu``, ``C`` and kernel-mode ``K = exp(-C/lam)``."""
+    """Both solvers' checked ``mu``, ``nu``, ``C``, kernel-mode ``K = exp(-C/lam)``
+    and, for a log-domain pass over a cost with grid factors, its axis stages."""
     if not lam > 0.0:
         raise ValueError("lam must be > 0")
     mu, nu, C = source.weights, target.weights, cost.entries
@@ -207,7 +212,8 @@ def _setup(source, target, cost: CostMatrix, lam: float, kernel_mode: bool):
         raise ValueError("measure sizes do not match the cost matrix")
     with np.errstate(over="ignore"):
         K = np.exp(-C / lam) if kernel_mode else None
-    return mu, nu, C, K
+    grid = None if K is not None or cost.grid is None else _GridStages.build(cost.grid, lam)
+    return mu, nu, C, K, grid
 
 
 def fista_solve(
@@ -238,14 +244,14 @@ def fista_solve(
     and on a NaN, the kernel is dropped and the dense pass at psi_t runs and
     becomes the new kernel, so the dense pass makes the failure decisions
     and one m x n array is alive. Grid costs and kernel mode run their pass
-    every iteration.
+    every iteration; on a grid cost E comes from the pass's max-plus chain.
     """
-    mu, nu, C, K = _setup(source, target, cost, lam, config.kernel_mode)
+    mu, nu, C, K, grid = _setup(source, target, cost, lam, config.kernel_mode)
     n = nu.size
     log_n = math.log(n)
     step = config.eta * lam
     rule = _StopRule(config.max_iters, config.stop_rel_tol, config.trace_every)
-    absorb = K is None and cost.grid is None
+    absorb = K is None and grid is None
     absorbed = None
     psi = np.zeros(n)
     z = np.zeros(n)
@@ -254,8 +260,8 @@ def fista_solve(
 
     offset = config.cost_offset
     while True:
-        # One row pass at psi_t gives E_lambda, the gradient and the plan; in
-        # the log domain its shift is the c-transform, so E comes with it.
+        # One row pass at psi_t gives E_lambda, the gradient and the plan, and
+        # E from its exact c-transform (on a dense log-domain pass, its shift).
         # With true cost = C + offset, E_true(psi) = E_C(psi) - offset.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if absorbed is not None and absorbed.rescale(psi):
@@ -263,12 +269,15 @@ def fista_solve(
             else:
                 # Drop the kernel: the pass that replaces it is the one m x n array.
                 rows = absorbed = None
-                rows = _row_reductions(psi, C, lam, K, cost.grid)
+                rows = _row_reductions(psi, C, lam, K, grid)
                 if absorb:
                     absorbed = _AbsorbedRows(rows, psi, lam)
             sums = rows.sums
-            e_shift = float(mu @ rows.shift - nu @ psi) - offset
-            e_val = e_shift if K is None else energy(psi, source, target, cost) - offset
+            nu_psi = nu @ psi
+            e_shift = float(mu @ rows.shift - nu_psi) - offset
+            # A dense log-domain pass is stabilized by the c-transform itself.
+            exact = rows.c_transform()
+            e_val = e_shift if exact is rows.shift else float(mu @ exact - nu_psi) - offset
             e_lam = e_shift + lam * (float(mu @ np.log(sums)) - log_n)
             grad = rows.col_sums(mu / sums) - nu
 
@@ -334,6 +343,10 @@ class _AbsorbedRows:
         self.r = np.exp((self.s - self.shift) / self.lam)
         self.sums = (self.W0 @ e) * self.r
         return True
+
+    def c_transform(self) -> np.ndarray:
+        """The exact row max taken by :meth:`rescale`."""
+        return self.shift
 
     def col_sums(self, scale) -> np.ndarray:
         return ((scale * self.r) @ self.W0) * self.e
@@ -417,7 +430,8 @@ def sinkhorn_solve(
     from ``sums``, and stops by :class:`_StopRule` on it; trace rows add the
     marginal deviation. Both halves read the pass through ``_row_reductions``,
     so a cost with grid factors is iterated one axis at a time, as in
-    :func:`fista_solve`, and its plan is formed once, on return.
+    :func:`fista_solve` but with no max-plus chain, and its plan is formed
+    once, on return, against the last pass's own shift.
 
     On a dense cost in the log domain the plan of a log-domain iteration is
     formed in place and kept as the absorbed kernel ``K`` of
@@ -437,14 +451,13 @@ def sinkhorn_solve(
     ``numerical_failure`` and the returned plan is all zeros. ``cost_offset``
     is as in :class:`FistaConfig`.
     """
-    mu, nu, C, K = _setup(source, target, cost, lam, kernel_mode)
+    mu, nu, C, K, grid = _setup(source, target, cost, lam, kernel_mode)
     rule = _StopRule(max_iters, stop_rel_tol, trace_every)
     m, n = C.shape
     log_mu = np.log(mu)
     log_nu = np.log(nu)
     CT = C.T
     KT = None if K is None else K.T
-    grid = cost.grid
     grid_t = None if grid is None else grid.T
     absorb = K is None and grid is None
     absorbed = None

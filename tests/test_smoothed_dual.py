@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import otkit as ok
 from helpers import grid_measure, small_random_instance
-from otkit.smoothed_dual import _marginal_dev, _row_reductions
+from otkit.smoothed_dual import _GridStages, _marginal_dev, _row_reductions
 
 
 def finite_difference_gradient(psi, src, tgt, cost, lam, h=1e-6):
@@ -67,6 +67,15 @@ class TestCTransform:
     def test_tie_breaks_to_lowest_index(self):
         cost = ok.CostMatrix.from_entries([[1.0, 1.0, 2.0]])
         assert ok.c_transform_argmax(np.array([0.0, 0.0, 1.0]), cost)[0] == 0
+
+    def test_blocked_rows_match_whole_matrix(self, rng):
+        # 250 rows of 300 columns span three row blocks; integer entries make
+        # ties common, so the lowest-j rule is exercised in every block.
+        cost = ok.CostMatrix.from_entries(rng.integers(0, 4, size=(250, 300)).astype(float))
+        psi = rng.integers(0, 4, size=300).astype(float)
+        vals = psi[None, :] - cost.entries
+        np.testing.assert_array_equal(ok.c_transform(psi, cost), vals.max(axis=1))
+        np.testing.assert_array_equal(ok.c_transform_argmax(psi, cost), vals.argmax(axis=1))
 
 
 class TestSmoothedCTransform:
@@ -298,13 +307,17 @@ def test_smoothed_functions_reject_nonpositive_lambda(name):
 
 
 def solver_reductions(rows, psi, mu, nu, lam, offset):
-    """What the solvers read from one row pass: shift, E, E_lam, gradient,
-    <P, C> and the marginal deviation of P = (mu / sums)[:, None] * weights."""
+    """What the solvers read from one row pass: the exact c-transform, the
+    smoothed one ``shift + lam log(sums)`` (each pass has its own shift), E,
+    E_lam, gradient, <P, C> and the marginal deviation of
+    P = (mu / sums)[:, None] * weights."""
     scale = mu / rows.sums
-    e = float(mu @ rows.shift - nu @ psi)
-    e_lam = e + lam * (float(mu @ np.log(rows.sums)) - math.log(psi.size))
-    return dict(shift=rows.shift, E=e, E_lam=e_lam, grad=rows.col_sums(scale) - nu,
-                plan_cost=rows.plan_cost(scale, offset),
+    smoothed = rows.shift + lam * np.log(rows.sums)
+    c_transform = rows.c_transform()
+    e_lam = float(mu @ smoothed - nu @ psi) - lam * math.log(psi.size)
+    return dict(c_transform=c_transform, smoothed=smoothed,
+                E=float(mu @ c_transform - nu @ psi), E_lam=e_lam,
+                grad=rows.col_sums(scale) - nu, plan_cost=rows.plan_cost(scale, offset),
                 D=_marginal_dev(scale * rows.sums, rows.col_sums(scale), mu, nu))
 
 
@@ -342,12 +355,57 @@ def test_grid_pass_matches_dense_pass(d, data):
         assert dense.grid is None
         slow = solver_reductions(_row_reductions(psi, dense.entries, lam, grid=dense.grid),
                                  psi, mu, nu, lam, offset)
-        for name in ("shift", "E", "E_lam"):
+        for name in ("c_transform", "smoothed", "E", "E_lam"):
             np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=GRID_TOL * scale)
         assert abs(fast["plan_cost"] - slow["plan_cost"]) <= GRID_TOL * (scale + abs(offset))
         # P carries unit mass, so D and the gradient's L1 norm are relative to it.
         assert abs(fast["D"] - slow["D"]) <= GRID_TOL
         assert np.abs(fast["grad"] - slow["grad"]).sum() <= GRID_TOL
+
+
+@settings(max_examples=60)
+@given(d=st.sampled_from([2, 3]), data=st.data())
+def test_mixed_grid_chain_matches_dense_pass(d, data):
+    # At lam = 1 each axis is stretched so that its largest exponent
+    # max(A_k) / lam is drawn either side of the guard: at most 600 for a
+    # matrix-product stage, at least 700 for a log-domain one, with at least
+    # one of the latter.
+    over = data.draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(any), label="over")
+    exponents = [data.draw(st.floats(700.0, 3000.0) if o else st.floats(0.5, 600.0))
+                 for o in over]
+    lengths = st.tuples(*[st.integers(2, 6)] * d)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    src = grid_measure(rng, data.draw(lengths, label="source"), origin=data.draw(
+        st.floats(-3.0, 3.0)))
+    tgt = grid_measure(rng, data.draw(lengths, label="target"))
+    lam = 1.0
+    unit = ok.squared_euclidean(src, tgt).grid.axes
+    stretch = np.sqrt([e / A.max() for e, A in zip(exponents, unit)])
+    src = ok.from_points(src.points * stretch, src.weights)
+    tgt = ok.from_points(tgt.points * stretch, tgt.weights)
+    original = ok.squared_euclidean(src, tgt)
+    cost = ok.center(original)
+    stages = _GridStages.build(cost.grid, lam)
+    assert [not s.product for s in stages.row] == [not s.product for s in stages.col] == over
+    offset = (original.c_max + original.c_min) / 2.0
+    width = cost.spread
+    entries = cost.entries
+    for C, grid, mu, nu in ((entries, stages, src.weights, tgt.weights),
+                            (entries.T, stages.T, tgt.weights, src.weights)):
+        psi = rng.uniform(-width, width, size=nu.size)
+        scale = width + np.abs(C).max()
+        # GRID_TOL's derivation with R = (|psi|_inf + |c|_inf) / lam <= scale / lam
+        # in place of R <= 30: weight errors below 16 * 2.2e-16 * R, and a
+        # factor of ten for the sums.
+        tol = GRID_TOL * (scale / lam) / 30.0
+        fast = solver_reductions(_row_reductions(psi, C, lam, grid=grid), psi, mu, nu, lam,
+                                 offset)
+        slow = solver_reductions(_row_reductions(psi, C, lam), psi, mu, nu, lam, offset)
+        for name in ("c_transform", "smoothed", "E", "E_lam"):
+            np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=tol * scale)
+        assert abs(fast["plan_cost"] - slow["plan_cost"]) <= tol * (scale + abs(offset))
+        assert abs(fast["D"] - slow["D"]) <= tol
+        assert np.abs(fast["grad"] - slow["grad"]).sum() <= tol
 
 
 class TestPotentialAndParams:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import otkit as ok
 from otkit import solvers
+from otkit.smoothed_dual import _GridStages
 from helpers import (criterion1_instance, grid_measure, random_point_instance,
                      reference_optimum, small_random_instance)
 
@@ -621,18 +622,23 @@ class TestGridCosts:
             assert on_grid.trace.failed_iteration == dense.trace.failed_iteration is not None
             np.testing.assert_array_equal(on_grid.plan.entries, dense.plan.entries)
 
-    def test_synthetic_image_matches_dense(self):
-        # The sed-paper instance at 12 x 12. The preset's eta = 50 is outside
-        # FISTA's stable range at this size: there two dense solves whose sums
-        # only run in a different order drift apart by 1e-9 at the paper stop,
-        # so this compares at eta = 5, where rounding is not amplified.
+    @staticmethod
+    def synthetic_image():
+        """The sed-paper config and instance at 12 x 12, with its uncentered cost."""
         from dataclasses import replace
 
         from otkit import cli
         config = replace(cli.config_from_sources("sed-paper", overrides=dict(image_size=12)),
                          seed=1)
         src, tgt = cli.build_instance(config)
-        original = cli.build_cost(config, src, tgt)
+        return config, src, tgt, cli.build_cost(config, src, tgt)
+
+    def test_synthetic_image_matches_dense(self):
+        # The sed-paper instance at 12 x 12. The preset's eta = 50 is outside
+        # FISTA's stable range at this size: there two dense solves whose sums
+        # only run in a different order drift apart by 1e-9 at the paper stop,
+        # so this compares at eta = 5, where rounding is not amplified.
+        config, src, tgt, original = self.synthetic_image()
         offset = (original.c_max + original.c_min) / 2.0
         lam = original.spread / config.T
         runs = [(ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
@@ -650,6 +656,23 @@ class TestGridCosts:
                                            getattr(dense.trace, field), rtol=1e-10)
             np.testing.assert_allclose(on_grid.plan.entries, dense.plan.entries,
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("T, product", [(700.0, True), (5000.0, False)],
+                             ids=["product_stages", "log_domain_stages"])
+    def test_sinkhorn_plan_matches_last_row(self, T, product):
+        # At the paper's T = 700 every axis exponent is T / 2 = 350 and both
+        # stages are matrix products; at T = 5000 (2500) both fall back to
+        # log-domain stages. Either way the returned plan is formed against
+        # the pass's own shift.
+        _, src, tgt, original = self.synthetic_image()
+        cost = ok.center(original)
+        lam = cost.spread / T
+        assert [s.product for s in _GridStages.build(cost.grid, lam).row] == [product, product]
+        result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=200, stop_rel_tol=1e-300)
+        assert result.trace.status == ok.MAX_ITERS
+        dev = ok.marginal_deviation(result.plan, src, tgt)
+        assert abs(dev - result.trace.marginal_dev[-1]) <= 1e-12
+        assert abs(result.plan.entries.sum() - 1.0) <= 1e-12
 
 
 class TestCorollary9Bound:
