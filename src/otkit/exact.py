@@ -1,17 +1,20 @@
 """Exact discrete optimal transport via the transportation simplex, plus an
 independent brute-force oracle that enumerates every spanning-tree basis.
 
-The simplex uses northwest-corner initialization and Dantzig pricing, falling
-back to Bland's rule after a run of degenerate pivots so cycling cannot occur.
-Instances are solved exactly (up to floating-point rounding). The basis is one
-rooted spanning tree kept across pivots, so a pivot costs one pricing pass over
-the m x n reduced costs plus work proportional to the cycle and the subtree it
-moves; the 784 x 784 ``sed-paper`` instance solves in about 23 s on 2 CPUs.
-The northwest-corner staircase builds that rooted tree as it goes, each cell
-hanging one new row or column from a node already placed. After set-up the
-tree is traversed by one walk, every parent before its children: from the
-root it recomputes the potentials from scratch and, in reverse, the final
-allocation from the marginals; from the entering endpoint it visits the
+The simplex starts from a warm basis and uses Dantzig pricing, falling back to
+Bland's rule after a run of degenerate pivots so cycling cannot occur.
+Instances are solved exactly (up to floating-point rounding). The warm basis
+comes from a short log-domain Sinkhorn pre-solve: its potentials give reduced
+costs ``c_ij - f_i - g_j``, and masses are allocated greedily in ascending
+reduced cost, which leaves far fewer pivots than a cost-blind start (1364
+instead of 11098 on the 784 x 784 ``sed-paper`` instance). The start affects
+speed only: optimality is certified by the simplex's own potentials. The
+basis is one rooted spanning tree kept across pivots, so a pivot costs one
+pricing pass over the m x n reduced costs plus work proportional to the cycle
+and the subtree it moves; ``sed-paper`` solves in about 3 s on 2 CPUs. After
+set-up the tree is traversed by one walk, every parent before its children:
+from the root it recomputes the potentials from scratch and, in reverse, the
+final allocation from the marginals; from the entering endpoint it visits the
 subtree a pivot moves.
 """
 
@@ -23,12 +26,17 @@ import numpy as np
 
 from .costs import CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import TransportPlan
+from .smoothed_dual import TransportPlan, _row_pass
 
 REDUCED_COST_TOL = 1e-10
 MASS_BALANCE_TOL = 1e-9
 DEFAULT_CELL_CAP = 10**6
 _DEGENERATE_STALL = 50
+# The warm start's entropic pre-solve: smoothing lam = spread / _WARM_T, run
+# until the row marginals are within _WARM_DEV in L1 or for _WARM_ROUNDS.
+_WARM_T = 700.0
+_WARM_DEV = 1e-2
+_WARM_ROUNDS = 300
 
 
 @dataclass(eq=False)
@@ -50,45 +58,124 @@ class BasisState:
         return costs - self.u[:, None] - self.v[None, :]
 
 
-def northwest_corner(mu: np.ndarray, nu: np.ndarray):
-    """Initial basis by the northwest-corner rule, as a tree rooted at row 0.
+def _entropic_duals(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray):
+    """Potentials ``(f, g)`` of a short log-domain Sinkhorn pre-solve at
+    ``lam = spread / _WARM_T``, one :func:`_row_pass` per half. Rounds stop
+    once the row marginals are within ``_WARM_DEV`` in L1 (the columns are
+    exact after each round), or after ``_WARM_ROUNDS``. Constant costs need
+    no pre-solve: every basis prices the same, so ``f = g = 0``."""
+    m, n = costs.shape
+    f, g = np.zeros(m), np.zeros(n)
+    spread = float(costs.max() - costs.min())
+    if spread == 0.0:
+        return f, g
+    lam = spread / _WARM_T
+    log_mu, log_nu = np.log(mu), np.log(nu)
+    for _ in range(_WARM_ROUNDS):
+        shift, sums = _row_pass(g, costs, lam)[::2]
+        f = lam * (log_mu - np.log(sums)) - shift
+        shift, weights, sums = _row_pass(f, costs.T, lam)
+        g = lam * (log_nu - np.log(sums)) - shift
+        row_sums = (nu / sums) @ weights
+        del weights  # one m x n pass alive at a time
+        if np.abs(row_sums - mu).sum() <= _WARM_DEV:
+            break
+    return f, g
 
-    Returns ``(cells, parent, depth, pos, children, flow)``. ``cells`` holds
-    the ``m + n - 1`` basic cells of the staircase from ``(0, 0)`` to
-    ``(m-1, n-1)``; degenerate zero allocations appear when a supply and a
-    demand are exhausted simultaneously. Rows are nodes 0..m-1, columns
-    m..m+n-1. Each cell adds one new node (the next row or column), which
-    hangs from the cell's other endpoint and owns it: ``cells[pos[x]]`` joins
-    ``x`` to ``parent[x]`` and carries ``flow[x]``. The root owns no cell
-    (``pos[0] == -1``).
+
+def _greedy_cells(mu: np.ndarray, nu: np.ndarray, reduced: np.ndarray):
+    """Basic cells and their flows, allocated ``min(a_i, b_j)`` in ascending
+    order of ``reduced`` (stable: ties go by flat index).
+
+    Each allocation retires one line: the row when ``a_i <= b_j``, else the
+    column, so a tie leaves the column open with zero mass for a zero-flow
+    cell, and the last open row and column close together on the final cell.
+    Read backwards, every cell hangs its retired line from a line still open,
+    so the ``m + n - 1`` cells form a spanning tree. Candidates come a chunk
+    of ``open rows + open columns`` at a time, the smallest entries of the
+    open rows and columns in the same stable order, so chunking does not
+    change the allocation.
     """
-    m, n = mu.size, nu.size
-    a = mu.astype(float).tolist()
-    b = nu.astype(float).tolist()
+    m, n = reduced.shape
+    a, b = mu.tolist(), nu.tolist()
+    row_open, col_open = [True] * m, [True] * n
+    rows, cols = np.arange(m), np.arange(n)
+    cells, flows = [], []
+    while rows.size:
+        live = reduced if rows.size == m and cols.size == n else reduced[np.ix_(rows, cols)]
+        flat = live.ravel()
+        k = min(flat.size, rows.size + cols.size)
+        if k < flat.size:
+            kth = np.partition(flat, k - 1)[k - 1]
+            chosen = flat < kth
+            chosen[np.flatnonzero(flat == kth)[:k - int(chosen.sum())]] = True
+            candidates = np.flatnonzero(chosen)
+        else:
+            candidates = np.arange(flat.size)
+        candidates = candidates[np.argsort(flat[candidates], kind="stable")]
+        left_r, left_c = rows.size, cols.size
+        for i, j in zip(rows[candidates // cols.size].tolist(), cols[candidates % cols.size].tolist()):
+            if not (row_open[i] and col_open[j]):
+                continue
+            x = min(a[i], b[j])
+            cells.append((i, j))
+            flows.append(x)
+            a[i] -= x
+            b[j] -= x
+            if (a[i] <= b[j] and left_r > 1) or left_c == 1:
+                row_open[i] = False
+                left_r -= 1
+                if not left_r:
+                    break
+            else:
+                col_open[j] = False
+                left_c -= 1
+        rows = rows[[row_open[i] for i in rows.tolist()]]
+        cols = cols[[col_open[j] for j in cols.tolist()]]
+    return cells, flows
+
+
+def _rooted_tree(cells, flows, m: int, n: int):
+    """The basis tree rooted at row 0, by one breadth-first walk.
+
+    Returns ``(parent, depth, pos, children, flow)``. Rows are nodes
+    0..m-1, columns m..m+n-1. ``cells[pos[x]]`` joins ``x`` to ``parent[x]``
+    and carries ``flow[x]``; the root owns no cell (``pos[0] == -1``).
+    """
+    incident = [[] for _ in range(m + n)]
+    for k, (i, j) in enumerate(cells):
+        incident[i].append(k)
+        incident[m + j].append(k)
     parent = [-1] * (m + n)
     depth = [0] * (m + n)
     pos = [-1] * (m + n)
     flow = [0.0] * (m + n)
     children = [set() for _ in range(m + n)]
-    cells = []
-    i = j = 0
-    node, hub = m, 0  # the first cell hangs column 0 from the root
-    while True:
-        x = min(a[i], b[j])
-        parent[node], depth[node], pos[node], flow[node] = hub, depth[hub] + 1, len(cells), x
-        children[hub].add(node)
-        cells.append((i, j))
-        a[i] -= x
-        b[j] -= x
-        if i == m - 1 and j == n - 1:
-            break
-        if (a[i] <= b[j] and i < m - 1) or j == n - 1:
-            i += 1
-            node, hub = i, m + j
-        else:
-            j += 1
-            node, hub = m + j, i
-    return cells, parent, depth, pos, children, flow
+    order = [0]
+    for x in order:
+        for k in incident[x]:
+            if k == pos[x]:
+                continue
+            y = m + cells[k][1] if x < m else cells[k][0]
+            parent[y], depth[y], pos[y], flow[y] = x, depth[x] + 1, k, flows[k]
+            children[x].add(y)
+            order.append(y)
+    return parent, depth, pos, children, flow
+
+
+def _warm_basis(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray, reduced: np.ndarray):
+    """Initial basis: greedy on the reduced costs ``c_ij - f_i - g_j`` of the
+    entropic pre-solve, which it writes into the m x n work buffer
+    ``reduced``, as a tree rooted at row 0.
+
+    Returns ``(cells, parent, depth, pos, children, flow)`` as laid out by
+    :func:`_rooted_tree`.
+    """
+    f, g = _entropic_duals(mu, nu, costs)
+    np.subtract(costs, f[:, None], out=reduced)
+    reduced -= g[None, :]
+    cells, flows = _greedy_cells(mu, nu, reduced)
+    return (cells, *_rooted_tree(cells, flows, mu.size, nu.size))
 
 
 def _walk(children, x):
@@ -143,6 +230,9 @@ def transportation_simplex(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) ->
     recomputed from scratch and priced again, so optimality never rests on
     the incrementally updated ones.
 
+    The start is :func:`_warm_basis`: greedy on the reduced costs of an
+    entropic pre-solve, skipped for constant costs.
+
     Dantzig (most negative reduced cost) pricing by default; after
     ``_DEGENERATE_STALL`` consecutive zero-step pivots, entering and leaving
     cells switch to Bland's smallest-index rule until a real step is made,
@@ -152,17 +242,19 @@ def transportation_simplex(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) ->
     nu = np.asarray(nu, dtype=float)
     costs = np.asarray(costs, dtype=float)
     m, n = costs.shape
+    if (mu.size, nu.size) != costs.shape:
+        raise ValueError("measure sizes do not match the cost matrix")
     if abs(mu.sum() - nu.sum()) > MASS_BALANCE_TOL:
         raise ValueError("total source and target mass must match")
 
-    cells, parent, depth, pos, children, flow = northwest_corner(mu, nu)
+    reduced = np.empty((m, n))
+    cells, parent, depth, pos, children, flow = _warm_basis(mu, nu, costs, reduced)
     basic_flat = np.array([i * n + j for i, j in cells])
     # +1 on rows, -1 on columns: the sign of a subtree's potential shift.
     side = np.concatenate([np.ones(m), -np.ones(n)])
     potentials = np.empty(m + n)
     u, v = potentials[:m], potentials[m:]
     order = _tree_potentials(potentials, costs, cells, parent, pos, children)
-    reduced = np.empty((m, n))
 
     stall = 0
     bland = False

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 import otkit as ok
 from otkit import exact
-from otkit.exact import _tree_peel_schedules, northwest_corner, transportation_simplex
-from helpers import small_random_instance
+from otkit.exact import _tree_peel_schedules, transportation_simplex
+from helpers import small_random_instance, sweep_instance
 
 
 def is_spanning_tree(cells, m, n):
@@ -92,17 +93,15 @@ class TestTreeEnumeration:
         assert np.unique(sorted_cells, axis=0).shape[0] == 390625
 
 
-def assert_northwest_tree(mu, nu, atol=1e-12):
-    """The northwest-corner start is a staircase spanning tree rooted at row 0
-    whose flows meet the marginals; returns its cells and flows."""
-    m, n = mu.size, nu.size
-    cells, parent, depth, pos, children, flow = northwest_corner(mu, nu)
+def assert_warm_tree(mu, nu, costs, atol=1e-12):
+    """The warm start is a spanning tree rooted at row 0 whose flows meet the
+    marginals; returns its cells and flows."""
+    m, n = costs.shape
+    cells, parent, depth, pos, children, flow = exact._warm_basis(mu, nu, costs, np.empty((m, n)))
     assert len(cells) == len(set(cells)) == m + n - 1
     assert is_spanning_tree(cells, m, n)
-    assert cells[0] == (0, 0) and cells[-1] == (m - 1, n - 1)
-    for (i0, j0), (i1, j1) in zip(cells, cells[1:]):
-        assert (i1, j1) in ((i0 + 1, j0), (i0, j0 + 1))
     assert parent[0] == -1 and pos[0] == -1 and depth[0] == 0 and flow[0] == 0.0
+    assert sorted(pos[1:]) == list(range(m + n - 1))
     for x in range(1, m + n):
         i, j = cells[pos[x]]
         assert {x, parent[x]} == {i, m + j}
@@ -118,32 +117,40 @@ def assert_northwest_tree(mu, nu, atol=1e-12):
     return cells, flow
 
 
-class TestNorthwestCorner:
+class TestWarmBasis:
     def test_basis_size_and_marginals(self, rng):
         for _ in range(20):
             m = int(rng.integers(1, 7))
             n = int(rng.integers(1, 7))
             mu = ok.normalize(rng.uniform(0.1, 1.0, m))
             nu = ok.normalize(rng.uniform(0.1, 1.0, n))
-            assert_northwest_tree(mu, nu)
+            assert_warm_tree(mu, nu, rng.uniform(0.0, 1.0, size=(m, n)))
 
     def test_degenerate_ties(self):
+        # Row and column exhausted together: one stays open with zero mass
+        # and closes on a zero-flow cell.
         mu = np.array([0.5, 0.5])
         nu = np.array([0.5, 0.5])
-        cells, flow = assert_northwest_tree(mu, nu, atol=1e-15)
+        cells, flow = assert_warm_tree(mu, nu, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-15)
         assert len(cells) == 3
         assert sorted(flow[1:]) == [0.0, 0.5, 0.5]
 
     def test_degenerate_instances(self, rng):
         for _ in range(40):
-            mu, nu, _ = degenerate_instance(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
-            assert_northwest_tree(mu, nu)
+            assert_warm_tree(*degenerate_instance(rng, int(rng.integers(1, 8)),
+                                                  int(rng.integers(1, 8))))
 
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 5), (4, 1)])
-    def test_edge_shapes(self, m, n):
+    def test_edge_shapes(self, m, n, rng):
         mu, nu = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
-        cells, _ = assert_northwest_tree(mu, nu)
-        assert cells == [(i, j) for i in range(m) for j in range(n)]
+        cells, _ = assert_warm_tree(mu, nu, rng.uniform(0.0, 1.0, size=(m, n)))
+        assert sorted(cells) == [(i, j) for i in range(m) for j in range(n)]
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 5), (6, 6)])
+    def test_constant_costs(self, m, n, rng):
+        mu = ok.normalize(rng.uniform(0.1, 1.0, m))
+        nu = ok.normalize(rng.uniform(0.1, 1.0, n))
+        assert_warm_tree(mu, nu, np.full((m, n), 2.5))
 
 
 class TestExactSolve:
@@ -229,6 +236,37 @@ class TestExactSolve:
             last[0] = 0
             state = transportation_simplex(mu, nu, costs_)
             assert_optimal_basis(state, mu, nu, costs_)
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="measure sizes do not match the cost matrix"):
+            transportation_simplex(np.full(2, 0.5), np.full(3, 1.0 / 3.0), np.ones((3, 3)))
+
+    def test_constant_costs(self, rng):
+        # spread == 0: no entropic pre-solve (lam would be 0), any basis is optimal.
+        m, n = 7, 5
+        mu = ok.normalize(rng.uniform(0.1, 1.0, m))
+        nu = ok.normalize(rng.uniform(0.1, 1.0, n))
+        costs_ = np.full((m, n), -1.25)
+        with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise", over="raise"):
+            warnings.simplefilter("error")
+            state = transportation_simplex(mu, nu, costs_)
+        assert_optimal_basis(state, mu, nu, costs_)
+
+    def test_pivot_count(self, monkeypatch):
+        # Pricing passes on a seeded 80 x 80 power-cost instance: 122 from the
+        # warm start, 490 from the northwest corner.
+        calls = []
+        price = exact._price
+
+        def counting(*args):
+            calls.append(None)
+            return price(*args)
+
+        monkeypatch.setattr(exact, "_price", counting)
+        src, tgt, cost = sweep_instance(1, 3.0, 80, 80)
+        state = transportation_simplex(src.weights, tgt.weights, cost.entries)
+        assert_optimal_basis(state, src.weights, tgt.weights, cost.entries)
+        assert len(calls) <= 200
 
     def test_degenerate_uniform_masses(self):
         # maximally tied masses make many pivots degenerate
