@@ -126,7 +126,8 @@ def _psi_array(psi) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _row_pass(psi: np.ndarray, C: np.ndarray, lam: float, K: np.ndarray | None = None):
+def _row_pass(psi: np.ndarray, C: np.ndarray, lam: float, K: np.ndarray | None = None,
+              out: np.ndarray | None = None):
     """The smoothed c-transform of ``psi`` over the rows of ``C``.
 
     Returns ``(shift, weights, sums)`` with
@@ -135,18 +136,19 @@ def _row_pass(psi: np.ndarray, C: np.ndarray, lam: float, K: np.ndarray | None =
     the log domain ``shift`` is the row maximum of ``psi_j - c_ij``, taken
     before the division by ``lam`` so constant rows are reproduced exactly.
     Given the kernel ``K = exp(-C/lam)`` the shift is zero and the weights
-    are ``K * exp(psi/lam)``, which may overflow to inf/nan.
+    are ``K * exp(psi/lam)``, which may overflow to inf/nan. The weights are
+    written into ``out`` if given, else into one new m x n array.
     """
     if not lam > 0.0:
         raise ValueError("lam must be > 0")
     if K is None:
-        # Built in place so the pass allocates one m x n buffer.
-        weights = psi[None, :] - C
+        # Built in place, so the pass allocates at most one m x n buffer.
+        weights = np.subtract(psi[None, :], C, out=out)
         shift = weights.max(axis=1)
         _exp_rows(weights, shift, lam)
     else:
         shift = np.zeros(K.shape[0])
-        weights = K * np.exp(psi / lam)[None, :]
+        weights = np.multiply(K, np.exp(psi / lam)[None, :], out=out)
     return shift, weights, weights.sum(axis=1)
 
 
@@ -169,9 +171,9 @@ class _DenseRows:
     reduce the plan ``P = scale[:, None] * weights`` without forming it.
     """
 
-    def __init__(self, psi, C, lam, K=None):
+    def __init__(self, psi, C, lam, K=None, out=None):
         self.psi, self.C, self._kernel = psi, C, K is not None
-        self.shift, self.weights, self.sums = _row_pass(psi, C, lam, K)
+        self.shift, self.weights, self.sums = _row_pass(psi, C, lam, K, out)
 
     def c_transform(self) -> np.ndarray:
         """The exact c-transform ``max_j (psi_j - c_ij)``: the log-domain
@@ -362,13 +364,14 @@ class _GridRows:
         return weights
 
 
-def _row_reductions(psi, C, lam, K=None, grid=None):
+def _row_reductions(psi, C, lam, K=None, grid=None, out=None):
     """The row pass of ``psi`` over ``C`` as read by the solvers: per-axis
     stages when ``grid`` holds the factors of ``C`` (or, built once per
     solve, their :class:`_GridStages` at ``lam``) and the pass is log-domain,
-    else the dense pass with the kernel ``K`` if given."""
+    else the dense pass with the kernel ``K`` if given, its weights written
+    into ``out`` if given."""
     if grid is None or K is not None:
-        return _DenseRows(psi, C, lam, K)
+        return _DenseRows(psi, C, lam, K, out)
     if isinstance(grid, GridFactors):
         grid = _GridStages.build(grid, lam)
     return _GridRows(psi, C, grid)

@@ -24,14 +24,17 @@ On a dense cost in the log domain both solvers run those passes only now
 and then, and read the iterations between them from the weights of the last
 one by matrix-vector products (stabilized scaling with absorption). Sinkhorn
 holds the absorbed plan kernel ``K_ij = exp((f_i + g_j - c_ij)/lam)`` of its
-last log-domain iteration, and ``K o C``, and iterates by scaling it; a
-scaling that leaves a fixed range is folded back into the potentials
-(``_AbsorbedKernel``). FISTA holds the weights of its last dense row pass and
-rescales them by ``exp((psi - psi0)/lam)`` while that stays in the same range,
-taking only the exact row max from ``C`` (``_AbsorbedRows``). Each kernel
-answers the reductions of the pass it stands for, so one loop body serves
-every iteration of its solver; Sinkhorn holds at most two m x n arrays and
-FISTA one, as their passes do.
+last log-domain iteration and ``K o C`` in one stacked ``(2n, m)`` buffer,
+allocated once per solve, into which its log-domain passes also write; it
+iterates by scaling the kernel, two products a round, the second one
+threaded product over the whole buffer that gives both the column sums and
+<P, C>. A scaling that leaves a fixed range is folded back into the
+potentials (``_AbsorbedKernel``). FISTA holds the weights of its last dense
+row pass and rescales them by ``exp((psi - psi0)/lam)`` while that stays in
+the same range, taking only the exact row max from ``C`` (``_AbsorbedRows``).
+Each kernel answers the reductions of the pass it stands for, so one loop
+body serves every iteration of its solver; Sinkhorn holds two m x n arrays,
+its buffer, and returns the top half as the plan, FISTA one.
 
 Below a relative tolerance of about 1e-13 the stop rule fires only when two
 successive monitored values agree to their last bits, so a "converged"
@@ -362,45 +365,87 @@ class _AbsorbedKernel:
     scaling from ``u = v = 1`` (log-stabilized scaling with absorption:
     Schmitzer, SIAM J. Sci. Comput. 2019, Alg. 2).
 
-    ``KT`` is ``K^T``, the column half's plan formed in place of its weights,
-    and ``KCT`` is ``(K o C)^T``; together they are the two m x n arrays the
-    log-domain passes would hold. The potentials of the scaled plan are
-    ``f + lam log u`` and ``g + lam log v``. After :meth:`rescale` the kernel
-    reads as the column half's pass, with weights ``K^T diag(u)`` and
-    ``sums = K^T u``, so ``scale = nu / sums`` is ``v``.
+    One ``(2n, m)`` buffer ``S = [K^T; (K o C)^T]`` is allocated per solve.
+    The log-domain halves write their passes into it (:attr:`halves`: the
+    row half into the bottom, the column half into the top), and
+    :meth:`absorb` forms the column half's plan in place as ``K^T`` and
+    ``(K o C)^T`` over the row half's pass. A round is then two products,
+    ``v @ K^T`` and one ``S @ u`` that gives ``K^T u`` and ``(K o C)^T u``
+    together, which OpenBLAS threads from about 4.6e5 entries. The
+    potentials of the scaled plan are ``f + lam log u`` and ``g + lam log v``.
+    After :meth:`rescale` the kernel reads as the column half's pass, with
+    weights ``K^T diag(u)`` and ``sums = K^T u``, so ``scale = nu / sums`` is
+    ``v``. ``v`` is None while no plan is absorbed.
     """
 
-    def __init__(self, KT, CT):
-        self.KT = KT
-        self.KCT = KT * CT
-        self.u = np.ones(KT.shape[1])
-        self.v = np.ones(KT.shape[0])
+    def __init__(self, CT):
+        self.CT = CT
+        self.S = np.empty((2 * CT.shape[0], CT.shape[1]))
+        self.u = self.v = None
+
+    @property
+    def halves(self):
+        """The buffers of the row half's pass and of the column half's."""
+        n, m = self.CT.shape
+        return self.S[n:].reshape(m, n), self.S[:n]
+
+    def absorb(self, scale) -> None:
+        """Take the plan ``scale[:, None] * weights`` of the column half's
+        pass as ``K^T``, and write ``(K o C)^T`` over the row half's."""
+        n, m = self.CT.shape
+        KT = self.S[:n]
+        KT *= scale[:, None]
+        np.multiply(KT, self.CT, out=self.S[n:])
+        self.u, self.v = np.ones(m), np.ones(n)
+
+    def release(self, g, lam) -> np.ndarray:
+        """``g`` with the last accepted ``v`` folded in; the buffer is then
+        free for the log-domain passes."""
+        if self.v is not None:
+            g = g + lam * np.log(self.v)
+            self.u = self.v = None
+        return g
 
     def rescale(self, mu, nu) -> bool:
         """One round ``u <- mu / (K v)``, ``v <- nu / (K^T u)``; False,
-        keeping the last accepted scalings, if a new one leaves the range."""
-        u = mu / (self.v @ self.KT)
+        keeping the last accepted scalings, if a new one leaves the range
+        or no plan is absorbed."""
+        if self.v is None:
+            return False
+        n = self.v.size
+        u = mu / (self.v @ self.S[:n])
         if not _in_scaling_range(u):
             return False
-        sums = self.KT @ u
-        v = nu / sums
+        products = self.S @ u
+        v = nu / products[:n]
         if not _in_scaling_range(v):
             return False
-        self.u, self.v, self.sums = u, v, sums
+        self.u, self.v, self.sums, self._cost_rows = u, v, products[:n], products[n:]
         return True
 
     def col_sums(self, scale) -> np.ndarray:
-        return (scale @ self.KT) * self.u
+        return (scale @ self.S[:scale.size]) * self.u
 
     def plan_cost(self, scale, offset: float) -> float:
-        return float(scale @ (self.KCT @ self.u)) + offset * float(scale @ self.sums)
+        return float(scale @ self._cost_rows) + offset * float(scale @ self.sums)
 
     def plan(self, scale) -> np.ndarray:
-        """The plan's transpose, formed in place of ``K^T``: the last use of it."""
-        del self.KCT
-        self.KT *= scale[:, None]
-        self.KT *= self.u
-        return self.KT
+        """The plan's transpose: the top half scaled in place (by ``u`` too
+        if a plan is absorbed), with the buffer shrunk to it, so the plan
+        keeps no ``K o C`` alive. The last use of the kernel."""
+        n = scale.size
+        S, self.S = self.S, None
+        KT = S[:n]
+        KT *= scale[:, None]
+        if self.v is not None:
+            KT *= self.u
+        del KT
+        try:
+            S.resize((n, S.shape[1]), refcheck=True)
+        except ValueError:
+            # Something else (a debugger's frame, say) still views the buffer.
+            return S[:n].copy()
+        return S
 
 
 def sinkhorn_solve(
@@ -433,17 +478,21 @@ def sinkhorn_solve(
     :func:`fista_solve` but with no max-plus chain, and its plan is formed
     once, on return, against the last pass's own shift.
 
-    On a dense cost in the log domain the plan of a log-domain iteration is
-    formed in place and kept as the absorbed kernel ``K`` of
-    :class:`_AbsorbedKernel`. The next iterations scale it,
-    ``u <- mu / (K v)``, ``v <- nu / (K^T u)``, with <P, C> from ``K o C``:
-    three matrix-vector products, and one more on trace rows. When a new
-    scaling leaves ``[exp(-tau), exp(tau)]`` (``tau = 30``) it is discarded,
-    the last accepted ``v`` is folded into ``g`` and that iteration runs as
-    the two log-domain passes, after which the new plan is absorbed. A
-    non-finite scaling fails that range check, so the passes make the failure
-    decisions, and at most two m x n arrays are alive. The kernel answers the
-    column half's reductions, so <P, C>, D and the plan come from one body.
+    On a dense cost in the log domain both halves write their passes into
+    the one ``(2n, m)`` buffer of :class:`_AbsorbedKernel`, allocated once
+    per solve, and the plan of a log-domain iteration is formed in place
+    there as the absorbed kernel ``K^T``, with ``(K o C)^T`` beside it. The
+    next iterations scale it, ``u <- mu / (K v)``, ``v <- nu / (K^T u)``,
+    by two matrix-vector products: ``v @ K^T``, and one product of the whole
+    buffer with ``u`` that gives ``K^T u`` and, for <P, C>, ``(K o C)^T u``;
+    trace rows add one more. When a new scaling leaves
+    ``[exp(-tau), exp(tau)]`` (``tau = 30``) it is discarded, the last
+    accepted ``v`` is folded into ``g`` and that iteration runs as the two
+    log-domain passes, after which the new plan is absorbed. A non-finite
+    scaling fails that range check, so the passes make the failure
+    decisions. The buffer is the two m x n arrays alive; the returned plan is
+    its top half, with the buffer shrunk to it. The kernel answers the column
+    half's reductions, so <P, C>, D and the plan come from one body.
 
     The default path is log-domain (stable for any ``lam > 0``);
     ``kernel_mode`` hands the pass the multiplicative kernel, whose overflow
@@ -459,26 +508,24 @@ def sinkhorn_solve(
     CT = C.T
     KT = None if K is None else K.T
     grid_t = None if grid is None else grid.T
-    absorb = K is None and grid is None
-    absorbed = None
+    kernel = _AbsorbedKernel(CT) if K is None and grid is None else None
+    row_out, col_out = (None, None) if kernel is None else kernel.halves
     g = np.zeros(n)
 
     t = 0
     while not rule.stopped:
         t += 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if absorbed is not None and absorbed.rescale(mu, nu):
-                half = absorbed
+            if kernel is not None and kernel.rescale(mu, nu):
+                half, scale = kernel, kernel.v
             else:
-                if absorbed is not None:
-                    g += lam * np.log(absorbed.v)
-                # Drop the kernel; both halves bind one name: two passes alive at most.
-                half = absorbed = None
-                half = _row_reductions(g, C, lam, K, grid)
+                if kernel is not None:
+                    g = kernel.release(g, lam)
+                half = _row_reductions(g, C, lam, K, grid, out=row_out)
                 f = lam * (log_mu - np.log(half.sums)) - half.shift
-                half = _row_reductions(f, CT, lam, KT, grid_t)
+                half = _row_reductions(f, CT, lam, KT, grid_t, out=col_out)
                 g = lam * (log_nu - np.log(half.sums)) - half.shift
-            scale = nu / half.sums
+                scale = nu / half.sums
             pc = half.plan_cost(scale, cost_offset)
 
         # Each plan entry is scale_j * w_ji with 0 <= w_ji <= sums_j, so a
@@ -490,11 +537,14 @@ def sinkhorn_solve(
             dev = (_marginal_dev(scale * half.sums, half.col_sums(scale), nu, mu)
                    if finite else math.nan)
             rule.record(t, math.nan, math.nan, pc if finite else math.nan, dev)
-        if absorb and absorbed is None and finite and not rule.stopped:
-            absorbed = _AbsorbedKernel(half.plan(scale), CT)
+        if kernel is not None and half is not kernel and finite and not rule.stopped:
+            kernel.absorb(scale)
 
     if not finite:
         return SinkhornResult(TransportPlan(np.zeros((m, n))), rule.trace)
+    if kernel is not None:
+        # Drop every other view of the kernel's buffer, so the plan can shrink it.
+        half, row_out, col_out = kernel, None, None
     return SinkhornResult(TransportPlan(half.plan(scale).T), rule.trace)
 
 

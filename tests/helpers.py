@@ -1,4 +1,6 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and measuring helpers for the test suite."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -59,3 +61,16 @@ def grid_measure(rng, lengths, spacing=1.0, origin=0.0):
     """A :func:`grid_points` grid with random strictly positive masses."""
     points = grid_points(rng, lengths, spacing, origin)
     return ok.from_points(points, rng.uniform(0.1, 1.0, size=len(points)))
+
+
+def traced_memory(fn):
+    """``fn()``'s result, with the bytes it leaves allocated and the bytes it
+    allocates at its peak, both above what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return result, held - baseline, peak - baseline
+    finally:
+        tracemalloc.stop()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import otkit as ok
-from helpers import small_random_instance
+from helpers import small_random_instance, traced_memory
 
 
 def naive_plan_cost(plan, cost):
@@ -36,6 +36,13 @@ class TestPlanCost:
         cost = ok.CostMatrix.from_entries(rng.uniform(0, 5, size=(7, 9)))
         assert ok.plan_cost(plan, cost) == pytest.approx(
             naive_plan_cost(plan.entries, cost.entries), rel=1e-13)
+
+    def test_no_plan_sized_temporary(self, rng):
+        m = n = 300
+        plan = ok.TransportPlan(rng.uniform(0, 1, size=(m, n)))
+        cost = ok.CostMatrix.from_entries(rng.uniform(0, 5, size=(m, n)))
+        _, _, peak = traced_memory(lambda: ok.plan_cost(plan, cost))
+        assert peak < 0.25 * m * n * 8
 
     def test_shape_mismatch(self, rng):
         plan = ok.TransportPlan(np.ones((2, 2)) / 4)

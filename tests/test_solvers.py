@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import otkit as ok
 from otkit import solvers
 from otkit.smoothed_dual import _GridStages
 from helpers import (criterion1_instance, grid_measure, random_point_instance,
-                     reference_optimum, small_random_instance)
+                     reference_optimum, small_random_instance, traced_memory)
 
 
 def assert_final_row_independent_of_trace_every(solve):
@@ -433,13 +432,7 @@ def row_pass_instance(path, rng):
 
 def traced_peak(solve) -> int:
     """Bytes that ``solve()`` allocates at its peak, above what was allocated before."""
-    tracemalloc.start()
-    try:
-        baseline = tracemalloc.get_traced_memory()[0]
-        solve()
-        return tracemalloc.get_traced_memory()[1] - baseline
-    finally:
-        tracemalloc.stop()
+    return traced_memory(solve)[2]
 
 
 class TestAbsorbedKernel:
@@ -518,6 +511,21 @@ class TestAbsorbedKernel:
                                                      stop_rel_tol=1e-300))
         assert len(calls) == passes
         assert peak <= 2.5 * m * n * 8
+
+    @pytest.mark.parametrize("cost_scale, lam, max_iters", [(3000.0, 1e-3, 120),
+                                                            (1.0, 0.05, 120), (1.0, 0.05, 1)],
+                             ids=["fallbacks", "no_fallback", "log_domain_last"])
+    def test_one_plan_array_after_return(self, cost_scale, lam, max_iters):
+        # The plan is the top half of the kernel's buffer, shrunk to it, so
+        # the result keeps no K o C alive, whether the last iteration was
+        # absorbed or ran the log-domain passes.
+        m = n = 300
+        src, tgt, cost = small_random_instance(np.random.default_rng(12345), m, n,
+                                               cost_scale=cost_scale)
+        result, held, _ = traced_memory(lambda: ok.sinkhorn_solve(
+            src, tgt, cost, lam, max_iters=max_iters, stop_rel_tol=1e-300))
+        assert result.plan.entries.shape == (m, n)
+        assert held <= 1.25 * m * n * 8
 
 
 class TestAbsorbedRows:
