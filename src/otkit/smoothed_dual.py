@@ -219,6 +219,11 @@ class _AxisStage:
     temporary; beyond it ``K`` would underflow, and the stage subtracts,
     maximizes and exponentiates the ``q x r x p`` exponents themselves. The
     choice is made per axis, once per solve.
+
+    The max-plus stage :meth:`max` runs on flat ``(q, r p)`` rows, ``U``
+    repeated ``p`` times less ``B`` tiled ``r`` times, in one buffer it owns;
+    the tiling and the buffer are built on the first call for a given ``r``
+    (once per solve).
     """
 
     def __init__(self, B):
@@ -227,6 +232,7 @@ class _AxisStage:
         if self.product:
             self.K = np.exp(-B)
             self.KB = self.K * B
+        self._tiled = self._exponents = None
 
     def lse(self, U):
         """``log sum_b exp(U[b, r] - B[b, a])`` as an ``(r, p)`` array, and
@@ -258,7 +264,14 @@ class _AxisStage:
 
     def max(self, U):
         """``max_b (U[b, r] - B[b, a])`` as an ``(r, p)`` array."""
-        return (U[:, :, None] - self.B[:, None, :]).max(axis=0)
+        r, p = U.shape[1], self.B.shape[1]
+        if self._tiled is None or self._tiled.shape[1] != r * p:
+            self._tiled = np.tile(self.B, (1, r))
+            self._exponents = np.empty_like(self._tiled)
+        t = self._exponents
+        np.copyto(t.reshape(-1, r, p), U[:, :, None])
+        t -= self._tiled
+        return t.max(axis=0).reshape(r, p)
 
 
 def _leading(u, stage):

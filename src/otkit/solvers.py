@@ -10,7 +10,9 @@ object, ``_StopRule``, that both loops drive; each loop keeps only its math.
 
 FISTA's loop forms no m x n plan: the trace's <P, C> and marginal deviation
 come from reductions of the row pass plus O(m + n) vectors, and the returned
-plan is built once, after the last iteration. Both loops read their passes
+plan is built once, after the last iteration. On its absorbed iterations
+(below) the <P, C> of due rows is taken in batches, one m x n pass for up to
+``_COST_BATCH`` rows, so such a row reaches the trace up to one batch late. Both loops read their passes
 through ``smoothed_dual._row_reductions``: for a cost with grid factors
 (squared Euclidean between full grids) in the log domain they come from
 per-axis stages and no m x n array is touched until the plan is formed;
@@ -32,9 +34,12 @@ threaded product over the whole buffer that gives both the column sums and
 potentials (``_AbsorbedKernel``). FISTA holds the weights of its last dense
 row pass and rescales them by ``exp((psi - psi0)/lam)`` while that stays in
 the same range, taking only the exact row max from ``C`` (``_AbsorbedRows``).
-Each kernel answers the reductions of the pass it stands for, so one loop
-body serves every iteration of its solver; Sinkhorn holds two m x n arrays,
-its buffer, and returns the top half as the plan, FISTA one.
+Its weights ``W0`` stay fixed for the kernel's life, so the <P, C> of every
+due row it serves is ``a^T (W0 o C) e`` with per-row vectors ``a`` and ``e``,
+and a batch of them shares one blocked pass over ``W0 o C``. Each kernel
+answers the reductions of the pass it stands for, so one loop body serves
+every iteration of its solver; Sinkhorn holds two m x n arrays, its buffer,
+and returns the top half as the plan, FISTA one.
 
 Below a relative tolerance of about 1e-13 the stop rule fires only when two
 successive monitored values agree to their last bits, so a "converged"
@@ -52,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import CostMatrix
+from .costs import _BLOCK_BYTES, CostMatrix
 from .measures import DiscreteMeasure
 from .smoothed_dual import (Potential, TransportPlan, _GridStages, _marginal_dev, _row_max,
                             _row_reductions, project_H, recover_plan)
@@ -159,8 +164,17 @@ class _StopRule:
     and marginal deviation only then, as NaN on a failed iteration, and hands
     them to :meth:`record`, which stamps the wall clock.
 
+    A row may instead be queued with the kernel that owes the rest of its
+    <P, C> (FISTA's absorbed rows). The queue is completed by one call of
+    the kernel's ``queued_costs`` and appended, in order, when it holds
+    ``_COST_BATCH`` rows, when the run stops, before any row that is not
+    queued, and on :meth:`flush`, which the solver calls before it drops
+    the kernel.
+
     The trace is a ``SolveTrace()`` looked up at solve time, so a caller may
-    swap in a subclass that watches every row go through ``append``.
+    swap in a subclass that watches every row go through ``append``. A row
+    may reach ``append`` up to one batch after its iteration, but always
+    complete, with its own wall-clock stamp, and in iteration order.
     """
 
     def __init__(self, max_iters: int, stop_rel_tol: float, trace_every: int):
@@ -171,6 +185,8 @@ class _StopRule:
         self.trace = SolveTrace()
         self.stopped = False
         self._previous = None
+        self._queue = []
+        self._kernel = None
         self._start = time.perf_counter()
 
     @staticmethod
@@ -200,9 +216,28 @@ class _StopRule:
         self.trace.n_iterations = t
         return True
 
-    def record(self, t: int, e: float, e_lam: float, pc: float, dev: float) -> None:
-        ms = (time.perf_counter() - self._start) * 1000.0
-        self.trace.append(t, e, e_lam, pc, dev, ms)
+    def record(self, t: int, e: float, e_lam: float, pc: float, dev: float,
+               kernel=None) -> None:
+        """Stamp row ``t`` and append it after the queued rows; with a
+        ``kernel`` that has queued the rest of its <P, C>, queue it."""
+        row = [t, e, e_lam, pc, dev, (time.perf_counter() - self._start) * 1000.0]
+        if kernel is None:
+            self.flush()
+            self.trace.append(*row)
+            return
+        self._queue.append(row)
+        self._kernel = kernel
+        if self.stopped or len(self._queue) == _COST_BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        """Complete the queued rows by their kernel's batch and append them;
+        the rule then holds no kernel."""
+        queue, kernel, self._queue, self._kernel = self._queue, self._kernel, [], None
+        if queue:
+            for row, pc in zip(queue, kernel.queued_costs(), strict=True):
+                row[3] += pc
+                self.trace.append(*row)
 
 
 def _setup(source, target, cost: CostMatrix, lam: float, kernel_mode: bool):
@@ -248,6 +283,15 @@ def fista_solve(
     becomes the new kernel, so the dense pass makes the failure decisions
     and one m x n array is alive. Grid costs and kernel mode run their pass
     every iteration; on a grid cost E comes from the pass's max-plus chain.
+
+    A due row read from the kernel is queued with its E, E_lambda, D and
+    wall-clock stamp; its <P, C> comes from one blocked pass over
+    ``W0 o C`` for up to 16 such rows (``_COST_BATCH``), taken when the
+    batch is full, before the kernel is dropped, before a row of a dense pass
+    or a failure, and when the run stops. The rows then reach the trace in
+    order, complete, up to one batch after their iterations (see
+    :class:`_StopRule`). Rows of a dense pass, of grid costs and of kernel
+    mode are evaluated at once.
     """
     mu, nu, C, K, grid = _setup(source, target, cost, lam, config.kernel_mode)
     n = nu.size
@@ -270,7 +314,9 @@ def fista_solve(
             if absorbed is not None and absorbed.rescale(psi):
                 rows = absorbed
             else:
-                # Drop the kernel: the pass that replaces it is the one m x n array.
+                # Drop the kernel once its queued rows are complete: the pass
+                # that replaces it is the one m x n array.
+                rule.flush()
                 rows = absorbed = None
                 rows = _row_reductions(psi, C, lam, K, grid)
                 if absorb:
@@ -287,10 +333,16 @@ def fista_solve(
         finite = (math.isfinite(e_val) and math.isfinite(e_lam)
                   and np.all(np.isfinite(grad)))
         if rule.row_due(t, e_val, finite):
-            # Row marginals are exact, so D is the gradient's L1 norm.
-            pc, dev = ((rows.plan_cost(mu / sums, offset), float(np.abs(grad).sum()))
-                       if finite else (math.nan, math.nan))
-            rule.record(t, e_val, e_lam, pc, dev)
+            if not finite:
+                rule.record(t, e_val, e_lam, math.nan, math.nan)
+            else:
+                # Row marginals are exact, so D is the gradient's L1 norm. An
+                # absorbed row's <P, C> waits for its kernel's next batch.
+                dev = float(np.abs(grad).sum())
+                if rows is absorbed:
+                    rule.record(t, e_val, e_lam, rows.queue_cost(mu / sums, offset), dev, rows)
+                else:
+                    rule.record(t, e_val, e_lam, rows.plan_cost(mu / sums, offset), dev)
         if rule.stopped:
             break
 
@@ -310,6 +362,8 @@ def fista_solve(
 
 # The absorbed kernel's scalings are accepted within [exp(-tau), exp(tau)].
 _ABSORB_TAU = 30.0
+# The most trace rows whose <P, C> FISTA's absorbed kernel takes in one pass.
+_COST_BATCH = 16
 
 
 def _in_scaling_range(x) -> bool:
@@ -329,12 +383,15 @@ class _AbsorbedRows:
     so ``r`` stays in range with ``e``. :meth:`rescale` reads them as the
     pass does: ``shift = h`` (the c-transform, so E stays exact),
     ``sums = r * (W0 e)`` and the scaled column sums, with ``W0`` the pass's
-    own weights array, so no other m x n array is held.
+    own weights array, so no other m x n array is held. The plan's cost
+    ``<P, C> = a^T (W0 o C) e`` with ``a = scale * r`` is queued per row by
+    :meth:`queue_cost` and taken for the whole queue by :meth:`queued_costs`.
     """
 
     def __init__(self, rows, psi0, lam):
         self.W0, self.C, self.s = rows.weights, rows.C, rows.shift
         self.psi0, self.lam = psi0, lam
+        self._queued = []
 
     def rescale(self, psi) -> bool:
         """The pass at ``psi``; False if ``e`` leaves the range (or is NaN)."""
@@ -354,9 +411,27 @@ class _AbsorbedRows:
     def col_sums(self, scale) -> np.ndarray:
         return ((scale * self.r) @ self.W0) * self.e
 
-    def plan_cost(self, scale, offset: float) -> float:
-        return (float((scale * self.r) @ np.einsum("ij,ij,j->i", self.W0, self.C, self.e))
-                + offset * float(scale @ self.sums))
+    def queue_cost(self, scale, offset: float) -> float:
+        """Queue ``<P, C>`` of the pass for :meth:`queued_costs` and return
+        the rest of the row's plan cost, ``offset * sum(P)``."""
+        self._queued.append((scale * self.r, self.e))
+        return offset * float(scale @ self.sums)
+
+    def queued_costs(self) -> np.ndarray:
+        """``<P, C> = a^T (W0 o C) e`` of each queued pass, with ``a = scale * r``,
+        in order, from one walk over ``W0 o C`` a block of rows at a time
+        through one reused buffer; the queue is then empty."""
+        A, E = (np.array(x) for x in zip(*self._queued))
+        self._queued = []
+        m, n = self.C.shape
+        step = max(1, _BLOCK_BYTES // (8 * n))
+        buf = np.empty((min(step, m), n))
+        Y = np.empty((m, len(E)))
+        for start in range(0, m, step):
+            block = np.multiply(self.W0[start:start + step], self.C[start:start + step],
+                                out=buf[:min(step, m - start)])
+            np.matmul(block, E.T, out=Y[start:start + step])
+        return np.einsum("ki,ik->k", A, Y)
 
 
 class _AbsorbedKernel:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import otkit as ok
 from helpers import grid_measure, small_random_instance
-from otkit.smoothed_dual import _GridStages, _marginal_dev, _row_reductions
+from otkit.smoothed_dual import (_AxisStage, _GridRows, _GridStages, _marginal_dev,
+                                 _row_reductions, _to_grid)
 
 
 def finite_difference_gradient(psi, src, tgt, cost, lam, h=1e-6):
@@ -448,3 +449,60 @@ class TestPlanExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "i,j,p"
         assert lines[1:] == ["0,0,0.25", "1,1,0.75"]
+
+
+def broadcast_max(U, B):
+    """The max-plus stage ``max_b (U[b, r] - B[b, a])`` as one broadcast
+    ``q x r x p`` temporary: the reference for ``_AxisStage.max``."""
+    return (U[:, :, None] - B[:, None, :]).max(axis=0)
+
+
+def assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def integer_grid(rng, lengths):
+    """A full grid of integer coordinates, atoms in a random order, with
+    random masses: its squared distances tie often."""
+    axes = [np.arange(n, dtype=float) for n in lengths]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lengths))
+    points = points[rng.permutation(len(points))]
+    return ok.from_points(points, rng.uniform(0.1, 1.0, size=len(points)))
+
+
+class TestMaxPlusStage:
+    """The max-plus stage runs on a tiled ``B``; a max is exact, so it must
+    equal the broadcast formula bitwise, ties and signed zeros included."""
+
+    @pytest.mark.parametrize("q, r, p", [(5, 4, 3), (1, 4, 3), (5, 1, 3), (5, 4, 1),
+                                         (1, 1, 1)])
+    def test_stage_matches_broadcast(self, q, r, p, rng):
+        B = rng.integers(0, 3, size=(q, p)).astype(float)
+        stage = _AxisStage(B)
+        results = []
+        # Repeated calls reuse the stage's buffer; a wider input rebuilds it.
+        for width in (r, r, r + 2, r):
+            U = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(q, width))
+            results.append((stage.max(U), broadcast_max(U, B)))
+        for actual, expected in results:
+            assert_bitwise(actual, expected)
+
+    @pytest.mark.parametrize("lengths", [(3, 4), (1, 5), (4, 1), (2, 3, 2), (3, 1, 2),
+                                         (1, 1, 3)])
+    def test_grid_c_transform_matches_broadcast_chain(self, lengths, rng):
+        src, tgt = integer_grid(rng, lengths), integer_grid(rng, lengths[::-1])
+        cost = ok.center(ok.squared_euclidean(src, tgt))
+        assert cost.grid is not None
+        for lam in (1.0, cost.spread / 7.0):
+            stages = _GridStages.build(cost.grid, lam)
+            psi = rng.integers(-3, 4, size=tgt.size) * lam
+            rows = _row_reductions(psi, cost.entries, lam, grid=stages)
+            assert isinstance(rows, _GridRows)
+            u = _to_grid(psi / lam, cost.grid.cols)
+            for stage in stages.row:
+                u = broadcast_max(u.reshape(stage.B.shape[0], -1), stage.B)
+            expected = lam * u.ravel()[cost.grid.rows] - cost.grid.offset
+            # Twice: the second call runs on the stages' reused buffers.
+            assert_bitwise(rows.c_transform(), expected)
+            assert_bitwise(rows.c_transform(), expected)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otkit as ok
-from otkit import solvers
+from otkit import smoothed_dual, solvers
 from otkit.smoothed_dual import _GridStages
 from helpers import (criterion1_instance, grid_measure, random_point_instance,
                      reference_optimum, small_random_instance, traced_memory)
@@ -602,6 +602,127 @@ class TestAbsorbedRows:
             eta=eta, max_iters=120, stop_rel_tol=1e-300)))
         assert len(calls) == passes
         assert peak <= 1.75 * m * n * 8
+
+
+def watch_rows(monkeypatch, nan_at=None):
+    """Swap in a SolveTrace that records each row as ``append`` sees it, with
+    the FISTA steps taken by then (calls of ``project_H``). At step
+    ``nan_at`` the absorbed kernel's exact row max reads NaN, so an absorbed
+    iteration there fails with finite iterates."""
+    steps, seen = [0], []
+    plain_project, plain_max = solvers.project_H, solvers._row_max
+
+    def counting(z):
+        steps[0] += 1
+        return plain_project(z)
+
+    def row_max(psi, C):
+        out = plain_max(psi, C)
+        return out * math.nan if steps[0] == nan_at else out
+
+    class Watching(solvers.SolveTrace):
+        def append(self, *row):
+            super().append(*row)
+            seen.append((row, steps[0]))
+
+    monkeypatch.setattr(solvers, "project_H", counting)
+    monkeypatch.setattr(solvers, "_row_max", row_max)
+    monkeypatch.setattr(solvers, "SolveTrace", Watching)
+    return seen
+
+
+# (m, n, cost_scale, lam, max_iters, trace_every, nan_at): 11 kernels in 121
+# iterations; 5 kernels in 301 (full batches); the same every 5th row; a NaN
+# on an absorbed iteration, 40, with rows queued; a stop at iteration 37,
+# inside the first kernel's third batch.
+DEFERRED_RUNS = {
+    "kernel_drops": (5, 5, 3000.0, 1e-3, 120, 1, None),
+    "full_batches": (12, 10, 10.0, 0.05, 300, 1, None),
+    "trace_every_5": (12, 10, 10.0, 0.05, 300, 5, None),
+    "nan_mid_batch": (12, 10, 10.0, 0.05, 300, 1, 40),
+    "last_row_absorbed": (12, 10, 10.0, 0.05, 37, 1, None),
+}
+
+
+class TestDeferredRows:
+    """Dense log-domain FISTA queues the <P, C> of its absorbed rows and takes
+    it in batches; the rows must reach ``append`` complete and in order, and
+    match a run that completes each row at its own iteration."""
+
+    @staticmethod
+    def run(monkeypatch, case, batch):
+        m, n, cost_scale, lam, max_iters, trace_every, nan_at = DEFERRED_RUNS[case]
+        src, tgt, cost = small_random_instance(np.random.default_rng(0), m, n,
+                                               cost_scale=cost_scale)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_COST_BATCH", batch)
+            seen = watch_rows(patch, nan_at)
+            result = ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
+                max_iters=max_iters, stop_rel_tol=1e-300, trace_every=trace_every,
+                cost_offset=0.7))
+        return result, seen, trace_every
+
+    @pytest.mark.parametrize("case", sorted(DEFERRED_RUNS))
+    def test_rows_complete_and_in_order(self, case, monkeypatch):
+        result, seen, trace_every = self.run(monkeypatch, case, solvers._COST_BATCH)
+        reference, ref_seen, _ = self.run(monkeypatch, case, 1)
+        trace, ref = result.trace, reference.trace
+        # Every row reaches append once, in order, as the trace keeps it.
+        assert [row for row, _ in seen] == list(trace.rows())
+        assert all(a < b for a, b in zip(trace.iters, trace.iters[1:]))
+        # Rows wait in the queue (up to one batch), unlike the reference's.
+        lags = [steps - row[0] for row, steps in seen]
+        assert 0 < max(lags) <= (solvers._COST_BATCH - 1) * trace_every
+        assert all(steps == row[0] for row, steps in ref_seen)
+        assert trace.iters == ref.iters
+        for column in ("energy", "smoothed_energy", "marginal_dev"):
+            np.testing.assert_array_equal(getattr(trace, column), getattr(ref, column))
+        np.testing.assert_allclose(trace.plan_cost, ref.plan_cost, rtol=1e-12, atol=0)
+        assert ((trace.status, trace.n_iterations, trace.failed_iteration)
+                == (ref.status, ref.n_iterations, ref.failed_iteration))
+        np.testing.assert_array_equal(result.potential.values, reference.potential.values)
+        np.testing.assert_array_equal(result.plan.entries, reference.plan.entries)
+
+    def test_failure_row_after_queued_rows(self, monkeypatch):
+        result, seen, _ = self.run(monkeypatch, "nan_mid_batch", solvers._COST_BATCH)
+        trace = result.trace
+        assert trace.status == ok.NUMERICAL_FAILURE and trace.failed_iteration == 40
+        assert math.isnan(trace.plan_cost[-1]) and math.isnan(trace.marginal_dev[-1])
+        assert np.all(np.isfinite(trace.plan_cost[:-1]))
+        # Rows queued before the failure are appended at its step, ahead of it.
+        assert [row[0] for row, steps in seen if steps == 40][-2:] == [39, 40]
+        assert sum(steps == 40 for _, steps in seen) > 2
+
+    def test_last_row_absorbed(self, monkeypatch):
+        # No dense pass runs at iteration 37, so the final flush completes it.
+        calls = count_row_passes(monkeypatch)
+        result, seen, _ = self.run(monkeypatch, "last_row_absorbed", solvers._COST_BATCH)
+        assert result.trace.n_iterations == result.trace.iters[-1] == 37
+        assert len(calls) == 1
+        assert [row[0] for row, steps in seen if steps == 37] == list(range(33, 38))
+
+    @pytest.mark.parametrize("seed, m, n, cost_scale, lam, eta, kernels",
+                             [(0, 12, 10, 10.0, 0.05, 1.0, 4), (1, 12, 10, 10.0, 0.05, 1.0, 3),
+                              (0, 40, 30, 1.0, 0.01, 20.0, 1)])
+    def test_plan_cost_passes(self, seed, m, n, cost_scale, lam, eta, kernels, monkeypatch):
+        # Traced every row: one m x n <P, C> pass per dense-pass row and one
+        # per batch of absorbed rows, so at most kernels + ceil(rows / 16),
+        # plus one partial batch per kernel drop.
+        passes = []
+        for owner, name in ((smoothed_dual._DenseRows, "plan_cost"),
+                            (solvers._AbsorbedRows, "queued_costs")):
+            def spy(self, *args, _plain=getattr(owner, name), _name=name):
+                passes.append(_name)
+                return _plain(self, *args)
+            monkeypatch.setattr(owner, name, spy)
+        calls = count_row_passes(monkeypatch)
+        src, tgt, cost = small_random_instance(np.random.default_rng(seed), m, n,
+                                               cost_scale=cost_scale)
+        result = ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
+            eta=eta, max_iters=200, stop_rel_tol=1e-300))
+        rows = len(result.trace.iters)
+        assert rows == 201 and len(calls) == kernels == passes.count("plan_cost")
+        assert len(passes) <= kernels + math.ceil(rows / 16) + kernels - 1
 
 
 class TestGridCosts:
