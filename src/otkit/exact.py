@@ -8,13 +8,20 @@ comes from a short log-domain Sinkhorn pre-solve: its potentials give reduced
 costs ``c_ij - f_i - g_j``, and masses are allocated greedily in ascending
 reduced cost, which leaves far fewer pivots than a cost-blind start (1364
 instead of 11098 on the 784 x 784 ``sed-paper`` instance). The start affects
-speed only: optimality is certified by the simplex's own potentials. The
-basis is one rooted spanning tree kept across pivots, so a pivot costs one
-pricing pass over the m x n reduced costs plus work proportional to the cycle
-and the subtree it moves; ``sed-paper`` solves in about 3 s on 2 CPUs. After
-set-up the tree is traversed by one walk, every parent before its children:
-from the root it recomputes the potentials from scratch and, in reverse, the
-final allocation from the marginals; from the entering endpoint it visits the
+speed only: optimality is certified by the simplex's own potentials.
+
+The same reduced costs pick a candidate list: the ``_CANDIDATES`` smallest
+cells of every row and every column. A pivot prices the candidates alone; a
+full pricing pass over the m x n reduced costs runs only when no candidate
+enters, and every violating cell it sees joins the list. Optimality is
+declared only after a full pass over potentials recomputed from scratch, so
+the list affects speed only (a few full passes per solve; ``sed-paper``'s
+oracle takes about 1.3 s on 2 CPUs, most of it the pre-solve). The basis is
+one rooted spanning tree kept across pivots, so past pricing a pivot costs
+work proportional to the cycle and the subtree it moves. After set-up the
+tree is traversed by one walk, every parent before its children: from the
+root it recomputes the potentials from scratch and, in reverse, the final
+allocation from the marginals; from the entering endpoint it visits the
 subtree a pivot moves.
 """
 
@@ -37,6 +44,11 @@ _DEGENERATE_STALL = 50
 _WARM_T = 700.0
 _WARM_DEV = 1e-2
 _WARM_ROUNDS = 300
+# Candidate list: this many smallest warm-start reduced costs of every row and
+# every column, selected a block of about _BLOCK_CELLS cells at a time (64 KB
+# of indices, under the allocator's default mmap threshold).
+_CANDIDATES = 4
+_BLOCK_CELLS = 1 << 13
 
 
 @dataclass(eq=False)
@@ -46,13 +58,16 @@ class BasisState:
     ``cells`` lists the m+n-1 basic cells (a spanning tree of the bipartite
     supply/demand graph), ``plan`` the basic feasible allocation satisfying all
     marginals, and ``u``/``v`` the dual variables with ``u_i + v_j = c_ij`` on
-    basic cells.
+    basic cells. ``pivots`` counts the basis changes and ``full_passes`` the
+    pricing passes over all m x n cells.
     """
 
     cells: list[tuple[int, int]]
     plan: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    pivots: int = 0
+    full_passes: int = 0
 
     def reduced_costs(self, costs: np.ndarray) -> np.ndarray:
         return costs - self.u[:, None] - self.v[None, :]
@@ -178,6 +193,71 @@ def _warm_basis(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray, reduced: np.n
     return (cells, *_rooted_tree(cells, flows, mu.size, nu.size))
 
 
+def _candidate_cells(reduced: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of the ``_CANDIDATES`` smallest entries of every
+    row and of every column of ``reduced``, selected a block of lines at a
+    time so that no m x n index array is allocated."""
+    m, n = reduced.shape
+    picks = []
+    # Row i holds flat indices i*n + j, column j holds j + i*n.
+    for lines, line_stride, cell_stride in ((reduced, n, 1), (reduced.T, 1, n)):
+        count, length = lines.shape
+        k = min(_CANDIDATES, length)
+        block = max(1, _BLOCK_CELLS // length)
+        for start in range(0, count, block):
+            stop = min(start + block, count)
+            nearest = np.argpartition(lines[start:stop], k - 1, axis=1)[:, :k]
+            first = np.arange(start, stop)[:, None] * line_stride
+            picks.append((first + nearest * cell_stride).ravel())
+    return _sorted_unique(np.concatenate(picks))
+
+
+def _sorted_unique(flat: np.ndarray) -> np.ndarray:
+    """``np.unique`` by one sort, without its first-call import of
+    ``numpy.ma`` (about 1.2 MB held for the rest of the process)."""
+    flat = np.sort(flat)
+    keep = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
+
+
+class _CandidateList:
+    """Cells priced before any full pass: sorted flat indices with their rows,
+    columns and costs cached, each cell's position in the list, and a mask of
+    those that are basic."""
+
+    def __init__(self, costs: np.ndarray, flat: np.ndarray, basic_flat: np.ndarray):
+        self.costs = costs
+        self.flat = flat[:0]
+        self.extend(flat, basic_flat)
+
+    def extend(self, flat: np.ndarray, basic_flat: np.ndarray):
+        self.flat = _sorted_unique(np.concatenate([self.flat, flat]))
+        self.rows, self.cols = np.divmod(self.flat, self.costs.shape[1])
+        self.cell_costs = self.costs[self.rows, self.cols]
+        self.position = dict(zip(self.flat.tolist(), range(self.flat.size)))
+        self.basic = np.zeros(self.flat.size, dtype=bool)
+        for cell in basic_flat.tolist():
+            self.mark(cell, True)
+
+    def mark(self, flat: int, basic: bool):
+        k = self.position.get(flat)
+        if k is not None:
+            self.basic[k] = basic
+
+    def price(self, u: np.ndarray, v: np.ndarray):
+        """``(flat, reduced cost)`` of the most negative candidate, ties to
+        the lowest flat index as in :func:`_price`, or ``(-1, 0.0)`` when
+        none is below ``-REDUCED_COST_TOL``."""
+        reduced = self.cell_costs - u[self.rows]
+        reduced -= v[self.cols]
+        reduced[self.basic] = 0.0
+        k = int(np.argmin(reduced))
+        if reduced[k] < -REDUCED_COST_TOL:
+            return int(self.flat[k]), float(reduced[k])
+        return -1, 0.0
+
+
 def _walk(children, x):
     """Nodes of the basis subtree hanging from ``x``, every parent before
     its children; from the root it is a walk of the whole tree."""
@@ -226,17 +306,26 @@ def transportation_simplex(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) ->
     entering cell up to their common ancestor to find the cycle, re-hangs the
     subtree cut off by the leaving cell from the entering endpoint it
     contains, and shifts the potentials of that subtree alone by the entering
-    reduced cost. Before the basis is declared optimal the potentials are
-    recomputed from scratch and priced again, so optimality never rests on
-    the incrementally updated ones.
+    reduced cost.
 
     The start is :func:`_warm_basis`: greedy on the reduced costs of an
-    entropic pre-solve, skipped for constant costs.
+    entropic pre-solve, skipped for constant costs. Those reduced costs also
+    give the candidate list, the ``_CANDIDATES`` smallest cells of each row
+    and column (:func:`_candidate_cells`).
 
-    Dantzig (most negative reduced cost) pricing by default; after
-    ``_DEGENERATE_STALL`` consecutive zero-step pivots, entering and leaving
-    cells switch to Bland's smallest-index rule until a real step is made,
-    which prevents cycling under degeneracy.
+    Dantzig (most negative reduced cost) pricing by default, first over the
+    candidates alone. When none of them enters, one full pass of
+    :func:`_price` over all cells runs: a cell it finds enters, and every
+    violating cell it saw joins the list. When it finds none, the potentials
+    are recomputed from scratch and :func:`_price` runs again, so optimality
+    never rests on the candidates or on the incrementally updated
+    potentials. After ``_DEGENERATE_STALL`` consecutive zero-step pivots,
+    entering and leaving cells switch to Bland's smallest-index rule, priced
+    by full passes, until a real step is made, which prevents cycling under
+    degeneracy.
+
+    Raises ``ValueError`` for mismatched sizes, unbalanced masses, a
+    non-finite cost, or a negative or non-finite mass.
     """
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -244,6 +333,11 @@ def transportation_simplex(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) ->
     m, n = costs.shape
     if (mu.size, nu.size) != costs.shape:
         raise ValueError("measure sizes do not match the cost matrix")
+    if not np.isfinite(costs).all():
+        raise ValueError("costs must be finite")
+    for name, masses in (("source", mu), ("target", nu)):
+        if not (np.isfinite(masses).all() and (masses >= 0.0).all()):
+            raise ValueError("%s masses must be finite and nonnegative" % name)
     if abs(mu.sum() - nu.sum()) > MASS_BALANCE_TOL:
         raise ValueError("total source and target mass must match")
 
@@ -255,17 +349,24 @@ def transportation_simplex(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) ->
     potentials = np.empty(m + n)
     u, v = potentials[:m], potentials[m:]
     order = _tree_potentials(potentials, costs, cells, parent, pos, children)
+    candidates = _CandidateList(costs, _candidate_cells(reduced), basic_flat)
 
-    stall = 0
+    stall = pivots = full_passes = 0
     bland = False
     for _ in range(20 * (m + n) * max(m, n) + 1000):
-        flat = _price(costs, u, v, basic_flat, reduced, bland)
+        flat, r = (-1, 0.0) if bland else candidates.price(u, v)
         if flat < 0:
-            order = _tree_potentials(potentials, costs, cells, parent, pos, children)
             flat = _price(costs, u, v, basic_flat, reduced, bland)
+            full_passes += 1
             if flat < 0:
-                break
-        r = reduced.flat[flat]
+                order = _tree_potentials(potentials, costs, cells, parent, pos, children)
+                flat = _price(costs, u, v, basic_flat, reduced, bland)
+                full_passes += 1
+                if flat < 0:
+                    break
+            r = reduced.flat[flat]
+            candidates.extend(np.flatnonzero(reduced.ravel() < -REDUCED_COST_TOL), basic_flat)
+        pivots += 1
         i_e, j_e = divmod(flat, n)
 
         # Cycle: tree paths from both endpoints up to their common ancestor,
@@ -306,6 +407,8 @@ def transportation_simplex(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) ->
         else:
             start, new_parent, sign = m + j_e, i_e, -1.0
         leave_pos = pos[leave]
+        candidates.mark(int(basic_flat[leave_pos]), False)
+        candidates.mark(flat, True)
         cells[leave_pos] = (i_e, j_e)
         basic_flat[leave_pos] = flat
         new_pos, new_flow = leave_pos, theta
@@ -342,12 +445,13 @@ def transportation_simplex(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) ->
     # rounding drift of the pivot updates. In reverse walk order of the optimal
     # basis each node is a leaf of what is left, so the cell joining it to its
     # parent carries its residual mass.
+    del reduced, candidates  # the plan is the only m x n array built from here
     residual = np.concatenate([mu, nu])
     plan = np.zeros((m, n))
     for x in reversed(order[1:]):
         plan[cells[pos[x]]] = max(residual[x], 0.0)
         residual[parent[x]] -= residual[x]
-    return BasisState(list(cells), plan, u.copy(), v.copy())
+    return BasisState(list(cells), plan, u.copy(), v.copy(), pivots, full_passes)
 
 
 def exact_solve(

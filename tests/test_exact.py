@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import otkit as ok
-from otkit import exact
+from otkit import cli, exact
 from otkit.exact import _tree_peel_schedules, transportation_simplex
 from helpers import small_random_instance, sweep_instance
 
@@ -56,6 +56,19 @@ def assert_optimal_basis(state, mu, nu, costs):
     assert reduced.min() >= -1e-10
     rows, cols = zip(*state.cells)
     np.testing.assert_allclose(reduced[list(rows), list(cols)], 0.0, atol=1e-9)
+
+
+def assert_matches_full_pricing(monkeypatch, mu, nu, costs_):
+    """The default solve and one with every cell a candidate (each pivot
+    prices all m x n cells) are both certified optimal and agree in cost."""
+    state = transportation_simplex(mu, nu, costs_)
+    assert_optimal_basis(state, mu, nu, costs_)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_CANDIDATES", max(costs_.shape))
+        full = transportation_simplex(mu, nu, costs_)
+    assert_optimal_basis(full, mu, nu, costs_)
+    assert float((state.plan * costs_).sum()) == pytest.approx(
+        float((full.plan * costs_).sum()), rel=1e-10, abs=1e-14)
 
 
 def dyadic_masses(rng, k):
@@ -199,7 +212,7 @@ class TestExactSolve:
             state = transportation_simplex(src.weights, tgt.weights, cost.entries)
             assert_optimal_basis(state, src.weights, tgt.weights, cost.entries)
 
-    def test_randomized_certificate_sweep(self):
+    def test_randomized_certificate_sweep(self, monkeypatch):
         # Half the instances are degenerate, where the pivots that re-hang the
         # basis tree without moving mass are most frequent.
         rng = np.random.default_rng(31)
@@ -211,8 +224,7 @@ class TestExactSolve:
                 mu = ok.normalize(rng.uniform(0.1, 1.0, m))
                 nu = ok.normalize(rng.uniform(0.1, 1.0, n))
                 costs_ = rng.uniform(0.0, 1.0, size=(m, n))
-            state = transportation_simplex(mu, nu, costs_)
-            assert_optimal_basis(state, mu, nu, costs_)
+            assert_matches_full_pricing(monkeypatch, mu, nu, costs_)
 
     def test_optimality_rests_on_recomputed_potentials(self, monkeypatch):
         # Wipe the potentials whenever pricing the incrementally updated ones
@@ -220,11 +232,13 @@ class TestExactSolve:
         # one of them from the costs along the current tree.
         price = exact._price
         last = [0]
+        wipes = []
 
         def wiping(costs, u, v, basic_flat, reduced, bland):
             flat = price(costs, u, v, basic_flat, reduced, bland)
             if flat < 0 and last[0] >= 0:
                 u[:] = v[:] = np.nan
+                wipes.append(None)
             last[0] = flat
             return flat
 
@@ -236,6 +250,7 @@ class TestExactSolve:
             last[0] = 0
             state = transportation_simplex(mu, nu, costs_)
             assert_optimal_basis(state, mu, nu, costs_)
+        assert wipes
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="measure sizes do not match the cost matrix"):
@@ -252,21 +267,29 @@ class TestExactSolve:
             state = transportation_simplex(mu, nu, costs_)
         assert_optimal_basis(state, mu, nu, costs_)
 
-    def test_pivot_count(self, monkeypatch):
-        # Pricing passes on a seeded 80 x 80 power-cost instance: 122 from the
-        # warm start, 490 from the northwest corner.
-        calls = []
-        price = exact._price
-
-        def counting(*args):
-            calls.append(None)
-            return price(*args)
-
-        monkeypatch.setattr(exact, "_price", counting)
+    def test_pivot_count(self):
+        # A seeded 80 x 80 power-cost instance: 130 pivots and 4 full pricing
+        # passes with the candidate list; 122 pivots (one full pass each) with
+        # full pricing alone, 490 from the northwest corner.
         src, tgt, cost = sweep_instance(1, 3.0, 80, 80)
         state = transportation_simplex(src.weights, tgt.weights, cost.entries)
         assert_optimal_basis(state, src.weights, tgt.weights, cost.entries)
-        assert len(calls) <= 200
+        assert state.pivots <= 200
+        assert state.full_passes <= 8
+
+    def test_p_sweep_exact_instance(self):
+        # The seeded 200 x 200, p = 3 p-sweep instance: the LP cost on the
+        # uncentered matrix, solved on the centered one as the CLI does.
+        config = cli.config_from_sources("p-sweep", overrides={"m": 200, "n": 200, "p": 3.0,
+                                                                "seed": 1})
+        src, tgt = cli.build_instance(config)
+        original = cli.build_cost(config, src, tgt)
+        centered = ok.center(original)
+        state = transportation_simplex(src.weights, tgt.weights, centered.entries)
+        assert_optimal_basis(state, src.weights, tgt.weights, centered.entries)
+        assert ok.plan_cost(ok.TransportPlan(state.plan), original) == pytest.approx(
+            4786.142931280248, rel=1e-10)
+        assert state.full_passes <= 8
 
     def test_degenerate_uniform_masses(self):
         # maximally tied masses make many pivots degenerate
@@ -288,6 +311,67 @@ class TestExactSolve:
         for plan in (fista.plan, sink.plan):
             dev = ok.marginal_deviation(plan, src, tgt)
             assert ok.plan_cost(plan, cost) >= lp_cost - dev * cost.c_max - 1e-9
+
+
+class TestInputValidation:
+    def test_infinite_cost(self):
+        costs_ = np.ones((3, 3))
+        costs_[0, 2] = np.inf
+        with pytest.raises(ValueError, match="costs must be finite"):
+            transportation_simplex(np.full(3, 1 / 3), np.full(3, 1 / 3), costs_)
+
+    def test_nan_cost(self):
+        costs_ = np.ones((3, 3))
+        costs_[1, 1] = np.nan
+        with pytest.raises(ValueError, match="costs must be finite"):
+            transportation_simplex(np.full(3, 1 / 3), np.full(3, 1 / 3), costs_)
+
+    def test_negative_mass(self):
+        with pytest.raises(ValueError, match="source masses must be finite and nonnegative"):
+            transportation_simplex(np.array([1.5, -0.5, 0.0]), np.full(3, 1 / 3), np.ones((3, 3)))
+
+    def test_non_finite_mass(self):
+        with pytest.raises(ValueError, match="target masses must be finite and nonnegative"):
+            transportation_simplex(np.full(2, 0.5), np.array([0.5, np.nan]), np.ones((2, 2)))
+
+    def test_zero_masses_accepted(self, rng):
+        mu = np.array([0.5, 0.0, 0.5])
+        nu = np.array([0.0, 0.25, 0.75])
+        costs_ = rng.uniform(0.0, 1.0, size=(3, 3))
+        with np.errstate(divide="ignore"):
+            state = transportation_simplex(mu, nu, costs_)
+        assert_optimal_basis(state, mu, nu, costs_)
+
+
+class TestCandidateList:
+    """Pricing the candidate list first changes speed, not the optimum."""
+
+    def test_degenerate_instances_match_full_pricing(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        for _ in range(30):
+            m, n = (int(x) for x in rng.integers(2, 26, size=2))
+            assert_matches_full_pricing(monkeypatch, *degenerate_instance(rng, m, n, max_cost=2))
+
+    def test_candidate_cells(self, rng):
+        reduced = rng.uniform(0.0, 1.0, size=(37, 23))
+        k = exact._CANDIDATES
+        expected = set()
+        for i in range(37):
+            expected |= {i * 23 + j for j in np.argsort(reduced[i])[:k]}
+        for j in range(23):
+            expected |= {i * 23 + j for i in np.argsort(reduced[:, j])[:k]}
+        flat = exact._candidate_cells(reduced)
+        assert flat.tolist() == sorted(expected)
+
+    def test_blind_candidates_still_certified(self, monkeypatch):
+        # Zero pre-solve potentials: the list is chosen from the raw costs and
+        # knows nothing of the optimum, so full passes must extend it.
+        monkeypatch.setattr(exact, "_entropic_duals",
+                            lambda mu, nu, costs: (np.zeros(mu.size), np.zeros(nu.size)))
+        src, tgt, cost = sweep_instance(1, 3.0, 80, 80)
+        state = transportation_simplex(src.weights, tgt.weights, cost.entries)
+        assert_optimal_basis(state, src.weights, tgt.weights, cost.entries)
+        assert state.full_passes >= 2
 
 
 class TestBlandFallback:
