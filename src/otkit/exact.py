@@ -16,7 +16,7 @@ full pricing pass over the m x n reduced costs runs only when no candidate
 enters, and every violating cell it sees joins the list. Optimality is
 declared only after a full pass over potentials recomputed from scratch, so
 the list affects speed only (a few full passes per solve; ``sed-paper``'s
-oracle takes about 1.3 s on 2 CPUs, most of it the pre-solve). The basis is
+oracle takes 1.0–1.3 s on 2 CPUs, most of it the pre-solve). The basis is
 one rooted spanning tree kept across pivots, so past pricing a pivot costs
 work proportional to the cycle and the subtree it moves. After set-up the
 tree is traversed by one walk, every parent before its children: from the
@@ -223,8 +223,7 @@ def _sorted_unique(flat: np.ndarray) -> np.ndarray:
 
 class _CandidateList:
     """Cells priced before any full pass: sorted flat indices with their rows,
-    columns and costs cached, each cell's position in the list, and a mask of
-    those that are basic."""
+    columns and costs cached, and a mask of those that are basic."""
 
     def __init__(self, costs: np.ndarray, flat: np.ndarray, basic_flat: np.ndarray):
         self.costs = costs
@@ -235,14 +234,13 @@ class _CandidateList:
         self.flat = _sorted_unique(np.concatenate([self.flat, flat]))
         self.rows, self.cols = np.divmod(self.flat, self.costs.shape[1])
         self.cell_costs = self.costs[self.rows, self.cols]
-        self.position = dict(zip(self.flat.tolist(), range(self.flat.size)))
+        k = np.minimum(self.flat.searchsorted(basic_flat), self.flat.size - 1)
         self.basic = np.zeros(self.flat.size, dtype=bool)
-        for cell in basic_flat.tolist():
-            self.mark(cell, True)
+        self.basic[k[self.flat[k] == basic_flat]] = True
 
     def mark(self, flat: int, basic: bool):
-        k = self.position.get(flat)
-        if k is not None:
+        k = int(self.flat.searchsorted(flat))
+        if k < self.flat.size and self.flat[k] == flat:
             self.basic[k] = basic
 
     def price(self, u: np.ndarray, v: np.ndarray):
