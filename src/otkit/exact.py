@@ -4,11 +4,12 @@ independent brute-force oracle that enumerates every spanning-tree basis.
 The simplex starts from a warm basis and uses Dantzig pricing, falling back to
 Bland's rule after a run of degenerate pivots so cycling cannot occur.
 Instances are solved exactly (up to floating-point rounding). The warm basis
-comes from a short log-domain Sinkhorn pre-solve: its potentials give reduced
-costs ``c_ij - f_i - g_j``, and masses are allocated greedily in ascending
-reduced cost, which leaves far fewer pivots than a cost-blind start (1364
-instead of 11098 on the 784 x 784 ``sed-paper`` instance). The start affects
-speed only: optimality is certified by the simplex's own potentials.
+comes from a short pre-solve, one call of :func:`solvers.sinkhorn_solve`: its
+potentials give reduced costs ``c_ij - f_i - g_j``, and masses are allocated
+greedily in ascending reduced cost, which leaves far fewer pivots than a
+cost-blind start (1180 instead of 11098 on the 784 x 784 ``sed-paper``
+instance). The start affects speed only: optimality is certified by the
+simplex's own potentials.
 
 The same reduced costs pick a candidate list: the ``_CANDIDATES`` smallest
 cells of every row and every column. A pivot prices the candidates alone; a
@@ -16,7 +17,7 @@ full pricing pass over the m x n reduced costs runs only when no candidate
 enters, and every violating cell it sees joins the list. Optimality is
 declared only after a full pass over potentials recomputed from scratch, so
 the list affects speed only (a few full passes per solve; ``sed-paper``'s
-oracle takes 1.0–1.3 s on 2 CPUs, most of it the pre-solve). The basis is
+oracle takes 0.4–0.6 s on 2 CPUs, half of it the pre-solve). The basis is
 one rooted spanning tree kept across pivots, so past pricing a pivot costs
 work proportional to the cycle and the subtree it moves. After set-up the
 tree is traversed by one walk, every parent before its children: from the
@@ -33,16 +34,17 @@ import numpy as np
 
 from .costs import CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import TransportPlan, _row_pass
+from .smoothed_dual import TransportPlan
+from .solvers import sinkhorn_solve
 
 REDUCED_COST_TOL = 1e-10
 MASS_BALANCE_TOL = 1e-9
 DEFAULT_CELL_CAP = 10**6
 _DEGENERATE_STALL = 50
-# The warm start's entropic pre-solve: smoothing lam = spread / _WARM_T, run
-# until the row marginals are within _WARM_DEV in L1 or for _WARM_ROUNDS.
+# The warm start's Sinkhorn pre-solve: smoothing lam = spread / _WARM_T, run
+# until <P, C> changes by less than _WARM_TOL relative or for _WARM_ROUNDS.
 _WARM_T = 700.0
-_WARM_DEV = 1e-2
+_WARM_TOL = 1e-10
 _WARM_ROUNDS = 300
 # Candidate list: this many smallest warm-start reduced costs of every row and
 # every column, selected a block of about _BLOCK_CELLS cells at a time (64 KB
@@ -74,27 +76,22 @@ class BasisState:
 
 
 def _entropic_duals(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray):
-    """Potentials ``(f, g)`` of a short log-domain Sinkhorn pre-solve at
-    ``lam = spread / _WARM_T``, one :func:`_row_pass` per half. Rounds stop
-    once the row marginals are within ``_WARM_DEV`` in L1 (the columns are
-    exact after each round), or after ``_WARM_ROUNDS``. Constant costs need
-    no pre-solve: every basis prices the same, so ``f = g = 0``."""
-    m, n = costs.shape
-    f, g = np.zeros(m), np.zeros(n)
-    spread = float(costs.max() - costs.min())
-    if spread == 0.0:
+    """Potentials ``(f, g)`` of one :func:`sinkhorn_solve` at ``lam = spread /
+    _WARM_T`` on the lines with mass, each side normalized (which shifts
+    ``c_ij - f_i - g_j`` by a constant), stopped at a relative change of
+    <P, C> below ``_WARM_TOL`` or after ``_WARM_ROUNDS``. Lines without mass
+    keep 0, as do all lines when no mass or no spread is left."""
+    f, g = np.zeros(mu.size), np.zeros(nu.size)
+    rows, cols = mu > 0.0, nu > 0.0
+    # A view, so that the CostMatrix freezes it and not the caller's array.
+    sub = costs.view() if rows.all() and cols.all() else costs[np.ix_(rows, cols)]
+    if sub.size == 0 or (cost := CostMatrix.from_entries(sub)).spread == 0.0:
         return f, g
-    lam = spread / _WARM_T
-    log_mu, log_nu = np.log(mu), np.log(nu)
-    for _ in range(_WARM_ROUNDS):
-        shift, sums = _row_pass(g, costs, lam)[::2]
-        f = lam * (log_mu - np.log(sums)) - shift
-        shift, weights, sums = _row_pass(f, costs.T, lam)
-        g = lam * (log_nu - np.log(sums)) - shift
-        row_sums = (nu / sums) @ weights
-        del weights  # one m x n pass alive at a time
-        if np.abs(row_sums - mu).sum() <= _WARM_DEV:
-            break
+    source, target = (DiscreteMeasure(np.zeros((w.size, 1)), w / w.sum())
+                      for w in (mu[rows], nu[cols]))
+    f[rows], g[cols] = sinkhorn_solve(source, target, cost, cost.spread / _WARM_T,
+                                      max_iters=_WARM_ROUNDS, stop_rel_tol=_WARM_TOL,
+                                      trace_every=_WARM_ROUNDS).potentials
     return f, g
 
 
@@ -179,8 +176,8 @@ def _rooted_tree(cells, flows, m: int, n: int):
 
 
 def _warm_basis(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray, reduced: np.ndarray):
-    """Initial basis: greedy on the reduced costs ``c_ij - f_i - g_j`` of the
-    entropic pre-solve, which it writes into the m x n work buffer
+    """Initial basis: greedy on the reduced costs ``c_ij - f_i - g_j`` of
+    :func:`_entropic_duals`, which it writes into the m x n work buffer
     ``reduced``, as a tree rooted at row 0.
 
     Returns ``(cells, parent, depth, pos, children, flow)`` as laid out by
@@ -306,10 +303,11 @@ def transportation_simplex(mu: np.ndarray, nu: np.ndarray, costs: np.ndarray) ->
     contains, and shifts the potentials of that subtree alone by the entering
     reduced cost.
 
-    The start is :func:`_warm_basis`: greedy on the reduced costs of an
-    entropic pre-solve, skipped for constant costs. Those reduced costs also
-    give the candidate list, the ``_CANDIDATES`` smallest cells of each row
-    and column (:func:`_candidate_cells`).
+    The start is :func:`_warm_basis`: greedy on the reduced costs of a
+    Sinkhorn pre-solve on the lines with mass, skipped for constant costs or
+    no mass. Those reduced costs also give the candidate list, the
+    ``_CANDIDATES`` smallest cells of each row and column
+    (:func:`_candidate_cells`).
 
     Dantzig (most negative reduced cost) pricing by default, first over the
     candidates alone. When none of them enters, one full pass of

@@ -379,14 +379,11 @@ class _GridRows:
 
 def _row_reductions(psi, C, lam, K=None, grid=None, out=None):
     """The row pass of ``psi`` over ``C`` as read by the solvers: per-axis
-    stages when ``grid`` holds the factors of ``C`` (or, built once per
-    solve, their :class:`_GridStages` at ``lam``) and the pass is log-domain,
-    else the dense pass with the kernel ``K`` if given, its weights written
-    into ``out`` if given."""
+    stages when ``grid`` holds the :class:`_GridStages` of ``C`` at ``lam``
+    and the pass is log-domain, else the dense pass with the kernel ``K`` if
+    given, its weights written into ``out`` if given."""
     if grid is None or K is not None:
         return _DenseRows(psi, C, lam, K, out)
-    if isinstance(grid, GridFactors):
-        grid = _GridStages.build(grid, lam)
     return _GridRows(psi, C, grid)
 
 

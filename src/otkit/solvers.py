@@ -142,6 +142,7 @@ class FistaResult(NamedTuple):
 class SinkhornResult(NamedTuple):
     plan: TransportPlan
     trace: SolveTrace
+    potentials: tuple[np.ndarray, np.ndarray]
 
 
 def _rel_change(current: float, previous: float) -> float:
@@ -573,7 +574,9 @@ def sinkhorn_solve(
     ``kernel_mode`` hands the pass the multiplicative kernel, whose overflow
     at small ``lam`` makes ``g`` or <P, C> non-finite, so the run ends as a
     ``numerical_failure`` and the returned plan is all zeros. ``cost_offset``
-    is as in :class:`FistaConfig`.
+    is as in :class:`FistaConfig`. ``potentials`` are the ``(f, g)`` of the
+    returned plan ``exp((f_i + g_j - c_ij)/lam)`` over ``cost``; after an
+    absorbed iteration they are ``f + lam log u`` and ``g + lam log v``.
     """
     mu, nu, C, K, grid = _setup(source, target, cost, lam, kernel_mode)
     rule = _StopRule(max_iters, stop_rel_tol, trace_every)
@@ -616,11 +619,13 @@ def sinkhorn_solve(
             kernel.absorb(scale)
 
     if not finite:
-        return SinkhornResult(TransportPlan(np.zeros((m, n))), rule.trace)
+        return SinkhornResult(TransportPlan(np.zeros((m, n))), rule.trace, (f, g))
     if kernel is not None:
+        if kernel.v is not None:
+            f, g = f + lam * np.log(kernel.u), g + lam * np.log(kernel.v)
         # Drop every other view of the kernel's buffer, so the plan can shrink it.
         half, row_out, col_out = kernel, None, None
-    return SinkhornResult(TransportPlan(half.plan(scale).T), rule.trace)
+    return SinkhornResult(TransportPlan(half.plan(scale).T), rule.trace, (f, g))
 
 
 def corollary9_iteration_bound(psi_star_norm: float, lam: float, epsilon: float) -> int:

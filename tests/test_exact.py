@@ -1,4 +1,5 @@
 import itertools
+import sys
 import warnings
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import otkit as ok
-from otkit import cli, exact
+from otkit import cli, exact, smoothed_dual
 from otkit.exact import _tree_peel_schedules, transportation_simplex
 from helpers import small_random_instance, sweep_instance
 
@@ -277,19 +278,63 @@ class TestExactSolve:
         assert state.pivots <= 200
         assert state.full_passes <= 8
 
-    def test_p_sweep_exact_instance(self):
-        # The seeded 200 x 200, p = 3 p-sweep instance: the LP cost on the
-        # uncentered matrix, solved on the centered one as the CLI does.
+    @staticmethod
+    def p_sweep_exact_instance():
+        """The seeded 200 x 200, p = 3 p-sweep instance, with its uncentered
+        cost and the centered one the CLI solves on."""
         config = cli.config_from_sources("p-sweep", overrides={"m": 200, "n": 200, "p": 3.0,
                                                                 "seed": 1})
         src, tgt = cli.build_instance(config)
         original = cli.build_cost(config, src, tgt)
-        centered = ok.center(original)
+        return src, tgt, original, ok.center(original)
+
+    def test_p_sweep_exact_instance(self):
+        # The LP cost on the uncentered matrix, solved on the centered one.
+        src, tgt, original, centered = self.p_sweep_exact_instance()
         state = transportation_simplex(src.weights, tgt.weights, centered.entries)
         assert_optimal_basis(state, src.weights, tgt.weights, centered.entries)
         assert ok.plan_cost(ok.TransportPlan(state.plan), original) == pytest.approx(
             4786.142931280248, rel=1e-10)
         assert state.full_passes <= 8
+
+    def test_warm_start_runs_absorbed(self):
+        # The pre-solve is one dense Sinkhorn solve, which scales its absorbed
+        # kernel between log-domain passes: 2 passes here (91 rounds), where a
+        # plain log-domain loop makes two a round.
+        src, tgt, _, centered = self.p_sweep_exact_instance()
+        code = smoothed_dual._row_pass.__code__
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(1)
+
+        sys.setprofile(profile)
+        try:
+            transportation_simplex(src.weights, tgt.weights, centered.entries)
+        finally:
+            sys.setprofile(None)
+        assert 1 <= len(calls) <= 4
+
+    def test_caller_costs_left_writable_and_unchanged(self, rng):
+        mu, nu = ok.normalize(rng.uniform(0.1, 1.0, 6)), ok.normalize(rng.uniform(0.1, 1.0, 5))
+        costs_ = rng.uniform(0.0, 1.0, size=(6, 5))
+        before = costs_.copy()
+        state = transportation_simplex(mu, nu, costs_)
+        assert_optimal_basis(state, mu, nu, costs_)
+        assert costs_.flags.writeable
+        np.testing.assert_array_equal(costs_, before)
+
+    def test_unnormalized_masses(self, rng):
+        # The pre-solve runs on normalized masses; the LP scales with the mass.
+        mu, nu = ok.normalize(rng.uniform(0.1, 1.0, 9)), ok.normalize(rng.uniform(0.1, 1.0, 7))
+        costs_ = rng.uniform(0.0, 1.0, size=(9, 7))
+        unit = transportation_simplex(mu, nu, costs_)
+        assert_optimal_basis(unit, mu, nu, costs_)
+        state = transportation_simplex(3.0 * mu, 3.0 * nu, costs_)
+        assert_optimal_basis(state, 3.0 * mu, 3.0 * nu, costs_)
+        assert float((state.plan * costs_).sum()) == pytest.approx(
+            3.0 * float((unit.plan * costs_).sum()), rel=1e-10)
 
     def test_degenerate_uniform_masses(self):
         # maximally tied masses make many pivots degenerate
@@ -335,12 +380,24 @@ class TestInputValidation:
             transportation_simplex(np.full(2, 0.5), np.array([0.5, np.nan]), np.ones((2, 2)))
 
     def test_zero_masses_accepted(self, rng):
+        # Lines without mass stay out of the pre-solve: no log(0) warning.
         mu = np.array([0.5, 0.0, 0.5])
         nu = np.array([0.0, 0.25, 0.75])
         costs_ = rng.uniform(0.0, 1.0, size=(3, 3))
-        with np.errstate(divide="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             state = transportation_simplex(mu, nu, costs_)
         assert_optimal_basis(state, mu, nu, costs_)
+
+    def test_zero_total_mass(self, rng):
+        # No mass at all: no pre-solve, and the zero plan comes back certified.
+        for _ in range(10):
+            zeros, costs_ = np.zeros(3), rng.uniform(0.0, 1.0, size=(3, 3))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                state = transportation_simplex(zeros, zeros, costs_)
+            assert_optimal_basis(state, zeros, zeros, costs_)
+            np.testing.assert_array_equal(state.plan, 0.0)
 
 
 class TestCandidateList:

@@ -346,8 +346,9 @@ def test_grid_pass_matches_dense_pass(d, data):
     width = max(cost.spread, 1.0)
     lam = width / data.draw(st.floats(0.5, 20.0), label="T")
     entries = cost.entries
-    for C, grid, mu, nu in ((entries, cost.grid, src.weights, tgt.weights),
-                            (entries.T, cost.grid.T, tgt.weights, src.weights)):
+    stages = _GridStages.build(cost.grid, lam)
+    for C, grid, mu, nu in ((entries, stages, src.weights, tgt.weights),
+                            (entries.T, stages.T, tgt.weights, src.weights)):
         psi = rng.uniform(-width, width, size=nu.size)
         scale = width + np.abs(C).max()
         fast = solver_reductions(_row_reductions(psi, C, lam, grid=grid), psi, mu, nu, lam,

@@ -430,6 +430,17 @@ def row_pass_instance(path, rng):
     return (*small_random_instance(rng, 12, 10, cost_scale=10.0), 0.05)
 
 
+def assert_potentials_give_plan(result, C, lam):
+    """``exp((f_i + g_j - c_ij)/lam)`` over the cost passed in is the
+    returned plan, on every entry above 1e-200."""
+    f, g = result.potentials
+    plan = result.plan.entries
+    kept = plan > 1e-200
+    assert kept.any()
+    np.testing.assert_allclose(np.exp((f[:, None] + g[None, :] - C) / lam)[kept], plan[kept],
+                               rtol=1e-9, atol=0)
+
+
 def traced_peak(solve) -> int:
     """Bytes that ``solve()`` allocates at its peak, above what was allocated before."""
     return traced_memory(solve)[2]
@@ -484,8 +495,9 @@ class TestAbsorbedKernel:
 
     @pytest.mark.parametrize("path", ["dense", "kernel_mode", "grid"])
     def test_row_passes(self, path, rng, monkeypatch):
-        # Only the dense log-domain loop absorbs; kernel mode and grid costs
-        # run both passes every iteration.
+        # Only the dense log-domain loop absorbs (its last iteration here
+        # too); kernel mode and grid costs run both passes every iteration.
+        # On every path the potentials give the returned plan.
         src, tgt, cost, lam = row_pass_instance(path, rng)
         passes = count_row_passes(monkeypatch)
         result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=300, stop_rel_tol=1e-300,
@@ -496,6 +508,13 @@ class TestAbsorbedKernel:
         else:
             assert result.trace.n_iterations > 10
             assert len(passes) == 2 * result.trace.n_iterations
+        assert_potentials_give_plan(result, cost.entries, lam)
+
+    def test_potentials_of_log_domain_iteration(self, rng):
+        # One iteration: the two log-domain passes and nothing absorbed.
+        src, tgt, cost, lam = row_pass_instance("dense", rng)
+        result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=1, stop_rel_tol=1e-300)
+        assert_potentials_give_plan(result, cost.entries, lam)
 
 
     @pytest.mark.parametrize("cost_scale, lam, passes", [(3000.0, 1e-3, 18), (1.0, 0.05, 2)],
