@@ -9,12 +9,13 @@ both solvers' dense log-domain loops only rescale the weights of their last
 one (see ``solvers``). The default path is log-domain: the dense pass's
 shift is the row maximum of ``psi_j - c_ij`` (the c-transform), so any
 smoothing scale ``lam > 0`` is representable. The exact c-transform alone,
-as ``c_transform``, ``c_transform_argmax``, ``energy`` and FISTA's rescaled
-passes take it, comes a block of rows at a time (``_blocked_rows``), without
-an m x n array. Given the multiplicative kernel
-``K = exp(-C/lam)`` the pass returns ``K * exp(psi/lam)`` with zero shift;
-only the solvers' opt-in kernel mode takes this path, to expose its overflow
-behavior.
+as ``c_transform``, ``c_transform_argmax`` and ``energy`` take it, comes a
+block of rows at a time (``_blocked_rows``), without an m x n array; FISTA's
+rescaled passes take it over each row's candidate columns where their
+weights certify it, and from ``_row_max`` elsewhere. Given the
+multiplicative kernel ``K = exp(-C/lam)`` the pass returns
+``K * exp(psi/lam)`` with zero shift; only the solvers' opt-in kernel mode
+takes this path, to expose its overflow behavior.
 
 The solvers read only a few reductions of the pass: the shift, the row sums,
 the scaled column sums and the plan's cost (the marginal deviation follows

@@ -33,7 +33,9 @@ threaded product over the whole buffer that gives both the column sums and
 <P, C>. A scaling that leaves a fixed range is folded back into the
 potentials (``_AbsorbedKernel``). FISTA holds the weights of its last dense
 row pass and rescales them by ``exp((psi - psi0)/lam)`` while that stays in
-the same range, taking only the exact row max from ``C`` (``_AbsorbedRows``).
+the same range, taking the exact row max over each row's candidate columns,
+those the pass weighted at least ``exp(-tau/3)``, where the rescaled row sum
+certifies it, and from the row of ``C`` elsewhere (``_AbsorbedRows``).
 Its weights ``W0`` stay fixed for the kernel's life, so the <P, C> of every
 due row it serves is ``a^T (W0 o C) e`` with per-row vectors ``a`` and ``e``,
 and a batch of them shares one blocked pass over ``W0 o C``. Each kernel
@@ -279,7 +281,8 @@ def fista_solve(
     are kept as :class:`_AbsorbedRows`, and while
     ``max|psi_t - psi_a| / lam <= tau`` (``tau = 30``) the pass at psi_t is
     read from them by two matrix-vector products, with the exact row max
-    taken from ``C`` a block of rows at a time, so E stays exact. Otherwise,
+    taken over each row's candidate columns where the weight outside them
+    certifies it, and from ``C`` elsewhere, so E stays exact. Otherwise,
     and on a NaN, the kernel is dropped and the dense pass at psi_t runs and
     becomes the new kernel, so the dense pass makes the failure decisions
     and one m x n array is alive. Grid costs and kernel mode run their pass
@@ -365,11 +368,47 @@ def fista_solve(
 _ABSORB_TAU = 30.0
 # The most trace rows whose <P, C> FISTA's absorbed kernel takes in one pass.
 _COST_BATCH = 16
+# FISTA's absorbed kernel takes its row max over each row's candidates, the
+# columns with reference weight W0_ij >= exp(-tau/3), while they are at most
+# this share of the entries, and from all of C on an iteration where more
+# than this share of the rows fail their check.
+_CANDIDATE_WEIGHT = math.exp(-_ABSORB_TAU / 3.0)
+_CANDIDATE_SHARE = 1.0 / 8.0
 
 
 def _in_scaling_range(x) -> bool:
     """Every entry of ``x`` within ``[exp(-tau), exp(tau)]``; False on NaN."""
     return bool(math.exp(-_ABSORB_TAU) <= x.min() and x.max() <= math.exp(_ABSORB_TAU))
+
+
+def _row_candidates(W0, C):
+    """Each row's columns with ``W0_ij >= _CANDIDATE_WEIGHT`` as ``(starts,
+    cols, costs, weights)``: row offsets, int32 columns, and ``c_ij`` and
+    ``W0_ij`` there, in row order. None if they are more than the candidate
+    share of the entries or some row has none (a NaN pass). Read a block of
+    rows at a time, counted before they are kept, so no m x n mask is formed."""
+    m, n = C.shape
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    blocks = range(0, m, step)
+    total = sum(np.count_nonzero(W0[i:i + step] >= _CANDIDATE_WEIGHT) for i in blocks)
+    if total > m * n * _CANDIDATE_SHARE:
+        return None
+    starts = np.empty(m + 1, np.intp)
+    cols, costs, weights = np.empty(total, np.int32), np.empty(total), np.empty(total)
+    done = 0
+    for i in blocks:
+        W = W0[i:i + step]
+        keep = np.flatnonzero(W >= _CANDIDATE_WEIGHT)
+        starts[i:i + len(W)] = done + np.searchsorted(keep, np.arange(0, W.size, n))
+        span = slice(done, done + keep.size)
+        cols[span] = keep % n
+        costs[span] = C[i:i + step].ravel().take(keep)
+        weights[span] = W.ravel().take(keep)
+        done += keep.size
+    starts[m] = total
+    if not np.all(np.diff(starts) > 0):
+        return None
+    return starts[:m], cols, costs, weights
 
 
 class _AbsorbedRows:
@@ -387,12 +426,27 @@ class _AbsorbedRows:
     own weights array, so no other m x n array is held. The plan's cost
     ``<P, C> = a^T (W0 o C) e`` with ``a = scale * r`` is queued per row by
     :meth:`queue_cost` and taken for the whole queue by :meth:`queued_costs`.
+
+    ``h`` comes from :meth:`row_max`. Each row keeps its candidate columns,
+    ``W0_ij >= exp(-tau/3)`` (:func:`_row_candidates`), unless they are
+    over 1/8 of ``C``, and ``h_i`` is their largest ``psi_j - c_ij`` where
+    that column's weight ``exp((h_i - s_i)/lam)`` exceeds the weight of all
+    the others, ``(W0 e)_i - sum_K W0_ij e_j``, by a slack above rounding;
+    elsewhere it comes from the row of ``C``, and from all of ``C`` when
+    over 1/8 of the rows fail. Every value is one ``psi_j - c_ij``, so ``h``
+    and with it ``r``, ``sums``, E and the run are bitwise those of the
+    full row max (Schmitzer, SIAM J. Sci. Comput. 2019, Sec. 3.3, truncates
+    the kernel the same way).
     """
 
     def __init__(self, rows, psi0, lam):
         self.W0, self.C, self.s = rows.weights, rows.C, rows.shift
         self.psi0, self.lam = psi0, lam
         self._queued = []
+        self._candidates = _row_candidates(self.W0, self.C)
+        # W0_ij e_j carries the rounding of psi0_j - c_ij and psi_j - c_ij,
+        # about eps |s_i| / lam relative on the entries that can reach the top.
+        self._slack = 1e-9 + 4.0 * np.finfo(float).eps * np.abs(self.s) / lam
 
     def rescale(self, psi) -> bool:
         """The pass at ``psi``; False if ``e`` leaves the range (or is NaN)."""
@@ -400,10 +454,42 @@ class _AbsorbedRows:
         if not _in_scaling_range(e):
             return False
         self.e = e
-        self.shift = _row_max(psi, self.C)
+        raw = self.W0 @ e
+        self.shift = self.row_max(psi, raw)
         self.r = np.exp((self.s - self.shift) / self.lam)
-        self.sums = (self.W0 @ e) * self.r
+        self.sums = raw * self.r
         return True
+
+    def row_max(self, psi, raw) -> np.ndarray:
+        """The exact row max ``h_i = max_j (psi_j - c_ij)`` at ``psi``, given
+        ``raw = W0 @ e``: over row i's candidates where their top weight
+        ``exp((h_i - s_i)/lam)`` exceeds the weight outside them,
+        ``raw_i - sum_K W0_ij e_j``, by the slack, so no column outside can
+        be larger; from the row of ``C`` where it does not, and from all of
+        ``C`` when over 1/8 of the rows fail or the kernel keeps no candidates.
+        Each value is one ``psi_j - c_ij``, so ``h`` is bitwise
+        :func:`_row_max`'s."""
+        if self._candidates is None:
+            return _row_max(psi, self.C)
+        h, rest = self._candidate_max(psi, raw)
+        failed = ~(np.exp((h - self.s) / self.lam) - rest > self._slack * raw)
+        count = np.count_nonzero(failed)
+        if count > self.C.shape[0] * _CANDIDATE_SHARE:
+            return _row_max(psi, self.C)
+        if count:
+            h[failed] = _row_max(psi, self.C[failed])
+        return h
+
+    def _candidate_max(self, psi, raw):
+        """Each row's max of ``psi_j - c_ij`` over its candidates, and the
+        weight ``raw_i - sum_K W0_ij e_j`` outside them, in one buffer that
+        is freed before :meth:`row_max` reads ``C``."""
+        starts, cols, costs, weights = self._candidates
+        # The columns are in range, so take need not check them.
+        b = np.take(psi, cols, mode="clip")
+        h = np.maximum.reduceat(np.subtract(b, costs, out=b), starts)
+        np.multiply(np.take(self.e, cols, out=b, mode="clip"), weights, out=b)
+        return h, raw - np.add.reduceat(b, starts)
 
     def c_transform(self) -> np.ndarray:
         """The exact row max taken by :meth:`rescale`."""

@@ -622,6 +622,67 @@ class TestAbsorbedRows:
         assert len(calls) == passes
         assert peak <= 1.75 * m * n * 8
 
+    def test_candidates_leave_the_run_bitwise_unchanged(self, monkeypatch):
+        # A 200 x 200 great-circle cost between Gaussian clouds on the sphere
+        # at lam = spread / 700, where the kernels keep 1-3% of C as
+        # candidates: the row max over certified candidates gives the run
+        # that the full row max gives, bit for bit, and reads all of C on
+        # few of the absorbed iterations.
+        src, tgt = random_point_instance(3, 200, 200, d=3, source_dist="gaussian",
+                                         target_dist="gaussian", project_to_sphere=True)
+        cost = ok.center(ok.spherical(src, tgt))
+        lam = cost.spread / 700.0
+        config = ok.FistaConfig(eta=50.0, max_iters=400, stop_rel_tol=1e-300)
+        full = []
+        plain_max = solvers._row_max
+
+        def counting(psi, C):
+            full.append(C.shape == cost.shape)
+            return plain_max(psi, C)
+
+        monkeypatch.setattr(solvers, "_row_max", counting)
+        passes = count_row_passes(monkeypatch)
+        result = ok.fista_solve(src, tgt, cost, lam, config)
+        absorbed = result.trace.n_iterations + 1 - len(passes)
+        assert absorbed > 300
+        assert sum(full) <= 0.1 * absorbed
+        del full[:], passes[:]
+        monkeypatch.setattr(solvers, "_row_candidates", lambda W0, C: None)
+        reference = ok.fista_solve(src, tgt, cost, lam, config)
+        assert sum(full) == absorbed == reference.trace.n_iterations + 1 - len(passes)
+        trace, ref = result.trace, reference.trace
+        for column in ("iters", "energy", "smoothed_energy", "plan_cost", "marginal_dev"):
+            np.testing.assert_array_equal(getattr(trace, column), getattr(ref, column))
+        assert ((trace.status, trace.n_iterations, trace.failed_iteration)
+                == (ref.status, ref.n_iterations, ref.failed_iteration))
+        np.testing.assert_array_equal(result.potential.values, reference.potential.values)
+        np.testing.assert_array_equal(result.plan.entries, reference.plan.entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 40), n=st.integers(1, 40), ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rescale_row_max_property(self, m, n, ties, seed):
+        # Drifts of up to 30 lam carry many rows' argmax outside their
+        # candidates (a window of 10 lam). With ties, costs, potentials and
+        # drifts are dyadic and columns repeat, so rows tie at their max.
+        rng = np.random.default_rng(seed)
+        if ties:
+            lam = 2.0 ** int(rng.integers(-8, -3))
+            copies = rng.integers(0, n, n)
+            C = rng.integers(0, 32, (m, n)).astype(float)[:, copies]
+            psi0 = rng.integers(-4, 5, n).astype(float)[copies]
+            drift = lam * rng.integers(-29, 30, n)[copies]
+        else:
+            lam = 10.0 ** rng.uniform(-3.0, 0.0)
+            C = rng.uniform(0.0, 8.0, (m, n))
+            psi0 = rng.uniform(-4.0, 4.0, n)
+            drift = lam * rng.uniform(-29.9, 29.9, n)
+        kernel = solvers._AbsorbedRows(smoothed_dual._DenseRows(psi0, C, lam), psi0, lam)
+        psi = psi0 + drift
+        assert kernel.rescale(psi)
+        np.testing.assert_array_equal(kernel.shift, smoothed_dual._row_max(psi, C))
+        np.testing.assert_array_equal(kernel.sums, (kernel.W0 @ kernel.e) * kernel.r)
+
 
 def watch_rows(monkeypatch, nan_at=None):
     """Swap in a SolveTrace that records each row as ``append`` sees it, with
@@ -629,14 +690,14 @@ def watch_rows(monkeypatch, nan_at=None):
     ``nan_at`` the absorbed kernel's exact row max reads NaN, so an absorbed
     iteration there fails with finite iterates."""
     steps, seen = [0], []
-    plain_project, plain_max = solvers.project_H, solvers._row_max
+    plain_project, plain_max = solvers.project_H, solvers._AbsorbedRows.row_max
 
     def counting(z):
         steps[0] += 1
         return plain_project(z)
 
-    def row_max(psi, C):
-        out = plain_max(psi, C)
+    def row_max(self, psi, raw):
+        out = plain_max(self, psi, raw)
         return out * math.nan if steps[0] == nan_at else out
 
     class Watching(solvers.SolveTrace):
@@ -645,20 +706,22 @@ def watch_rows(monkeypatch, nan_at=None):
             seen.append((row, steps[0]))
 
     monkeypatch.setattr(solvers, "project_H", counting)
-    monkeypatch.setattr(solvers, "_row_max", row_max)
+    monkeypatch.setattr(solvers._AbsorbedRows, "row_max", row_max)
     monkeypatch.setattr(solvers, "SolveTrace", Watching)
     return seen
 
 
 # (m, n, cost_scale, lam, max_iters, trace_every, nan_at): 11 kernels in 121
 # iterations; 5 kernels in 301 (full batches); the same every 5th row; a NaN
-# on an absorbed iteration, 40, with rows queued; a stop at iteration 37,
-# inside the first kernel's third batch.
+# on an absorbed iteration, 40, with rows queued, without candidates and on
+# a kernel that keeps them (one kernel serves all 301 iterations); a stop at
+# iteration 37, inside the first kernel's third batch.
 DEFERRED_RUNS = {
     "kernel_drops": (5, 5, 3000.0, 1e-3, 120, 1, None),
     "full_batches": (12, 10, 10.0, 0.05, 300, 1, None),
     "trace_every_5": (12, 10, 10.0, 0.05, 300, 5, None),
     "nan_mid_batch": (12, 10, 10.0, 0.05, 300, 1, 40),
+    "nan_candidates": (40, 30, 10.0, 0.05, 300, 1, 40),
     "last_row_absorbed": (12, 10, 10.0, 0.05, 37, 1, None),
 }
 
@@ -702,8 +765,19 @@ class TestDeferredRows:
         np.testing.assert_array_equal(result.potential.values, reference.potential.values)
         np.testing.assert_array_equal(result.plan.entries, reference.plan.entries)
 
-    def test_failure_row_after_queued_rows(self, monkeypatch):
-        result, seen, _ = self.run(monkeypatch, "nan_mid_batch", solvers._COST_BATCH)
+    def assert_failure_after_queued_rows(self, monkeypatch, case, candidates):
+        # The one kernel of the run keeps candidates, or not, as named.
+        kept = []
+        plain = solvers._row_candidates
+
+        def spy(W0, C):
+            found = plain(W0, C)
+            kept.append(found is not None)
+            return found
+
+        monkeypatch.setattr(solvers, "_row_candidates", spy)
+        result, seen, _ = self.run(monkeypatch, case, solvers._COST_BATCH)
+        assert kept == [candidates]
         trace = result.trace
         assert trace.status == ok.NUMERICAL_FAILURE and trace.failed_iteration == 40
         assert math.isnan(trace.plan_cost[-1]) and math.isnan(trace.marginal_dev[-1])
@@ -711,6 +785,12 @@ class TestDeferredRows:
         # Rows queued before the failure are appended at its step, ahead of it.
         assert [row[0] for row, steps in seen if steps == 40][-2:] == [39, 40]
         assert sum(steps == 40 for _, steps in seen) > 2
+
+    def test_failure_row_after_queued_rows(self, monkeypatch):
+        self.assert_failure_after_queued_rows(monkeypatch, "nan_mid_batch", False)
+
+    def test_failure_row_after_queued_rows_on_candidates(self, monkeypatch):
+        self.assert_failure_after_queued_rows(monkeypatch, "nan_candidates", True)
 
     def test_last_row_absorbed(self, monkeypatch):
         # No dense pass runs at iteration 37, so the final flush completes it.
