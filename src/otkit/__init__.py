@@ -22,7 +22,6 @@ from .smoothed_dual import (
     SmoothingParams,
     TransportPlan,
     c_transform,
-    c_transform_argmax,
     energy,
     hessian_apply,
     project_H,

@@ -14,7 +14,6 @@ at a time; ``entries`` stays dense for everything else.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,8 +21,9 @@ import numpy as np
 from .measures import DiscreteMeasure
 
 UNIT_NORM_TOL = 1e-9
-# Size of the row blocks that ``_squared_distances`` accumulates through and
-# that ``smoothed_dual._row_max`` reduces.
+# Size of the row blocks of the four blocked walks over an m x n array:
+# ``_squared_distances``, ``smoothed_dual._row_max``, and
+# ``solvers._row_candidates`` and ``solvers._AbsorbedRows.queued_costs``.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -207,15 +207,10 @@ def center(cost: CostMatrix) -> CostMatrix:
 
 def save_cost_text(cost: CostMatrix, path) -> None:
     """Write the text format: first line ``m n``, then m rows of n decimals."""
-    _write_text_matrix(cost.entries, path)
-
-
-def _write_text_matrix(entries: np.ndarray, path) -> None:
-    """The text format of both costs and transport plans."""
-    m, n = entries.shape
+    m, n = cost.shape
     with open(path, "w") as fh:
         fh.write("%d %d\n" % (m, n))
-        for row in entries:
+        for row in cost.entries:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
@@ -225,28 +220,9 @@ def load_cost_text(path) -> CostMatrix:
     if len(tokens) < 2:
         raise ValueError("cost file too short")
     m, n = int(tokens[0]), int(tokens[1])
+    if m <= 0 or n <= 0:
+        raise ValueError("cost file header needs positive sizes, got %d %d" % (m, n))
     body = tokens[2:]
     if len(body) != m * n:
         raise ValueError("cost file has %d values, expected %d" % (len(body), m * n))
     return CostMatrix.from_entries(np.asarray(body, dtype=float).reshape(m, n))
-
-
-def save_cost_binary(cost: CostMatrix, path) -> None:
-    """Write the binary format: 8-byte header (m, n as little-endian uint32),
-    then row-major little-endian float64 entries."""
-    m, n = cost.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", m, n))
-        fh.write(np.ascontiguousarray(cost.entries, dtype="<f8").tobytes())
-
-
-def load_cost_binary(path) -> CostMatrix:
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError("cost binary too short")
-        m, n = struct.unpack("<II", header)
-        raw = fh.read(8 * m * n)
-    if len(raw) != 8 * m * n:
-        raise ValueError("cost binary truncated")
-    return CostMatrix.from_entries(np.frombuffer(raw, dtype="<f8").reshape(m, n).copy())

@@ -186,6 +186,8 @@ def load_measure(path) -> DiscreteMeasure:
     if len(tokens) < 2:
         raise ValueError("measure file too short")
     d, m = int(tokens[0]), int(tokens[1])
+    if d <= 0 or m <= 0:
+        raise ValueError("measure file header needs positive sizes, got %d %d" % (d, m))
     body = tokens[2:]
     if len(body) != m * (d + 1):
         raise ValueError("measure file has %d values, expected %d" % (len(body), m * (d + 1)))

@@ -3,7 +3,6 @@ smoothing-error bound, and oracle-relative error reports."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,9 +79,6 @@ class EvalReport:
             out["gap"] = self.gap
             out["abs_error_vs_oracle"] = self.abs_error_vs_oracle
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def evaluate(ot_cost_estimate: float, plan: TransportPlan, cost: CostMatrix,

@@ -9,10 +9,10 @@ both solvers' dense log-domain loops only rescale the weights of their last
 one (see ``solvers``). The default path is log-domain: the dense pass's
 shift is the row maximum of ``psi_j - c_ij`` (the c-transform), so any
 smoothing scale ``lam > 0`` is representable. The exact c-transform alone,
-as ``c_transform``, ``c_transform_argmax`` and ``energy`` take it, comes a
-block of rows at a time (``_blocked_rows``), without an m x n array; FISTA's
-rescaled passes take it over each row's candidate columns where their
-weights certify it, and from ``_row_max`` elsewhere. Given the
+as ``c_transform`` and ``energy`` take it, comes from ``_row_max``, a block
+of rows at a time without an m x n array; FISTA's rescaled passes take it over
+each row's candidate columns where their weights certify it, and from
+``_row_max`` elsewhere. Given the
 multiplicative kernel ``K = exp(-C/lam)`` the pass returns
 ``K * exp(psi/lam)`` with zero shift; only the solvers' opt-in kernel mode
 takes this path, to expose its overflow behavior.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import _BLOCK_BYTES, CostMatrix, GridFactors, _write_text_matrix
+from .costs import _BLOCK_BYTES, CostMatrix, GridFactors
 from .measures import DiscreteMeasure
 
 
@@ -72,7 +72,6 @@ class SmoothingParams:
     """Smoothing scale ``lam`` (cost units), optionally derived as spread/T."""
 
     lam: float
-    T: float | None = None
 
     def __post_init__(self):
         if not self.lam > 0.0:
@@ -82,7 +81,7 @@ class SmoothingParams:
     def from_divisor(cls, cost: CostMatrix, T: float) -> "SmoothingParams":
         if not T > 0.0:
             raise ValueError("T must be > 0")
-        return cls(cost.spread / T, T)
+        return cls(cost.spread / T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,18 +107,6 @@ class TransportPlan:
 
     def col_sums(self) -> np.ndarray:
         return self.entries.sum(axis=0)
-
-    def save_text(self, path) -> None:
-        """The text format of costs (``costs.load_cost_text`` reads it back)."""
-        _write_text_matrix(self.entries, path)
-
-    def save_csv_triples(self, path, threshold: float = 0.0) -> None:
-        """CSV rows ``i,j,p_ij`` for entries strictly above ``threshold``."""
-        with open(path, "w") as fh:
-            fh.write("i,j,p\n")
-            rows, cols = np.nonzero(self.entries > threshold)
-            for i, j in zip(rows, cols):
-                fh.write("%d,%d,%s\n" % (i, j, repr(float(self.entries[i, j]))))
 
 
 def _psi_array(psi) -> np.ndarray:
@@ -388,35 +375,24 @@ def _row_reductions(psi, C, lam, K=None, grid=None, out=None):
     return _GridRows(psi, C, grid)
 
 
-def _blocked_rows(psi: np.ndarray, C: np.ndarray, reduce, out: np.ndarray) -> np.ndarray:
-    """``reduce`` of each row of ``psi_j - c_ij`` into ``out``, taken a block
-    of rows at a time through one reused buffer, so no m x n array is
-    allocated. Each row is reduced whole, so blocking leaves every value
-    bitwise unchanged."""
+def _row_max(psi: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Row maxima ``max_j (psi_j - c_ij)``, taken a block of rows at a time
+    through one reused buffer, so no m x n array is allocated. Each row is
+    reduced whole, so blocking leaves every value bitwise unchanged."""
     m, n = C.shape
     step = max(1, _BLOCK_BYTES // (8 * n))
     buf = np.empty((min(step, m), n))
+    out = np.empty(m)
     for start in range(0, m, step):
         block = buf[:min(step, m - start)]
         np.subtract(psi, C[start:start + step], out=block)
-        reduce(block, axis=1, out=out[start:start + step])
+        block.max(axis=1, out=out[start:start + step])
     return out
-
-
-def _row_max(psi: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Row maxima ``max_j (psi_j - c_ij)``, a block of rows at a time."""
-    return _blocked_rows(psi, C, np.ndarray.max, np.empty(C.shape[0]))
 
 
 def c_transform(psi, cost: CostMatrix) -> np.ndarray:
     """Per-row conjugate ``max_j (psi_j - c_ij)``, one value per source atom."""
     return _row_max(_psi_array(psi), cost.entries)
-
-
-def c_transform_argmax(psi, cost: CostMatrix) -> np.ndarray:
-    """Row indices achieving the c-transform max; ties break to the lowest j."""
-    return _blocked_rows(_psi_array(psi), cost.entries, np.ndarray.argmax,
-                         np.empty(cost.shape[0], dtype=np.intp))
 
 
 def smoothed_c_transform(psi, cost: CostMatrix, lam: float) -> np.ndarray:

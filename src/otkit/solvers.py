@@ -12,15 +12,16 @@ FISTA's loop forms no m x n plan: the trace's <P, C> and marginal deviation
 come from reductions of the row pass plus O(m + n) vectors, and the returned
 plan is built once, after the last iteration. On its absorbed iterations
 (below) the <P, C> of due rows is taken in batches, one m x n pass for up to
-``_COST_BATCH`` rows, so such a row reaches the trace up to one batch late. Both loops read their passes
-through ``smoothed_dual._row_reductions``: for a cost with grid factors
-(squared Euclidean between full grids) in the log domain they come from
-per-axis stages and no m x n array is touched until the plan is formed;
-otherwise, and always in kernel mode, from the dense pass. ``_setup`` builds
-the grid's axis kernels once per solve and decides, per axis, whether its
-stages run as matrix products (``max(A_k)/lam`` within about 690) or in the
-log domain. A grid pass is stabilized by its own log-sum-exp, so FISTA takes
-E from a separate max-plus chain and Sinkhorn's halves run none.
+``_COST_BATCH`` rows, so such a row reaches the trace up to one batch late.
+Both loops read their passes through ``smoothed_dual._row_reductions``: for a
+cost with grid factors (squared Euclidean between full grids) in the log
+domain they come from per-axis stages and no m x n array is touched until the
+plan is formed; otherwise, and always in kernel mode, from the dense pass.
+``_setup`` builds the grid's axis kernels once per solve and decides, per
+axis, whether its stages run as matrix products (``max(A_k)/lam`` within about
+690) or in the log domain. A grid pass is stabilized by its own log-sum-exp,
+so FISTA takes E from a separate max-plus chain and Sinkhorn's halves run
+none.
 
 On a dense cost in the log domain both solvers run those passes only now
 and then, and read the iterations between them from the weights of the last

@@ -131,6 +131,13 @@ class TestMeasureIO:
         with pytest.raises(ValueError, match="expected"):
             ok.load_measure(bad_count)
 
+    @pytest.mark.parametrize("header", ["-1 5", "2 -3", "0 2", "2 0"])
+    def test_non_positive_header_rejected(self, tmp_path, header):
+        path = tmp_path / "m.txt"
+        path.write_text(header + "\n1.0 0.0 0.0\n")
+        with pytest.raises(ValueError, match="positive sizes"):
+            ok.load_measure(path)
+
 
 class TestPGM:
     def test_p2_parsing(self, tmp_path):

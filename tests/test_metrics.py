@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -93,7 +92,7 @@ class TestEvalReport:
         src, tgt, cost = small_random_instance(rng, 5, 5)
         plan, lp_cost = ok.exact_solve(src, tgt, cost)
         report = ok.evaluate(lp_cost, plan, cost, src, tgt, lam=0.1, oracle_cost=lp_cost)
-        data = json.loads(report.to_json())
+        data = report.to_dict()
         assert set(data) == {"ot_cost_estimate", "plan_cost", "marginal_dev", "bound",
                              "oracle_cost", "gap", "abs_error_vs_oracle"}
         assert data["bound"] == pytest.approx(2 * 0.1 * math.log(5))
