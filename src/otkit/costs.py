@@ -202,7 +202,9 @@ def center(cost: CostMatrix) -> CostMatrix:
     mid = (cost.c_max + cost.c_min) / 2.0
     entries = cost.entries - mid
     grid = None if cost.grid is None else replace(cost.grid, offset=cost.grid.offset - mid)
-    return CostMatrix(entries, float(entries.min()), float(entries.max()), grid)
+    # Subtracting a constant rounds monotonically, so the shifted extrema are
+    # those of the shifted entries, without two more m x n scans.
+    return CostMatrix(entries, float(cost.c_min - mid), float(cost.c_max - mid), grid)
 
 
 def save_cost_text(cost: CostMatrix, path) -> None:

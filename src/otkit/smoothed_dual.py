@@ -27,8 +27,10 @@ without an m x n array. A stage is a matrix product with the axis kernel
 kernel stays a normal float (``max(A_k)/lam <= _PRODUCT_MAX``, about 690);
 otherwise it is a log-sum-exp over the ``q x r x p`` exponents. Such a pass
 is stabilized by its own log-sum-exp rather than by the c-transform, which is
-a separate max-plus chain run only for FISTA's E. The two kinds of stage sum
-in different orders, so their results agree to rounding, not bitwise.
+a separate max-plus chain run only for FISTA's E, in the per-solve
+``_GridStep`` that FISTA runs in place of a grid pass per iteration. The two
+kinds of stage sum in different orders, so their results agree to rounding,
+not bitwise.
 """
 
 from __future__ import annotations
@@ -278,14 +280,6 @@ def _grid_lse(u, stages):
     return u.ravel(), weights
 
 
-def _grid_max(u, stages) -> np.ndarray:
-    """The max-plus chain ``max_j (u_j - sum_k B_k[a_k, b_k(j)])``, staged as
-    :func:`_grid_lse`."""
-    for stage in stages:
-        u = stage.max(_leading(u, stage))
-    return u.ravel()
-
-
 def _grid_mean_cost(weights, stages) -> np.ndarray:
     """``sum_j w_j sum_k B_k[a_k, b_k(j)] / sum_j w_j`` for the weights of a
     :func:`_grid_lse` chain: each stage averages the cost carried so far plus
@@ -329,11 +323,11 @@ class _GridRows:
     the row chain over the target axes, so the weights are each row's softmax
     and their sums are one. The column sums of ``P`` are the column chain over
     the source axes of ``log scale_i - shift_i / lam``, and ``<P, C>``
-    averages the axis terms under the row chain's own weights. The exact
-    c-transform is a separate max-plus chain, run only when asked for. The
-    grid offset cancels in ``psi_j - c_ij - shift_i``, so only the reported
+    averages the axis terms under the row chain's own weights. The grid
+    offset cancels in ``psi_j - c_ij - shift_i``, so only the reported
     shifts and ``<P, C>`` carry it. ``C`` is read only by :meth:`plan`,
-    which forms the plan against the same shift.
+    which forms the plan against the same shift. Sinkhorn reads both halves
+    of its rounds from this pass; FISTA runs :class:`_GridStep`.
     """
 
     def __init__(self, psi, C, stages: _GridStages):
@@ -344,10 +338,6 @@ class _GridRows:
         self._lse = lse[grid.rows]
         self.shift = lam * self._lse - grid.offset
         self.sums = np.ones(self._lse.size)
-
-    def c_transform(self) -> np.ndarray:
-        grid = self.stages.grid
-        return self.stages.lam * _grid_max(self._u, self.stages.row)[grid.rows] - grid.offset
 
     def col_sums(self, scale) -> np.ndarray:
         grid = self.stages.grid
@@ -363,6 +353,55 @@ class _GridRows:
         weights = _exp_rows(self.psi[None, :] - self.C, self.shift, self.stages.lam)
         weights *= scale[:, None]
         return weights
+
+
+class _GridStep:
+    """FISTA's pass on a cost with grid factors, with state the solve owns:
+    ``log mu`` in grid order and one grid buffer for ``psi / lam``.
+
+    :meth:`evaluate` reads the pass of :class:`_GridRows` at ``scale = mu``,
+    which is ``mu / sums`` since the sums are one: one scatter of
+    ``psi / lam``, the row chain, the max-plus chain for the exact
+    c-transform (:meth:`c_transform`), one subtraction into the column chain
+    of ``log mu - lse``, and one add, gather and exp for the column sums.
+    Every value is bitwise that of the same reductions read from
+    :class:`_GridRows`. ``offset`` is subtracted from E and E_lambda, as the
+    solver reports them; :meth:`plan_cost` averages the axis terms under the
+    row chain's weights of the last :meth:`evaluate`.
+    """
+
+    def __init__(self, stages: _GridStages, mu, nu, offset: float):
+        self.stages, self.mu, self.nu, self.offset = stages, mu, nu, offset
+        self.sums = np.ones(mu.size)
+        self._log_mu = _to_grid(np.log(mu), stages.grid.rows)
+        self._u = np.empty(nu.size)
+        self._log_n = math.log(nu.size)
+
+    def evaluate(self, psi):
+        """E, E_lambda and the gradient ``col_sums(mu) - nu`` at ``psi``."""
+        stages, mu = self.stages, self.mu
+        grid, lam = stages.grid, stages.lam
+        self._u[grid.cols] = psi / lam
+        lse, self._weights = _grid_lse(self._u, stages.row)
+        nu_psi = self.nu @ psi
+        e_shift = float(mu @ (lam * lse[grid.rows] - grid.offset) - nu_psi) - self.offset
+        e_val = float(mu @ self.c_transform() - nu_psi) - self.offset
+        col, _ = _grid_lse(self._log_mu - lse, stages.col)
+        grad = np.exp((self._u + col)[grid.cols]) - self.nu
+        # mu @ log(sums) is 0.
+        return e_val, e_shift - lam * self._log_n, grad
+
+    def c_transform(self) -> np.ndarray:
+        """The exact c-transform at the last :meth:`evaluate`'s ``psi``: the
+        max-plus chain ``max_j (u_j - sum_k B_k[a_k, b_k(j)])``, staged as
+        :func:`_grid_lse`."""
+        grid, u = self.stages.grid, self._u
+        for stage in self.stages.row:
+            u = stage.max(_leading(u, stage))
+        return self.stages.lam * u.ravel()[grid.rows] - grid.offset
+
+    # Reads ``stages``, ``_weights`` and ``sums`` as the pass does.
+    plan_cost = _GridRows.plan_cost
 
 
 def _row_reductions(psi, C, lam, K=None, grid=None, out=None):
@@ -478,7 +517,8 @@ def hessian_apply(
 def project_H(z) -> np.ndarray:
     """Project onto the zero-mean hyperplane: subtract the coordinate mean."""
     z = np.asarray(z, dtype=float)
-    return z - z.mean()
+    # Bitwise z.mean(), without its dispatch.
+    return z - z.sum() / z.size
 
 
 def recover_plan(

@@ -13,15 +13,17 @@ come from reductions of the row pass plus O(m + n) vectors, and the returned
 plan is built once, after the last iteration. On its absorbed iterations
 (below) the <P, C> of due rows is taken in batches, one m x n pass for up to
 ``_COST_BATCH`` rows, so such a row reaches the trace up to one batch late.
-Both loops read their passes through ``smoothed_dual._row_reductions``: for a
-cost with grid factors (squared Euclidean between full grids) in the log
-domain they come from per-axis stages and no m x n array is touched until the
-plan is formed; otherwise, and always in kernel mode, from the dense pass.
-``_setup`` builds the grid's axis kernels once per solve and decides, per
-axis, whether its stages run as matrix products (``max(A_k)/lam`` within about
-690) or in the log domain. A grid pass is stabilized by its own log-sum-exp,
-so FISTA takes E from a separate max-plus chain and Sinkhorn's halves run
-none.
+For a cost with grid factors (squared Euclidean between full grids) in the
+log domain the passes come from per-axis stages and no m x n array is touched
+until the plan is formed; otherwise, and always in kernel mode, from the
+dense pass, read through ``smoothed_dual._row_reductions``. ``_setup`` builds
+the grid's axis kernels once per solve and decides, per axis, whether its
+stages run as matrix products (``max(A_k)/lam`` within about 690) or in the
+log domain. A grid pass is stabilized by its own log-sum-exp, so its row sums
+are one. Sinkhorn's halves read it from ``_row_reductions``, with no max-plus
+chain. FISTA builds one ``smoothed_dual._GridStep`` per solve, which holds
+``log mu`` in grid order and a grid buffer for ``psi/lam``, and takes E from
+its max-plus chain.
 
 On a dense cost in the log domain both solvers run those passes only now
 and then, and read the iterations between them from the weights of the last
@@ -62,8 +64,8 @@ import numpy as np
 
 from .costs import _BLOCK_BYTES, CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import (Potential, TransportPlan, _GridStages, _marginal_dev, _row_max,
-                            _row_reductions, project_H, recover_plan)
+from .smoothed_dual import (Potential, TransportPlan, _GridStages, _GridStep, _marginal_dev,
+                            _row_max, _row_reductions, project_H, recover_plan)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -286,8 +288,11 @@ def fista_solve(
     certifies it, and from ``C`` elsewhere, so E stays exact. Otherwise,
     and on a NaN, the kernel is dropped and the dense pass at psi_t runs and
     becomes the new kernel, so the dense pass makes the failure decisions
-    and one m x n array is alive. Grid costs and kernel mode run their pass
-    every iteration; on a grid cost E comes from the pass's max-plus chain.
+    and one m x n array is alive. Kernel mode runs the dense pass every
+    iteration. A grid cost runs the solve's :class:`_GridStep` every
+    iteration: one scatter of ``psi/lam``, the row chain, the max-plus chain
+    for E, and the column chain for the gradient, bitwise the reductions of
+    a fresh grid pass.
 
     A due row read from the kernel is queued with its E, E_lambda, D and
     wall-clock stamp; its <P, C> comes from one blocked pass over
@@ -311,55 +316,63 @@ def fista_solve(
     t = 0
 
     offset = config.cost_offset
-    while True:
-        # One row pass at psi_t gives E_lambda, the gradient and the plan, and
-        # E from its exact c-transform (on a dense log-domain pass, its shift).
-        # With true cost = C + offset, E_true(psi) = E_C(psi) - offset.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if absorbed is not None and absorbed.rescale(psi):
-                rows = absorbed
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        grid_step = None if grid is None else _GridStep(grid, mu, nu, offset)
+        while True:
+            if grid_step is not None:
+                # mu / sums is mu: a grid pass's row sums are one.
+                rows, scale = grid_step, mu
+                e_val, e_lam, grad = grid_step.evaluate(psi)
             else:
-                # Drop the kernel once its queued rows are complete: the pass
-                # that replaces it is the one m x n array.
-                rule.flush()
-                rows = absorbed = None
-                rows = _row_reductions(psi, C, lam, K, grid)
-                if absorb:
-                    absorbed = _AbsorbedRows(rows, psi, lam)
-            sums = rows.sums
-            nu_psi = nu @ psi
-            e_shift = float(mu @ rows.shift - nu_psi) - offset
-            # A dense log-domain pass is stabilized by the c-transform itself.
-            exact = rows.c_transform()
-            e_val = e_shift if exact is rows.shift else float(mu @ exact - nu_psi) - offset
-            e_lam = e_shift + lam * (float(mu @ np.log(sums)) - log_n)
-            grad = rows.col_sums(mu / sums) - nu
-
-        finite = (math.isfinite(e_val) and math.isfinite(e_lam)
-                  and np.all(np.isfinite(grad)))
-        if rule.row_due(t, e_val, finite):
-            if not finite:
-                rule.record(t, e_val, e_lam, math.nan, math.nan)
-            else:
-                # Row marginals are exact, so D is the gradient's L1 norm. An
-                # absorbed row's <P, C> waits for its kernel's next batch.
-                dev = float(np.abs(grad).sum())
-                if rows is absorbed:
-                    rule.record(t, e_val, e_lam, rows.queue_cost(mu / sums, offset), dev, rows)
+                # One row pass at psi_t gives E_lambda, the gradient and the
+                # plan, and E from its exact c-transform (on a dense
+                # log-domain pass, its shift). With true cost = C + offset,
+                # E_true(psi) = E_C(psi) - offset.
+                if absorbed is not None and absorbed.rescale(psi):
+                    rows = absorbed
                 else:
-                    rule.record(t, e_val, e_lam, rows.plan_cost(mu / sums, offset), dev)
-        if rule.stopped:
-            break
+                    # Drop the kernel once its queued rows are complete: the
+                    # pass that replaces it is the one m x n array.
+                    rule.flush()
+                    rows = absorbed = None
+                    rows = _row_reductions(psi, C, lam, K)
+                    if absorb:
+                        absorbed = _AbsorbedRows(rows, psi, lam)
+                scale = mu / rows.sums
+                nu_psi = nu @ psi
+                e_shift = float(mu @ rows.shift - nu_psi) - offset
+                # A dense log-domain pass is stabilized by the c-transform itself.
+                exact = rows.c_transform()
+                e_val = e_shift if exact is rows.shift else float(mu @ exact - nu_psi) - offset
+                e_lam = e_shift + lam * (float(mu @ np.log(rows.sums)) - log_n)
+                grad = rows.col_sums(scale) - nu
 
-        z_new = project_H(psi - step * grad)
-        theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        psi = z_new + ((theta - 1.0) / theta_new) * (z_new - z)
-        z = z_new
-        theta = theta_new
-        t += 1
+            finite = (math.isfinite(e_val) and math.isfinite(e_lam)
+                      and np.isfinite(grad).all())
+            if rule.row_due(t, e_val, finite):
+                if not finite:
+                    rule.record(t, e_val, e_lam, math.nan, math.nan)
+                else:
+                    # Row marginals are exact, so D is the gradient's L1 norm.
+                    # An absorbed row's <P, C> waits for its kernel's next batch.
+                    dev = float(np.abs(grad).sum())
+                    if rows is absorbed:
+                        rule.record(t, e_val, e_lam, rows.queue_cost(scale, offset), dev, rows)
+                    else:
+                        rule.record(t, e_val, e_lam, rows.plan_cost(scale, offset), dev)
+            if rule.stopped:
+                break
 
-    # Drop the kernel: the plan formed below is then the one m x n array.
-    rows = absorbed = None
+            z_new = project_H(psi - step * grad)
+            theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+            psi = z_new + ((theta - 1.0) / theta_new) * (z_new - z)
+            z = z_new
+            theta = theta_new
+            t += 1
+
+    # Drop the kernel (and the grid step's stage weights): the plan formed
+    # below is then the one m x n array.
+    rows = absorbed = grid_step = None
     potential = Potential(project_H(z), normalized=True)
     plan = recover_plan(potential, source, target, cost, lam)
     return FistaResult(potential, plan, rule.trace)
@@ -486,7 +499,8 @@ class _AbsorbedRows:
         weight ``raw_i - sum_K W0_ij e_j`` outside them, in one buffer that
         is freed before :meth:`row_max` reads ``C``."""
         starts, cols, costs, weights = self._candidates
-        # The columns are in range, so take need not check them.
+        # The columns are in range, so take need not check them; checking
+        # would also make it buffer ``out``.
         b = np.take(psi, cols, mode="clip")
         h = np.maximum.reduceat(np.subtract(b, costs, out=b), starts)
         np.multiply(np.take(self.e, cols, out=b, mode="clip"), weights, out=b)

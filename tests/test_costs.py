@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import otkit as ok
 from helpers import grid_measure, grid_points, random_point_instance
@@ -206,6 +208,19 @@ class TestCenter:
         twice = ok.center(once)
         np.testing.assert_allclose(twice.entries, once.entries, rtol=0, atol=1e-15)
         assert once.spread == pytest.approx(cost.spread, rel=1e-15)
+
+    @settings(max_examples=300)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           pool=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+           scale=st.floats(1e-3, 1e8), base=st.floats(-1e8, 1e8), seed=st.integers(0, 2**32 - 1))
+    def test_extrema_match_full_scans(self, shape, pool, scale, base, seed):
+        # Entries drawn from a pool of at most four values, so extrema tie.
+        rng = np.random.default_rng(seed)
+        entries = base + scale * np.array(pool)[rng.integers(0, len(pool), size=shape)]
+        centered = ok.center(ok.CostMatrix.from_entries(entries))
+        for value, scan in ((centered.c_min, centered.entries.min()),
+                            (centered.c_max, centered.entries.max())):
+            assert np.float64(value).tobytes() == np.float64(scan).tobytes()
 
     def test_optimal_plan_invariant(self, rng):
         from helpers import small_random_instance

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import otkit as ok
 from helpers import grid_measure, small_random_instance
-from otkit.smoothed_dual import (_AxisStage, _GridRows, _GridStages, _marginal_dev,
+from otkit.smoothed_dual import (_AxisStage, _GridStages, _GridStep, _marginal_dev,
                                  _row_reductions, _to_grid)
 
 
@@ -301,19 +301,36 @@ def test_smoothed_functions_reject_nonpositive_lambda(name):
             SMOOTHED_FUNCTIONS[name](np.zeros(2), src, tgt, cost, lam)
 
 
-def solver_reductions(rows, psi, mu, nu, lam, offset):
-    """What the solvers read from one row pass: the exact c-transform, the
-    smoothed one ``shift + lam log(sums)`` (each pass has its own shift), E,
-    E_lam, gradient, <P, C> and the marginal deviation of
-    P = (mu / sums)[:, None] * weights."""
+def solver_reductions(rows, psi, mu, nu, lam, offset, c_transform=None):
+    """What the solvers read from one row pass: the exact c-transform (the
+    pass's own unless given), the smoothed one ``shift + lam log(sums)``
+    (each pass has its own shift), E, E_lam, gradient, <P, C> and the
+    marginal deviation of P = (mu / sums)[:, None] * weights."""
     scale = mu / rows.sums
     smoothed = rows.shift + lam * np.log(rows.sums)
-    c_transform = rows.c_transform()
+    if c_transform is None:
+        c_transform = rows.c_transform()
     e_lam = float(mu @ smoothed - nu @ psi) - lam * math.log(psi.size)
     return dict(c_transform=c_transform, smoothed=smoothed,
                 E=float(mu @ c_transform - nu @ psi), E_lam=e_lam,
                 grad=rows.col_sums(scale) - nu, plan_cost=rows.plan_cost(scale, offset),
                 D=_marginal_dev(scale * rows.sums, rows.col_sums(scale), mu, nu))
+
+
+def grid_reductions(psi, C, grid, mu, nu, lam, offset):
+    """:func:`solver_reductions` of the grid pass, with the c-transform of
+    FISTA's grid step, and the step's own E, E_lam and gradient, which must
+    be those of the pass bit for bit."""
+    step = _GridStep(grid, mu, nu, offset)
+    e, e_lam, grad = step.evaluate(psi)
+    rows = _row_reductions(psi, C, lam, grid=grid)
+    fast = solver_reductions(rows, psi, mu, nu, lam, offset, step.c_transform())
+    shift = float(mu @ rows.shift - nu @ psi) - offset
+    assert e_lam == shift + lam * (float(mu @ np.log(rows.sums)) - math.log(psi.size))
+    assert e == float(mu @ fast["c_transform"] - nu @ psi) - offset
+    assert grad.tobytes() == fast["grad"].tobytes()
+    assert step.plan_cost(mu, offset) == fast["plan_cost"]
+    return fast
 
 
 # Every exponent (psi_j - c_ij - shift_i) / lam is formed with at most about 16
@@ -345,8 +362,7 @@ def test_grid_pass_matches_dense_pass(d, data):
                             (entries.T, stages.T, tgt.weights, src.weights)):
         psi = rng.uniform(-width, width, size=nu.size)
         scale = width + np.abs(C).max()
-        fast = solver_reductions(_row_reductions(psi, C, lam, grid=grid), psi, mu, nu, lam,
-                                 offset)
+        fast = grid_reductions(psi, C, grid, mu, nu, lam, offset)
         dense = ok.CostMatrix.from_entries(C)
         assert dense.grid is None
         slow = solver_reductions(_row_reductions(psi, dense.entries, lam, grid=dense.grid),
@@ -394,8 +410,7 @@ def test_mixed_grid_chain_matches_dense_pass(d, data):
         # in place of R <= 30: weight errors below 16 * 2.2e-16 * R, and a
         # factor of ten for the sums.
         tol = GRID_TOL * (scale / lam) / 30.0
-        fast = solver_reductions(_row_reductions(psi, C, lam, grid=grid), psi, mu, nu, lam,
-                                 offset)
+        fast = grid_reductions(psi, C, grid, mu, nu, lam, offset)
         slow = solver_reductions(_row_reductions(psi, C, lam), psi, mu, nu, lam, offset)
         for name in ("c_transform", "smoothed", "E", "E_lam"):
             np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=tol * scale)
@@ -466,12 +481,12 @@ class TestMaxPlusStage:
         for lam in (1.0, cost.spread / 7.0):
             stages = _GridStages.build(cost.grid, lam)
             psi = rng.integers(-3, 4, size=tgt.size) * lam
-            rows = _row_reductions(psi, cost.entries, lam, grid=stages)
-            assert isinstance(rows, _GridRows)
+            step = _GridStep(stages, src.weights, tgt.weights, 0.0)
+            step.evaluate(psi)
             u = _to_grid(psi / lam, cost.grid.cols)
             for stage in stages.row:
                 u = broadcast_max(u.reshape(stage.B.shape[0], -1), stage.B)
             expected = lam * u.ravel()[cost.grid.rows] - cost.grid.offset
             # Twice: the second call runs on the stages' reused buffers.
-            assert_bitwise(rows.c_transform(), expected)
-            assert_bitwise(rows.c_transform(), expected)
+            assert_bitwise(step.c_transform(), expected)
+            assert_bitwise(step.c_transform(), expected)
