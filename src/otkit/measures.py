@@ -218,6 +218,8 @@ def read_pgm(path) -> np.ndarray:
             pos += 1
         tokens.append(data[start:pos])
     width, height, maxval = (int(t) for t in tokens)
+    if width <= 0 or height <= 0:
+        raise ValueError("PGM header needs positive sizes, got %d %d" % (width, height))
     if maxval <= 0:
         raise ValueError("PGM maxval must be positive")
 

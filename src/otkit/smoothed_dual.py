@@ -20,17 +20,17 @@ takes this path, to expose its overflow behavior.
 The solvers read only a few reductions of the pass: the shift, the row sums,
 the scaled column sums and the plan's cost (the marginal deviation follows
 from the sums through ``_marginal_dev``), and, for FISTA's hard E, the exact
-c-transform. ``_row_reductions`` gives them from the dense m x n pass, or, in
-the log domain for a cost with grid factors, from one stage per grid axis,
-without an m x n array. A stage is a matrix product with the axis kernel
-``exp(-A_k/lam)``, stabilized by the maximum over the summed axis, while that
-kernel stays a normal float (``max(A_k)/lam <= _PRODUCT_MAX``, about 690);
-otherwise it is a log-sum-exp over the ``q x r x p`` exponents. Such a pass
-is stabilized by its own log-sum-exp rather than by the c-transform, which is
-a separate max-plus chain run only for FISTA's E, in the per-solve
-``_GridStep`` that FISTA runs in place of a grid pass per iteration. The two
-kinds of stage sum in different orders, so their results agree to rounding,
-not bitwise.
+c-transform. ``_DenseRows`` gives them from the dense m x n pass. For a cost
+with grid factors in the log domain ``_GridRows`` gives the same reductions
+from one stage per grid axis, without an m x n array; each solve builds one
+per cost orientation and calls it at every new potential. A stage is a
+matrix product with the axis kernel ``exp(-A_k/lam)``, stabilized by the
+maximum over the summed axis, while that kernel stays a normal float
+(``max(A_k)/lam <= _PRODUCT_MAX``, about 690); otherwise it is a
+log-sum-exp over the ``q x r x p`` exponents. Such a pass is stabilized by
+its own log-sum-exp rather than by the c-transform, which is a separate
+max-plus chain that only FISTA's E reads. The two kinds of stage sum in
+different orders, so their results agree to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -316,32 +316,53 @@ class _GridStages:
 
 class _GridRows:
     """The reductions of :class:`_DenseRows` in the log domain for a cost with
-    grid factors, from per-axis stages instead of an m x n pass.
+    grid factors, from per-axis stages instead of an m x n pass. One is built
+    per solve and cost orientation, over ``C`` with the row marginal ``w`` of
+    its rows; calling it at ``psi`` runs the row chain there and returns it.
+    It owns a grid buffer for ``psi / lam``, the row sums and ``log w`` in
+    grid order.
 
     With ``c_ij = offset + sum_k A_k[a_k(i), b_k(j)]`` and everything in units
     of ``lam``, the pass is stabilized by its own log-sum-exp: the shift is
     the row chain over the target axes, so the weights are each row's softmax
-    and their sums are one. The column sums of ``P`` are the column chain over
-    the source axes of ``log scale_i - shift_i / lam``, and ``<P, C>``
-    averages the axis terms under the row chain's own weights. The grid
-    offset cancels in ``psi_j - c_ij - shift_i``, so only the reported
-    shifts and ``<P, C>`` carry it. ``C`` is read only by :meth:`plan`,
-    which forms the plan against the same shift. Sinkhorn reads both halves
-    of its rounds from this pass; FISTA runs :class:`_GridStep`.
+    and their sums are one (``w / sums`` is ``w``, and ``w @ log(sums)`` is
+    0). The exact c-transform is the max-plus chain over the same grid
+    values. The column sums of ``P`` are the column chain over the source
+    axes of ``log scale_i - shift_i / lam``, which reads the held ``log w``
+    when ``scale`` is ``w`` itself, and ``<P, C>`` averages the axis terms
+    under the row chain's own weights. The grid offset cancels in
+    ``psi_j - c_ij - shift_i``, so only the reported shifts and ``<P, C>``
+    carry it. ``C`` is read only by :meth:`plan`, which forms the plan
+    against the same shift.
     """
 
-    def __init__(self, psi, C, stages: _GridStages):
-        grid, lam = stages.grid, stages.lam
-        self.psi, self.C, self.stages = psi, C, stages
-        self._u = _to_grid(psi / lam, grid.cols)
-        lse, self._weights = _grid_lse(self._u, stages.row)
-        self._lse = lse[grid.rows]
-        self.shift = lam * self._lse - grid.offset
-        self.sums = np.ones(self._lse.size)
+    def __init__(self, C, stages: _GridStages, w):
+        self.C, self.stages, self.w = C, stages, w
+        self.sums = np.ones(w.size)
+        self._log_w = _to_grid(np.log(w), stages.grid.rows)
+        self._u = np.empty(C.shape[1])
+
+    def __call__(self, psi) -> "_GridRows":
+        """The pass at ``psi``: one scatter of ``psi / lam`` and the row chain."""
+        grid, lam = self.stages.grid, self.stages.lam
+        self.psi = psi
+        self._u[grid.cols] = psi / lam
+        self._lse, self._weights = _grid_lse(self._u, self.stages.row)
+        self.shift = lam * self._lse[grid.rows] - grid.offset
+        return self
+
+    def c_transform(self) -> np.ndarray:
+        """The max-plus chain ``max_j (u_j - sum_k B_k[a_k, b_k(j)])``,
+        staged as :func:`_grid_lse`."""
+        grid, u = self.stages.grid, self._u
+        for stage in self.stages.row:
+            u = stage.max(_leading(u, stage))
+        return self.stages.lam * u.ravel()[grid.rows] - grid.offset
 
     def col_sums(self, scale) -> np.ndarray:
         grid = self.stages.grid
-        lse, _ = _grid_lse(_to_grid(np.log(scale) - self._lse, grid.rows), self.stages.col)
+        log_scale = self._log_w if scale is self.w else _to_grid(np.log(scale), grid.rows)
+        lse, _ = _grid_lse(log_scale - self._lse, self.stages.col)
         return np.exp((self._u + lse)[grid.cols])
 
     def plan_cost(self, scale, offset: float) -> float:
@@ -353,65 +374,6 @@ class _GridRows:
         weights = _exp_rows(self.psi[None, :] - self.C, self.shift, self.stages.lam)
         weights *= scale[:, None]
         return weights
-
-
-class _GridStep:
-    """FISTA's pass on a cost with grid factors, with state the solve owns:
-    ``log mu`` in grid order and one grid buffer for ``psi / lam``.
-
-    :meth:`evaluate` reads the pass of :class:`_GridRows` at ``scale = mu``,
-    which is ``mu / sums`` since the sums are one: one scatter of
-    ``psi / lam``, the row chain, the max-plus chain for the exact
-    c-transform (:meth:`c_transform`), one subtraction into the column chain
-    of ``log mu - lse``, and one add, gather and exp for the column sums.
-    Every value is bitwise that of the same reductions read from
-    :class:`_GridRows`. ``offset`` is subtracted from E and E_lambda, as the
-    solver reports them; :meth:`plan_cost` averages the axis terms under the
-    row chain's weights of the last :meth:`evaluate`.
-    """
-
-    def __init__(self, stages: _GridStages, mu, nu, offset: float):
-        self.stages, self.mu, self.nu, self.offset = stages, mu, nu, offset
-        self.sums = np.ones(mu.size)
-        self._log_mu = _to_grid(np.log(mu), stages.grid.rows)
-        self._u = np.empty(nu.size)
-        self._log_n = math.log(nu.size)
-
-    def evaluate(self, psi):
-        """E, E_lambda and the gradient ``col_sums(mu) - nu`` at ``psi``."""
-        stages, mu = self.stages, self.mu
-        grid, lam = stages.grid, stages.lam
-        self._u[grid.cols] = psi / lam
-        lse, self._weights = _grid_lse(self._u, stages.row)
-        nu_psi = self.nu @ psi
-        e_shift = float(mu @ (lam * lse[grid.rows] - grid.offset) - nu_psi) - self.offset
-        e_val = float(mu @ self.c_transform() - nu_psi) - self.offset
-        col, _ = _grid_lse(self._log_mu - lse, stages.col)
-        grad = np.exp((self._u + col)[grid.cols]) - self.nu
-        # mu @ log(sums) is 0.
-        return e_val, e_shift - lam * self._log_n, grad
-
-    def c_transform(self) -> np.ndarray:
-        """The exact c-transform at the last :meth:`evaluate`'s ``psi``: the
-        max-plus chain ``max_j (u_j - sum_k B_k[a_k, b_k(j)])``, staged as
-        :func:`_grid_lse`."""
-        grid, u = self.stages.grid, self._u
-        for stage in self.stages.row:
-            u = stage.max(_leading(u, stage))
-        return self.stages.lam * u.ravel()[grid.rows] - grid.offset
-
-    # Reads ``stages``, ``_weights`` and ``sums`` as the pass does.
-    plan_cost = _GridRows.plan_cost
-
-
-def _row_reductions(psi, C, lam, K=None, grid=None, out=None):
-    """The row pass of ``psi`` over ``C`` as read by the solvers: per-axis
-    stages when ``grid`` holds the :class:`_GridStages` of ``C`` at ``lam``
-    and the pass is log-domain, else the dense pass with the kernel ``K`` if
-    given, its weights written into ``out`` if given."""
-    if grid is None or K is not None:
-        return _DenseRows(psi, C, lam, K, out)
-    return _GridRows(psi, C, grid)
 
 
 def _row_max(psi: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -16,14 +16,15 @@ plan is built once, after the last iteration. On its absorbed iterations
 For a cost with grid factors (squared Euclidean between full grids) in the
 log domain the passes come from per-axis stages and no m x n array is touched
 until the plan is formed; otherwise, and always in kernel mode, from the
-dense pass, read through ``smoothed_dual._row_reductions``. ``_setup`` builds
-the grid's axis kernels once per solve and decides, per axis, whether its
-stages run as matrix products (``max(A_k)/lam`` within about 690) or in the
-log domain. A grid pass is stabilized by its own log-sum-exp, so its row sums
-are one. Sinkhorn's halves read it from ``_row_reductions``, with no max-plus
-chain. FISTA builds one ``smoothed_dual._GridStep`` per solve, which holds
-``log mu`` in grid order and a grid buffer for ``psi/lam``, and takes E from
-its max-plus chain.
+dense pass, ``smoothed_dual._DenseRows``. ``_setup`` builds the grid's axis
+kernels once per solve and decides, per axis, whether its stages run as
+matrix products (``max(A_k)/lam`` within about 690) or in the log domain.
+Each solve then builds one ``smoothed_dual._GridRows`` per cost orientation,
+FISTA over ``C`` and Sinkhorn over ``C`` and ``C.T``, and calls it at every
+new potential. A grid pass is stabilized by its own log-sum-exp, so its row
+sums are one: both loops take ``w / sums`` as ``w`` and ``log(sums)`` as 0
+there, which is bitwise what the division and the logarithm give. FISTA
+takes E from the pass's max-plus chain.
 
 On a dense cost in the log domain both solvers run those passes only now
 and then, and read the iterations between them from the weights of the last
@@ -64,8 +65,8 @@ import numpy as np
 
 from .costs import _BLOCK_BYTES, CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import (Potential, TransportPlan, _GridStages, _GridStep, _marginal_dev,
-                            _row_max, _row_reductions, project_H, recover_plan)
+from .smoothed_dual import (Potential, TransportPlan, _DenseRows, _GridRows, _GridStages,
+                            _marginal_dev, _row_max, project_H, recover_plan)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -289,10 +290,10 @@ def fista_solve(
     and on a NaN, the kernel is dropped and the dense pass at psi_t runs and
     becomes the new kernel, so the dense pass makes the failure decisions
     and one m x n array is alive. Kernel mode runs the dense pass every
-    iteration. A grid cost runs the solve's :class:`_GridStep` every
-    iteration: one scatter of ``psi/lam``, the row chain, the max-plus chain
-    for E, and the column chain for the gradient, bitwise the reductions of
-    a fresh grid pass.
+    iteration. A grid cost calls the solve's :class:`_GridRows` at every
+    ``psi_t``: one scatter of ``psi/lam``, the row chain, the max-plus chain
+    for E, and the column chain of ``log mu`` held in grid order for the
+    gradient.
 
     A due row read from the kernel is queued with its E, E_lambda, D and
     wall-clock stamp; its <P, C> comes from one blocked pass over
@@ -316,18 +317,16 @@ def fista_solve(
     t = 0
 
     offset = config.cost_offset
+    grid_rows = None if grid is None else _GridRows(C, grid, mu)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        grid_step = None if grid is None else _GridStep(grid, mu, nu, offset)
         while True:
-            if grid_step is not None:
-                # mu / sums is mu: a grid pass's row sums are one.
-                rows, scale = grid_step, mu
-                e_val, e_lam, grad = grid_step.evaluate(psi)
+            # One row pass at psi_t gives E_lambda, the gradient and the plan,
+            # and E from its exact c-transform (on a dense log-domain pass,
+            # its shift). With true cost = C + offset, E_true(psi) = E_C(psi) - offset.
+            if grid_rows is not None:
+                # A grid pass's row sums are one: mu / sums is mu, mu @ log(sums) is 0.
+                rows, scale, log_sums = grid_rows(psi), mu, 0.0
             else:
-                # One row pass at psi_t gives E_lambda, the gradient and the
-                # plan, and E from its exact c-transform (on a dense
-                # log-domain pass, its shift). With true cost = C + offset,
-                # E_true(psi) = E_C(psi) - offset.
                 if absorbed is not None and absorbed.rescale(psi):
                     rows = absorbed
                 else:
@@ -335,17 +334,17 @@ def fista_solve(
                     # pass that replaces it is the one m x n array.
                     rule.flush()
                     rows = absorbed = None
-                    rows = _row_reductions(psi, C, lam, K)
+                    rows = _DenseRows(psi, C, lam, K)
                     if absorb:
                         absorbed = _AbsorbedRows(rows, psi, lam)
-                scale = mu / rows.sums
-                nu_psi = nu @ psi
-                e_shift = float(mu @ rows.shift - nu_psi) - offset
-                # A dense log-domain pass is stabilized by the c-transform itself.
-                exact = rows.c_transform()
-                e_val = e_shift if exact is rows.shift else float(mu @ exact - nu_psi) - offset
-                e_lam = e_shift + lam * (float(mu @ np.log(rows.sums)) - log_n)
-                grad = rows.col_sums(scale) - nu
+                scale, log_sums = mu / rows.sums, float(mu @ np.log(rows.sums))
+            nu_psi = nu @ psi
+            e_shift = float(mu @ rows.shift - nu_psi) - offset
+            # A dense log-domain pass is stabilized by the c-transform itself.
+            exact = rows.c_transform()
+            e_val = e_shift if exact is rows.shift else float(mu @ exact - nu_psi) - offset
+            e_lam = e_shift + lam * (log_sums - log_n)
+            grad = rows.col_sums(scale) - nu
 
             finite = (math.isfinite(e_val) and math.isfinite(e_lam)
                       and np.isfinite(grad).all())
@@ -370,9 +369,9 @@ def fista_solve(
             theta = theta_new
             t += 1
 
-    # Drop the kernel (and the grid step's stage weights): the plan formed
+    # Drop the kernel (and the grid pass's stage weights): the plan formed
     # below is then the one m x n array.
-    rows = absorbed = grid_step = None
+    rows = absorbed = grid_rows = None
     potential = Potential(project_H(z), normalized=True)
     plan = recover_plan(potential, source, target, cost, lam)
     return FistaResult(potential, plan, rule.trace)
@@ -575,13 +574,13 @@ class _AbsorbedKernel:
         np.multiply(KT, self.CT, out=self.S[n:])
         self.u, self.v = np.ones(m), np.ones(n)
 
-    def release(self, g, lam) -> np.ndarray:
-        """``g`` with the last accepted ``v`` folded in; the buffer is then
-        free for the log-domain passes."""
+    def release(self, f, g, lam):
+        """``f`` and ``g`` with the last accepted ``u`` and ``v`` folded in;
+        the buffer is then free for the log-domain passes."""
         if self.v is not None:
-            g = g + lam * np.log(self.v)
+            f, g = f + lam * np.log(self.u), g + lam * np.log(self.v)
             self.u = self.v = None
-        return g
+        return f, g
 
     def rescale(self, mu, nu) -> bool:
         """One round ``u <- mu / (K v)``, ``v <- nu / (K^T u)``; False,
@@ -650,10 +649,11 @@ def sinkhorn_solve(
     column half's weights, so its column sums equal ``nu`` up to rounding.
     Each iteration takes <P, C> from the weights' row dots with ``C.T`` and
     from ``sums``, and stops by :class:`_StopRule` on it; trace rows add the
-    marginal deviation. Both halves read the pass through ``_row_reductions``,
-    so a cost with grid factors is iterated one axis at a time, as in
-    :func:`fista_solve` but with no max-plus chain, and its plan is formed
-    once, on return, against the last pass's own shift.
+    marginal deviation. On a cost with grid factors the halves call the
+    solve's two :class:`_GridRows`, over ``C`` and ``C.T``, so it is iterated
+    one axis at a time, as in :func:`fista_solve` but with no max-plus chain;
+    the row sums are one, so ``log(sums)`` is 0 and ``nu / sums`` is ``nu``.
+    Its plan is formed once, on return, against the last pass's own shift.
 
     On a dense cost in the log domain both halves write their passes into
     the one ``(2n, m)`` buffer of :class:`_AbsorbedKernel`, allocated once
@@ -664,12 +664,13 @@ def sinkhorn_solve(
     buffer with ``u`` that gives ``K^T u`` and, for <P, C>, ``(K o C)^T u``;
     trace rows add one more. When a new scaling leaves
     ``[exp(-tau), exp(tau)]`` (``tau = 30``) it is discarded, the last
-    accepted ``v`` is folded into ``g`` and that iteration runs as the two
-    log-domain passes, after which the new plan is absorbed. A non-finite
-    scaling fails that range check, so the passes make the failure
-    decisions. The buffer is the two m x n arrays alive; the returned plan is
-    its top half, with the buffer shrunk to it. The kernel answers the column
-    half's reductions, so <P, C>, D and the plan come from one body.
+    accepted ``u`` and ``v`` are folded into ``f`` and ``g`` and that
+    iteration runs as the two log-domain passes, after which the new plan is
+    absorbed. A non-finite scaling fails that range check, so the passes
+    make the failure decisions. The buffer is the two m x n arrays alive;
+    the returned plan is its top half, with the buffer shrunk to it. The
+    kernel answers the column half's reductions, so <P, C>, D and the plan
+    come from one body.
 
     The default path is log-domain (stable for any ``lam > 0``);
     ``kernel_mode`` hands the pass the multiplicative kernel, whose overflow
@@ -677,7 +678,10 @@ def sinkhorn_solve(
     ``numerical_failure`` and the returned plan is all zeros. ``cost_offset``
     is as in :class:`FistaConfig`. ``potentials`` are the ``(f, g)`` of the
     returned plan ``exp((f_i + g_j - c_ij)/lam)`` over ``cost``; after an
-    absorbed iteration they are ``f + lam log u`` and ``g + lam log v``.
+    absorbed iteration they are ``f + lam log u`` and ``g + lam log v``. On a
+    ``numerical_failure`` they are the last finite ones: those the failing
+    iteration started from, with ``u`` and ``v`` folded in, or zeros if the
+    first iteration fails.
     """
     mu, nu, C, K, grid = _setup(source, target, cost, lam, kernel_mode)
     rule = _StopRule(max_iters, stop_rel_tol, trace_every)
@@ -686,10 +690,11 @@ def sinkhorn_solve(
     log_nu = np.log(nu)
     CT = C.T
     KT = None if K is None else K.T
-    grid_t = None if grid is None else grid.T
     kernel = _AbsorbedKernel(CT) if K is None and grid is None else None
     row_out, col_out = (None, None) if kernel is None else kernel.halves
-    g = np.zeros(n)
+    if grid is not None:
+        row_pass, col_pass = _GridRows(C, grid, mu), _GridRows(CT, grid.T, nu)
+    f, g = np.zeros(m), np.zeros(n)
 
     t = 0
     while not rule.stopped:
@@ -699,12 +704,21 @@ def sinkhorn_solve(
                 half, scale = kernel, kernel.v
             else:
                 if kernel is not None:
-                    g = kernel.release(g, lam)
-                half = _row_reductions(g, C, lam, K, grid, out=row_out)
-                f = lam * (log_mu - np.log(half.sums)) - half.shift
-                half = _row_reductions(f, CT, lam, KT, grid_t, out=col_out)
-                g = lam * (log_nu - np.log(half.sums)) - half.shift
-                scale = nu / half.sums
+                    f, g = kernel.release(f, g, lam)
+                last = f, g
+                if grid is not None:
+                    # A grid pass's row sums are one: log(sums) is 0, nu / sums is nu.
+                    half = row_pass(g)
+                    f = lam * log_mu - half.shift
+                    half = col_pass(f)
+                    g = lam * log_nu - half.shift
+                    scale = nu
+                else:
+                    half = _DenseRows(g, C, lam, K, row_out)
+                    f = lam * (log_mu - np.log(half.sums)) - half.shift
+                    half = _DenseRows(f, CT, lam, KT, col_out)
+                    g = lam * (log_nu - np.log(half.sums)) - half.shift
+                    scale = nu / half.sums
             pc = half.plan_cost(scale, cost_offset)
 
         # Each plan entry is scale_j * w_ji with 0 <= w_ji <= sums_j, so a
@@ -720,13 +734,14 @@ def sinkhorn_solve(
             kernel.absorb(scale)
 
     if not finite:
-        return SinkhornResult(TransportPlan(np.zeros((m, n))), rule.trace, (f, g))
+        return SinkhornResult(TransportPlan(np.zeros((m, n))), rule.trace, last)
     if kernel is not None:
-        if kernel.v is not None:
-            f, g = f + lam * np.log(kernel.u), g + lam * np.log(kernel.v)
         # Drop every other view of the kernel's buffer, so the plan can shrink it.
         half, row_out, col_out = kernel, None, None
-    return SinkhornResult(TransportPlan(half.plan(scale).T), rule.trace, (f, g))
+    plan = TransportPlan(half.plan(scale).T)
+    if kernel is not None:
+        f, g = kernel.release(f, g, lam)
+    return SinkhornResult(plan, rule.trace, (f, g))
 
 
 def corollary9_iteration_bound(psi_star_norm: float, lam: float, epsilon: float) -> int:

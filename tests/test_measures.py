@@ -165,6 +165,13 @@ class TestPGM:
         np.testing.assert_allclose(mea.weights, [0.7, 0.3], rtol=1e-15)
         np.testing.assert_array_equal(mea.points, [[0.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("header", [b"P2 -1 -2 255 1 2", b"P2 0 3 255", b"P5 2 -1 255\n"])
+    def test_non_positive_header_rejected(self, tmp_path, header):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="PGM header needs positive sizes"):
+            ok.read_pgm(path)
+
     def test_rejects_other_formats(self, tmp_path):
         path = tmp_path / "img.ppm"
         path.write_text("P3\n1 1\n255\n1 2 3\n")

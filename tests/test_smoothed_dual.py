@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import otkit as ok
 from helpers import grid_measure, small_random_instance
-from otkit.smoothed_dual import (_AxisStage, _GridStages, _GridStep, _marginal_dev,
-                                 _row_reductions, _to_grid)
+from otkit.smoothed_dual import (_AxisStage, _DenseRows, _GridRows, _GridStages,
+                                 _marginal_dev, _to_grid)
 
 
 def finite_difference_gradient(psi, src, tgt, cost, lam, h=1e-6):
@@ -301,15 +301,14 @@ def test_smoothed_functions_reject_nonpositive_lambda(name):
             SMOOTHED_FUNCTIONS[name](np.zeros(2), src, tgt, cost, lam)
 
 
-def solver_reductions(rows, psi, mu, nu, lam, offset, c_transform=None):
-    """What the solvers read from one row pass: the exact c-transform (the
-    pass's own unless given), the smoothed one ``shift + lam log(sums)``
-    (each pass has its own shift), E, E_lam, gradient, <P, C> and the
-    marginal deviation of P = (mu / sums)[:, None] * weights."""
+def solver_reductions(rows, psi, mu, nu, lam, offset):
+    """What the solvers read from one row pass: the exact c-transform, the
+    smoothed one ``shift + lam log(sums)`` (each pass has its own shift), E,
+    E_lam, gradient, <P, C> and the marginal deviation of
+    P = (mu / sums)[:, None] * weights."""
     scale = mu / rows.sums
     smoothed = rows.shift + lam * np.log(rows.sums)
-    if c_transform is None:
-        c_transform = rows.c_transform()
+    c_transform = rows.c_transform()
     e_lam = float(mu @ smoothed - nu @ psi) - lam * math.log(psi.size)
     return dict(c_transform=c_transform, smoothed=smoothed,
                 E=float(mu @ c_transform - nu @ psi), E_lam=e_lam,
@@ -318,18 +317,21 @@ def solver_reductions(rows, psi, mu, nu, lam, offset, c_transform=None):
 
 
 def grid_reductions(psi, C, grid, mu, nu, lam, offset):
-    """:func:`solver_reductions` of the grid pass, with the c-transform of
-    FISTA's grid step, and the step's own E, E_lam and gradient, which must
-    be those of the pass bit for bit."""
-    step = _GridStep(grid, mu, nu, offset)
-    e, e_lam, grad = step.evaluate(psi)
-    rows = _row_reductions(psi, C, lam, grid=grid)
-    fast = solver_reductions(rows, psi, mu, nu, lam, offset, step.c_transform())
-    shift = float(mu @ rows.shift - nu @ psi) - offset
-    assert e_lam == shift + lam * (float(mu @ np.log(rows.sums)) - math.log(psi.size))
-    assert e == float(mu @ fast["c_transform"] - nu @ psi) - offset
-    assert grad.tobytes() == fast["grad"].tobytes()
-    assert step.plan_cost(mu, offset) == fast["plan_cost"]
+    """:func:`solver_reductions` of the grid pass at ``psi``. The pass is
+    called at another potential first, as a solve reuses it, and must read
+    what a fresh pass reads bit for bit; so must the solvers' shortcuts for
+    row sums of one: the column sums at ``scale = mu``, from the held
+    ``log mu``, against those at ``mu / sums``, and ``mu @ log(sums)``
+    against 0."""
+    reused = _GridRows(C, grid, mu)
+    reused(psi[::-1].copy())
+    rows = reused(psi)
+    fast = solver_reductions(rows, psi, mu, nu, lam, offset)
+    fresh = solver_reductions(_GridRows(C, grid, mu)(psi), psi, mu, nu, lam, offset)
+    for name, value in fast.items():
+        assert np.asarray(value).tobytes() == np.asarray(fresh[name]).tobytes(), name
+    assert rows.col_sums(mu).tobytes() == rows.col_sums(mu / rows.sums).tobytes()
+    assert float(mu @ np.log(rows.sums)) == 0.0
     return fast
 
 
@@ -363,10 +365,7 @@ def test_grid_pass_matches_dense_pass(d, data):
         psi = rng.uniform(-width, width, size=nu.size)
         scale = width + np.abs(C).max()
         fast = grid_reductions(psi, C, grid, mu, nu, lam, offset)
-        dense = ok.CostMatrix.from_entries(C)
-        assert dense.grid is None
-        slow = solver_reductions(_row_reductions(psi, dense.entries, lam, grid=dense.grid),
-                                 psi, mu, nu, lam, offset)
+        slow = solver_reductions(_DenseRows(psi, C, lam), psi, mu, nu, lam, offset)
         for name in ("c_transform", "smoothed", "E", "E_lam"):
             np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=GRID_TOL * scale)
         assert abs(fast["plan_cost"] - slow["plan_cost"]) <= GRID_TOL * (scale + abs(offset))
@@ -411,7 +410,7 @@ def test_mixed_grid_chain_matches_dense_pass(d, data):
         # factor of ten for the sums.
         tol = GRID_TOL * (scale / lam) / 30.0
         fast = grid_reductions(psi, C, grid, mu, nu, lam, offset)
-        slow = solver_reductions(_row_reductions(psi, C, lam), psi, mu, nu, lam, offset)
+        slow = solver_reductions(_DenseRows(psi, C, lam), psi, mu, nu, lam, offset)
         for name in ("c_transform", "smoothed", "E", "E_lam"):
             np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=tol * scale)
         assert abs(fast["plan_cost"] - slow["plan_cost"]) <= tol * (scale + abs(offset))
@@ -481,12 +480,11 @@ class TestMaxPlusStage:
         for lam in (1.0, cost.spread / 7.0):
             stages = _GridStages.build(cost.grid, lam)
             psi = rng.integers(-3, 4, size=tgt.size) * lam
-            step = _GridStep(stages, src.weights, tgt.weights, 0.0)
-            step.evaluate(psi)
+            rows = _GridRows(cost.entries, stages, src.weights)(psi)
             u = _to_grid(psi / lam, cost.grid.cols)
             for stage in stages.row:
                 u = broadcast_max(u.reshape(stage.B.shape[0], -1), stage.B)
             expected = lam * u.ravel()[cost.grid.rows] - cost.grid.offset
             # Twice: the second call runs on the stages' reused buffers.
-            assert_bitwise(step.c_transform(), expected)
-            assert_bitwise(step.c_transform(), expected)
+            assert_bitwise(rows.c_transform(), expected)
+            assert_bitwise(rows.c_transform(), expected)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import otkit as ok
 from otkit import smoothed_dual, solvers
-from otkit.smoothed_dual import _GridStages
+from otkit.smoothed_dual import _GridRows, _GridStages, _marginal_dev
 from helpers import (criterion1_instance, grid_measure, random_point_instance,
                      reference_optimum, small_random_instance, traced_memory)
 
@@ -284,6 +284,9 @@ class TestSinkhornSolve:
                                    stop_rel_tol=1e-9, kernel_mode=True)
         assert result.trace.status == ok.NUMERICAL_FAILURE
         assert result.trace.failed_iteration == 1
+        # The potentials the failing first iteration started from: zeros.
+        for potential in result.potentials:
+            assert np.isfinite(potential).all() and not potential.any()
         log_result = ok.sinkhorn_solve(src, tgt, cost, 1e-3, max_iters=100,
                                        stop_rel_tol=1e-9)
         assert log_result.trace.status != ok.NUMERICAL_FAILURE
@@ -313,6 +316,7 @@ class TestSinkhornSolve:
         assert result.trace.status == ok.NUMERICAL_FAILURE
         assert result.trace.failed_iteration == t
         assert (result.plan.entries == 0.0).all()
+        assert all(np.isfinite(potential).all() for potential in result.potentials)
 
     @pytest.mark.parametrize("kernel_mode, shape, cost_scale, lam, max_iters", [
         (False, (7, 6), 1.0, 0.1, 30),
@@ -407,21 +411,12 @@ def plain_fista(src, tgt, cost, lam, eta, max_iters, stop_rel_tol, offset=0.0):
         z, theta = z_new, theta_new
 
 
-def grid_c_transform(psi, stages):
-    """The exact c-transform on a grid cost: the max-plus chain over the
-    grid values of ``psi / lam``, one stage per axis."""
-    grid, lam = stages.grid, stages.lam
-    u = smoothed_dual._to_grid(psi / lam, grid.cols)
-    for stage in stages.row:
-        u = stage.max(u.reshape(stage.B.shape[0], -1))
-    return lam * u.ravel()[grid.rows] - grid.offset
-
-
 def plain_grid_fista(src, tgt, cost, lam, config):
     """FISTA on a grid cost, traced every iteration, with a fresh grid pass
-    from ``_row_reductions`` each iteration and the solver's arithmetic for
-    E, E_lambda, the gradient and <P, C>. Returns the rows ``(t, E,
-    E_lambda, <P, C>, D)``, the status and the last proximal point."""
+    each iteration and the dense path's arithmetic for E, E_lambda, the
+    gradient and <P, C>: ``mu / sums`` and ``mu @ log(sums)`` as written.
+    Returns the rows ``(t, E, E_lambda, <P, C>, D)``, the status and the
+    last proximal point."""
     mu, nu = src.weights, tgt.weights
     stages = _GridStages.build(cost.grid, lam)
     offset, log_n = config.cost_offset, math.log(nu.size)
@@ -429,10 +424,10 @@ def plain_grid_fista(src, tgt, cost, lam, config):
     rows, previous = [], None
     for t in range(config.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows_t = smoothed_dual._row_reductions(psi, cost.entries, lam, grid=stages)
+            rows_t = _GridRows(cost.entries, stages, mu)(psi)
             nu_psi = nu @ psi
             e_shift = float(mu @ rows_t.shift - nu_psi) - offset
-            e = float(mu @ grid_c_transform(psi, stages) - nu_psi) - offset
+            e = float(mu @ rows_t.c_transform() - nu_psi) - offset
             e_lam = e_shift + lam * (float(mu @ np.log(rows_t.sums)) - log_n)
             scale = mu / rows_t.sums
             grad = rows_t.col_sums(scale) - nu
@@ -449,29 +444,28 @@ def plain_grid_fista(src, tgt, cost, lam, config):
 
 
 def count_row_passes(monkeypatch):
-    """Record every call of ``solvers._row_reductions``."""
+    """Record every dense row pass the solvers build, ``solvers._DenseRows``."""
     calls = []
-    plain = solvers._row_reductions
+    plain = solvers._DenseRows
 
     def spy(*args, **kwargs):
         calls.append(1)
         return plain(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "_row_reductions", spy)
+    monkeypatch.setattr(solvers, "_DenseRows", spy)
     return calls
 
 
-def count_grid_steps(monkeypatch):
-    """Record every pass of FISTA's grid step, ``_GridStep.evaluate``."""
-    calls = []
-    plain = smoothed_dual._GridStep.evaluate
-
-    def spy(self, psi):
-        calls.append(1)
-        return plain(self, psi)
-
-    monkeypatch.setattr(smoothed_dual._GridStep, "evaluate", spy)
-    return calls
+def count_grid_passes(monkeypatch):
+    """Record every construction (``"built"``) and every call at a potential
+    (``"called"``) of a grid pass, ``_GridRows``."""
+    events = []
+    for name, event in (("__init__", "built"), ("__call__", "called")):
+        def spy(self, *args, _plain=getattr(_GridRows, name), _event=event):
+            events.append(_event)
+            return _plain(self, *args)
+        monkeypatch.setattr(_GridRows, name, spy)
+    return events
 
 
 def row_pass_instance(path, rng):
@@ -550,18 +544,25 @@ class TestAbsorbedKernel:
     @pytest.mark.parametrize("path", ["dense", "kernel_mode", "grid"])
     def test_row_passes(self, path, rng, monkeypatch):
         # Only the dense log-domain loop absorbs (its last iteration here
-        # too); kernel mode and grid costs run both passes every iteration.
-        # On every path the potentials give the returned plan.
+        # too); kernel mode and grid costs run both passes every iteration,
+        # a grid cost by calling the two grid passes the solve builds, one
+        # per cost orientation. On every path the potentials give the
+        # returned plan.
         src, tgt, cost, lam = row_pass_instance(path, rng)
         passes = count_row_passes(monkeypatch)
+        grid = count_grid_passes(monkeypatch)
         result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=300, stop_rel_tol=1e-300,
                                    kernel_mode=path == "kernel_mode")
         if path == "dense":
             assert result.trace.n_iterations == 300
-            assert len(passes) <= 60
-        else:
+            assert len(passes) <= 60 and not grid
+        elif path == "kernel_mode":
             assert result.trace.n_iterations > 10
-            assert len(passes) == 2 * result.trace.n_iterations
+            assert len(passes) == 2 * result.trace.n_iterations and not grid
+        else:
+            assert result.trace.n_iterations > 10 and not passes
+            assert grid.count("built") == 2 and grid[:2] == ["built", "built"]
+            assert grid.count("called") == 2 * result.trace.n_iterations
         assert_potentials_give_plan(result, cost.entries, lam)
 
     def test_potentials_of_log_domain_iteration(self, rng):
@@ -649,19 +650,21 @@ class TestAbsorbedRows:
     @pytest.mark.parametrize("path", ["dense", "kernel_mode", "grid"])
     def test_row_passes(self, path, rng, monkeypatch):
         # Only the dense log-domain loop absorbs; kernel mode runs one pass
-        # every iteration, and a grid cost one pass of its grid step.
+        # every iteration, and a grid cost one call of the one grid pass
+        # the solve builds.
         src, tgt, cost, lam = row_pass_instance(path, rng)
         passes = count_row_passes(monkeypatch)
-        steps = count_grid_steps(monkeypatch)
+        grid = count_grid_passes(monkeypatch)
         result = ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
             max_iters=300, stop_rel_tol=1e-300, kernel_mode=path == "kernel_mode"))
         assert result.trace.n_iterations == 300
         if path == "dense":
-            assert len(passes) <= 10 and not steps
+            assert len(passes) <= 10 and not grid
         elif path == "kernel_mode":
-            assert len(passes) == result.trace.n_iterations + 1 and not steps
+            assert len(passes) == result.trace.n_iterations + 1 and not grid
         else:
-            assert len(steps) == result.trace.n_iterations + 1 and not passes
+            assert grid == ["built"] + ["called"] * (result.trace.n_iterations + 1)
+            assert not passes
 
     @pytest.mark.parametrize("cost_scale, lam, eta, passes", [(3000.0, 1e-3, 20.0, 15),
                                                               (1.0, 0.05, 1.0, 1)],
@@ -959,15 +962,13 @@ class TestGridCosts:
         assert abs(dev - result.trace.marginal_dev[-1]) <= 1e-12
         assert abs(result.plan.entries.sum() - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("T, product", [(700.0, True), (5000.0, False)],
-                             ids=["product_stages", "log_domain_stages"])
-    def test_grid_step_matches_per_iteration_pass(self, T, product):
-        # FISTA's grid step against a loop that builds the grid pass afresh
-        # every iteration and takes E from the max-plus chain of the pass's
-        # own grid values, with atoms relabelled so that neither side's grid
-        # index is the identity: every trace row, the status, the count, the
-        # potential and the plan agree bit for bit.
-        config, src, tgt, _ = self.synthetic_image()
+    @classmethod
+    def relabelled_image(cls, T, product):
+        """The 12 x 12 synthetic image pair with atoms relabelled, so that
+        neither side's grid index is the identity, its centered cost, the
+        cost offset and ``lam = spread / T``, whose stages are matrix
+        products or log-domain as ``product`` says."""
+        config, src, tgt, _ = cls.synthetic_image()
         rng = np.random.default_rng(7)
         src, tgt = (ok.DiscreteMeasure(m.points[order], m.weights[order])
                     for m, order in ((src, rng.permutation(src.size)),
@@ -978,10 +979,19 @@ class TestGridCosts:
         assert not np.array_equal(grid.rows, np.arange(src.size))
         assert not np.array_equal(grid.cols, np.arange(tgt.size))
         lam = cost.spread / T
-        stages = _GridStages.build(grid, lam)
-        assert [s.product for s in stages.row] == [product, product]
+        assert [s.product for s in _GridStages.build(grid, lam).row] == [product, product]
+        return config, src, tgt, cost, (original.c_max + original.c_min) / 2.0, lam
+
+    @pytest.mark.parametrize("T, product", [(700.0, True), (5000.0, False)],
+                             ids=["product_stages", "log_domain_stages"])
+    def test_grid_step_matches_per_iteration_pass(self, T, product):
+        # FISTA's one grid pass against a loop that builds the grid pass
+        # afresh every iteration and takes mu / sums and log(sums) as
+        # written: every trace row, the status, the count, the potential
+        # and the plan agree bit for bit.
+        config, src, tgt, cost, offset, lam = self.relabelled_image(T, product)
         fista = ok.FistaConfig(eta=config.eta, max_iters=400, stop_rel_tol=config.stop_rel_tol,
-                               cost_offset=(original.c_max + original.c_min) / 2.0)
+                               cost_offset=offset)
         result = ok.fista_solve(src, tgt, cost, lam, fista)
         rows, status, z = plain_grid_fista(src, tgt, cost, lam, fista)
         trace = result.trace
@@ -993,6 +1003,42 @@ class TestGridCosts:
         assert result.potential.values.tobytes() == potential.values.tobytes()
         plan = ok.recover_plan(potential, src, tgt, cost, lam)
         assert result.plan.entries.tobytes() == plan.entries.tobytes()
+
+    @pytest.mark.parametrize("stop_rel_tol", [1e-3, 1e-300], ids=["paper_stop", "fixed_count"])
+    @pytest.mark.parametrize("T, product", [(700.0, True), (5000.0, False)],
+                             ids=["product_stages", "log_domain_stages"])
+    def test_sinkhorn_grid_matches_fresh_pass_per_half(self, T, product, stop_rel_tol):
+        # Sinkhorn's two grid passes, one per cost orientation, against a
+        # loop that builds a grid pass afresh for each half and takes
+        # log(sums) and nu / sums as written: every trace row, the status,
+        # the count, the potentials and the plan agree bit for bit.
+        _, src, tgt, cost, offset, lam = self.relabelled_image(T, product)
+        mu, nu, C = src.weights, tgt.weights, cost.entries
+        stages = _GridStages.build(cost.grid, lam)
+        max_iters = 150
+        result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=max_iters,
+                                   stop_rel_tol=stop_rel_tol, cost_offset=offset)
+        g, previous, rows = np.zeros(nu.size), None, []
+        for t in range(1, max_iters + 1):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                half = _GridRows(C, stages, mu)(g)
+                f = lam * (np.log(mu) - np.log(half.sums)) - half.shift
+                half = _GridRows(C.T, stages.T, nu)(f)
+                g = lam * (np.log(nu) - np.log(half.sums)) - half.shift
+                scale = nu / half.sums
+                pc = half.plan_cost(scale, offset)
+            rows.append((t, pc, _marginal_dev(scale * half.sums, half.col_sums(scale), nu, mu)))
+            if previous is not None and solvers._rel_change(pc, previous) < stop_rel_tol:
+                status = ok.CONVERGED
+                break
+            status, previous = ok.MAX_ITERS, pc
+        trace = result.trace
+        assert trace.status == status and trace.n_iterations == len(rows) > 5
+        for column, expected in zip(("iters", "plan_cost", "marginal_dev"), zip(*rows)):
+            assert np.array(getattr(trace, column)).tobytes() == np.array(expected).tobytes()
+        for actual, expected in zip(result.potentials, (f, g), strict=True):
+            assert actual.tobytes() == expected.tobytes()
+        assert result.plan.entries.tobytes() == half.plan(scale).T.tobytes()
 
     @pytest.mark.parametrize("T", [700.0, 5000.0], ids=["product_stages", "log_domain_stages"])
     @pytest.mark.parametrize("name", sorted(SOLVES))
