@@ -182,6 +182,8 @@ def spherical(source: DiscreteMeasure, target: DiscreteMeasure) -> CostMatrix:
     Inner products are clamped to [-1, 1] before arccos so rounding never
     produces NaN.
     """
+    if source.dimension != target.dimension:
+        raise ValueError("dimension mismatch: %d vs %d" % (source.dimension, target.dimension))
     for name, mea in (("source", source), ("target", target)):
         norms = np.linalg.norm(mea.points, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):

@@ -8,24 +8,27 @@ one row pass over ``exp((psi_j - c_ij - shift_i)/lam)``; between such passes
 both solvers' dense log-domain loops only rescale the weights of their last
 one (see ``solvers``). The default path is log-domain: the dense pass's
 shift is the row maximum of ``psi_j - c_ij`` (the c-transform), so any
-smoothing scale ``lam > 0`` is representable. The exact c-transform alone,
-as ``c_transform`` and ``energy`` take it, comes from ``_row_max``, a block
-of rows at a time without an m x n array; FISTA's rescaled passes take it over
-each row's candidate columns where their weights certify it, and from
-``_row_max`` elsewhere. Given the
-multiplicative kernel ``K = exp(-C/lam)`` the pass returns
-``K * exp(psi/lam)`` with zero shift; only the solvers' opt-in kernel mode
-takes this path, to expose its overflow behavior.
+finite smoothing scale ``lam > 0`` is representable; ``lam`` is checked where
+it enters (``SmoothingParams``, the public functions, the solvers' set-up),
+not in the pass. The exact c-transform alone, as ``c_transform`` and
+``energy`` take it, comes from ``_row_max``, a block of rows at a time
+without an m x n array; FISTA's rescaled passes take it over each row's
+candidate columns where their weights certify it, and from ``_row_max``
+elsewhere. Given the multiplicative kernel ``K = exp(-C/lam)`` the pass
+returns ``K * exp(psi/lam)`` with zero shift; only the solvers' opt-in kernel
+mode takes this path, to expose its overflow behavior.
 
-The solvers read only a few reductions of the pass: the shift, the row sums,
-the scaled column sums and the plan's cost (the marginal deviation follows
-from the sums through ``_marginal_dev``), and, for FISTA's hard E, the exact
-c-transform. ``_DenseRows`` gives them from the dense m x n pass. For a cost
-with grid factors in the log domain ``_GridRows`` gives the same reductions
-from one stage per grid axis, without an m x n array; each solve builds one
-per cost orientation and calls it at every new potential. A stage is a
-matrix product with the axis kernel ``exp(-A_k/lam)``, stabilized by the
-maximum over the summed axis, while that kernel stays a normal float
+Each kind of pass is one class that builds what it reads, and the solvers
+read only a few reductions of it: the shift, the row sums, the scaled column
+sums and the plan's cost (the marginal deviation follows from the sums
+through ``_marginal_dev``), and, for FISTA's hard E, the exact c-transform.
+``_DenseRows`` is the dense m x n pass at one potential; the public functions
+read it too. For a cost with grid factors in the log domain ``_GridRows``
+gives the same reductions from one stage per grid axis, without an m x n
+array; each solve builds one per cost orientation, which builds its stages
+once, and calls it at every new potential. A stage is a matrix product with
+the axis kernel ``exp(-A_k/lam)``, stabilized by the maximum over the summed
+axis, while that kernel stays a normal float
 (``max(A_k)/lam <= _PRODUCT_MAX``, about 690); otherwise it is a
 log-sum-exp over the ``q x r x p`` exponents. Such a pass is stabilized by
 its own log-sum-exp rather than by the c-transform, which is a separate
@@ -69,6 +72,13 @@ class Potential:
         object.__setattr__(self, "values", values)
 
 
+def _check_lam(lam) -> float:
+    """``lam`` itself, once it is known to be a usable smoothing scale."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be > 0 and finite")
+    return lam
+
+
 @dataclass(frozen=True)
 class SmoothingParams:
     """Smoothing scale ``lam`` (cost units), optionally derived as spread/T."""
@@ -76,8 +86,7 @@ class SmoothingParams:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError("lam must be > 0")
+        _check_lam(self.lam)
 
     @classmethod
     def from_divisor(cls, cost: CostMatrix, T: float) -> "SmoothingParams":
@@ -116,30 +125,9 @@ def _psi_array(psi) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _row_pass(psi: np.ndarray, C: np.ndarray, lam: float, K: np.ndarray | None = None,
-              out: np.ndarray | None = None):
-    """The smoothed c-transform of ``psi`` over the rows of ``C``.
-
-    Returns ``(shift, weights, sums)`` with
-    ``weights_ij = exp((psi_j - c_ij - shift_i)/lam)`` and ``sums`` its row
-    sums, so the smoothed c-transform is ``shift + lam * log(sums / n)``. In
-    the log domain ``shift`` is the row maximum of ``psi_j - c_ij``, taken
-    before the division by ``lam`` so constant rows are reproduced exactly.
-    Given the kernel ``K = exp(-C/lam)`` the shift is zero and the weights
-    are ``K * exp(psi/lam)``, which may overflow to inf/nan. The weights are
-    written into ``out`` if given, else into one new m x n array.
-    """
-    if not lam > 0.0:
-        raise ValueError("lam must be > 0")
-    if K is None:
-        # Built in place, so the pass allocates at most one m x n buffer.
-        weights = np.subtract(psi[None, :], C, out=out)
-        shift = weights.max(axis=1)
-        _exp_rows(weights, shift, lam)
-    else:
-        shift = np.zeros(K.shape[0])
-        weights = np.multiply(K, np.exp(psi / lam)[None, :], out=out)
-    return shift, weights, weights.sum(axis=1)
+def _checked_rows(psi, cost: CostMatrix, lam) -> "_DenseRows":
+    """The public functions' dense pass at ``psi``, once ``lam`` is checked."""
+    return _DenseRows(_psi_array(psi), cost.entries, _check_lam(lam))
 
 
 def _exp_rows(weights, shift, lam) -> np.ndarray:
@@ -155,15 +143,31 @@ def _marginal_dev(row_sums, col_sums, row_target, col_target) -> float:
 
 
 class _DenseRows:
-    """The row pass over a dense cost (or its kernel ``K``), kept whole.
+    """The smoothed c-transform of ``psi`` over the rows of a dense cost
+    ``C`` (or its kernel ``K``), kept whole.
 
-    ``shift`` and ``sums`` are as returned by :func:`_row_pass`; the methods
-    reduce the plan ``P = scale[:, None] * weights`` without forming it.
+    ``weights_ij = exp((psi_j - c_ij - shift_i)/lam)`` and ``sums`` are its
+    row sums, so the smoothed c-transform is ``shift + lam * log(sums / n)``.
+    In the log domain ``shift`` is the row maximum of ``psi_j - c_ij``, taken
+    before the division by ``lam`` so constant rows are reproduced exactly.
+    Given the kernel ``K = exp(-C/lam)`` the shift is zero and the weights
+    are ``K * exp(psi/lam)``, which may overflow to inf/nan. The weights are
+    written into ``out`` if given, else into one new m x n array. ``lam`` is
+    checked where it enters, not here. The methods reduce the plan
+    ``P = scale[:, None] * weights`` without forming it.
     """
 
     def __init__(self, psi, C, lam, K=None, out=None):
         self.psi, self.C, self._kernel = psi, C, K is not None
-        self.shift, self.weights, self.sums = _row_pass(psi, C, lam, K, out)
+        if K is None:
+            # Built in place, so the pass allocates at most one m x n buffer.
+            self.weights = np.subtract(psi[None, :], C, out=out)
+            self.shift = self.weights.max(axis=1)
+            _exp_rows(self.weights, self.shift, lam)
+        else:
+            self.shift = np.zeros(K.shape[0])
+            self.weights = np.multiply(K, np.exp(psi / lam)[None, :], out=out)
+        self.sums = self.weights.sum(axis=1)
 
     def c_transform(self) -> np.ndarray:
         """The exact c-transform ``max_j (psi_j - c_ij)``: the log-domain
@@ -185,13 +189,6 @@ class _DenseRows:
         return self.weights
 
 
-def _to_grid(values, flat_index) -> np.ndarray:
-    """Atom-ordered values laid out on their grid, flattened in C order."""
-    out = np.empty(values.size)
-    out[flat_index] = values
-    return out
-
-
 # The largest axis exponent ``max(A_k)/lam`` that a stage takes as a matrix
 # product with ``exp(-A_k/lam)``: every kernel entry is then a normal float,
 # e^18 above the smallest, so a stage's sums keep their relative precision.
@@ -208,12 +205,12 @@ class _AxisStage:
     maximum of ``U`` over the summed axis, which needs no ``q x r x p``
     temporary; beyond it ``K`` would underflow, and the stage subtracts,
     maximizes and exponentiates the ``q x r x p`` exponents themselves. The
-    choice is made per axis, once per solve.
+    choice is made per axis, once per grid pass.
 
     The max-plus stage :meth:`max` runs on flat ``(q, r p)`` rows, ``U``
     repeated ``p`` times less ``B`` tiled ``r`` times, in one buffer it owns;
     the tiling and the buffer are built on the first call for a given ``r``
-    (once per solve).
+    (once per grid pass).
     """
 
     def __init__(self, B):
@@ -290,88 +287,70 @@ def _grid_mean_cost(weights, stages) -> np.ndarray:
     return mean.ravel()
 
 
-@dataclass(frozen=True, eq=False)
-class _GridStages:
-    """A grid cost's axis stages at one ``lam``, built once per solve by
-    :meth:`build`: the row chain over ``A_k^T / lam`` (target axes summed)
-    and the column chain over ``A_k / lam`` (source axes summed). :attr:`T`
-    serves the transposed cost with the same stages."""
-
-    grid: GridFactors
-    lam: float
-    row: tuple
-    col: tuple
-
-    @classmethod
-    def build(cls, grid: GridFactors, lam) -> "_GridStages":
-        if not lam > 0.0:
-            raise ValueError("lam must be > 0")
-        return cls(grid, lam, tuple(_AxisStage(A.T / lam) for A in grid.axes),
-                   tuple(_AxisStage(A / lam) for A in grid.axes))
-
-    @property
-    def T(self) -> "_GridStages":
-        return _GridStages(self.grid.T, self.lam, self.col, self.row)
-
-
 class _GridRows:
     """The reductions of :class:`_DenseRows` in the log domain for a cost with
     grid factors, from per-axis stages instead of an m x n pass. One is built
-    per solve and cost orientation, over ``C`` with the row marginal ``w`` of
-    its rows; calling it at ``psi`` runs the row chain there and returns it.
-    It owns a grid buffer for ``psi / lam``, the row sums and ``log w`` in
-    grid order.
+    per solve and cost orientation, over ``C`` with its ``grid`` factors and
+    the row marginal ``w`` of its rows; calling it at ``psi`` runs the row
+    chain there and returns it. It builds its stages at ``lam`` once: the row
+    chain over ``A_k^T / lam`` (target axes summed) and the column chain over
+    ``A_k / lam`` (source axes summed), each a matrix product or in the log
+    domain as :class:`_AxisStage` decides per axis. It owns a grid buffer for
+    ``psi / lam``, the row sums and ``log w`` in grid order.
 
     With ``c_ij = offset + sum_k A_k[a_k(i), b_k(j)]`` and everything in units
-    of ``lam``, the pass is stabilized by its own log-sum-exp: the shift is
-    the row chain over the target axes, so the weights are each row's softmax
-    and their sums are one (``w / sums`` is ``w``, and ``w @ log(sums)`` is
-    0). The exact c-transform is the max-plus chain over the same grid
-    values. The column sums of ``P`` are the column chain over the source
-    axes of ``log scale_i - shift_i / lam``, which reads the held ``log w``
-    when ``scale`` is ``w`` itself, and ``<P, C>`` averages the axis terms
-    under the row chain's own weights. The grid offset cancels in
-    ``psi_j - c_ij - shift_i``, so only the reported shifts and ``<P, C>``
-    carry it. ``C`` is read only by :meth:`plan`, which forms the plan
-    against the same shift.
+    of ``lam``, the pass is stabilized by its own log-sum-exp rather than by
+    the c-transform: the shift is the row chain over the target axes, so the
+    weights are each row's softmax and their sums are one (``w / sums`` is
+    ``w``, and ``w @ log(sums)`` is 0). The exact c-transform is the
+    max-plus chain over the same grid values. The column sums of ``P`` are
+    the column chain over the source axes of ``log w_i - shift_i / lam``,
+    from the held ``log w``, so they take ``scale = w`` itself, and
+    ``<P, C>`` averages the axis terms under the row chain's own weights. The
+    grid offset cancels in ``psi_j - c_ij - shift_i``, so only the reported
+    shifts and ``<P, C>`` carry it. ``C`` is read only by :meth:`plan`,
+    which forms the plan against the same shift.
     """
 
-    def __init__(self, C, stages: _GridStages, w):
-        self.C, self.stages, self.w = C, stages, w
+    def __init__(self, C, grid: GridFactors, lam, w):
+        self.C, self.grid, self.lam, self.w = C, grid, lam, w
+        self.row = tuple(_AxisStage(A.T / lam) for A in grid.axes)
+        self.col = tuple(_AxisStage(A / lam) for A in grid.axes)
         self.sums = np.ones(w.size)
-        self._log_w = _to_grid(np.log(w), stages.grid.rows)
+        self._log_w = np.empty(w.size)
+        self._log_w[grid.rows] = np.log(w)
         self._u = np.empty(C.shape[1])
 
     def __call__(self, psi) -> "_GridRows":
         """The pass at ``psi``: one scatter of ``psi / lam`` and the row chain."""
-        grid, lam = self.stages.grid, self.stages.lam
+        grid = self.grid
         self.psi = psi
-        self._u[grid.cols] = psi / lam
-        self._lse, self._weights = _grid_lse(self._u, self.stages.row)
-        self.shift = lam * self._lse[grid.rows] - grid.offset
+        self._u[grid.cols] = psi / self.lam
+        self._lse, self._weights = _grid_lse(self._u, self.row)
+        self.shift = self.lam * self._lse[grid.rows] - grid.offset
         return self
 
     def c_transform(self) -> np.ndarray:
         """The max-plus chain ``max_j (u_j - sum_k B_k[a_k, b_k(j)])``,
         staged as :func:`_grid_lse`."""
-        grid, u = self.stages.grid, self._u
-        for stage in self.stages.row:
+        u = self._u
+        for stage in self.row:
             u = stage.max(_leading(u, stage))
-        return self.stages.lam * u.ravel()[grid.rows] - grid.offset
+        return self.lam * u.ravel()[self.grid.rows] - self.grid.offset
 
     def col_sums(self, scale) -> np.ndarray:
-        grid = self.stages.grid
-        log_scale = self._log_w if scale is self.w else _to_grid(np.log(scale), grid.rows)
-        lse, _ = _grid_lse(log_scale - self._lse, self.stages.col)
-        return np.exp((self._u + lse)[grid.cols])
+        """Column sums of ``P``; ``scale`` must be the pass's own ``w``."""
+        if scale is not self.w:
+            raise ValueError("a grid pass takes its column sums at its own row marginal")
+        lse, _ = _grid_lse(self._log_w - self._lse, self.col)
+        return np.exp((self._u + lse)[self.grid.cols])
 
     def plan_cost(self, scale, offset: float) -> float:
-        grid, lam = self.stages.grid, self.stages.lam
-        mean = lam * _grid_mean_cost(self._weights, self.stages.row)[grid.rows]
-        return float(scale @ mean) + (grid.offset + offset) * float(scale @ self.sums)
+        mean = self.lam * _grid_mean_cost(self._weights, self.row)[self.grid.rows]
+        return float(scale @ mean) + (self.grid.offset + offset) * float(scale @ self.sums)
 
     def plan(self, scale) -> np.ndarray:
-        weights = _exp_rows(self.psi[None, :] - self.C, self.shift, self.stages.lam)
+        weights = _exp_rows(self.psi[None, :] - self.C, self.shift, self.lam)
         weights *= scale[:, None]
         return weights
 
@@ -404,8 +383,8 @@ def smoothed_c_transform(psi, cost: CostMatrix, lam: float) -> np.ndarray:
     Always finite for ``lam > 0`` and sandwiched within ``lam * log n`` below
     the exact c-transform.
     """
-    shift, _, sums = _row_pass(_psi_array(psi), cost.entries, lam)
-    return shift + lam * (np.log(sums) - math.log(cost.shape[1]))
+    rows = _checked_rows(psi, cost, lam)
+    return rows.shift + lam * (np.log(rows.sums) - math.log(cost.shape[1]))
 
 
 def energy(psi, source: DiscreteMeasure, target: DiscreteMeasure, cost: CostMatrix) -> float:
@@ -448,8 +427,8 @@ def smoothed_gradient(
     where ``softmax_i`` is the row softmax. Softmax rows sum to one, so the
     gradient entries sum to zero up to rounding.
     """
-    _, weights, sums = _row_pass(_psi_array(psi), cost.entries, lam)
-    return (source.weights / sums) @ weights - target.weights
+    rows = _checked_rows(psi, cost, lam)
+    return rows.col_sums(source.weights / rows.sums) - target.weights
 
 
 def hessian_apply(
@@ -469,8 +448,9 @@ def hessian_apply(
     null space) and the largest eigenvalue is at most ``1/lam``.
     """
     w = np.asarray(direction, dtype=float)
-    _, softmax, sums = _row_pass(_psi_array(psi), cost.entries, lam)
-    softmax /= sums[:, None]
+    rows = _checked_rows(psi, cost, lam)
+    softmax = rows.weights
+    softmax /= rows.sums[:, None]
     mu = source.weights
     row_dots = softmax @ w
     return ((mu @ softmax) * w - (mu * row_dots) @ softmax) / lam
@@ -498,6 +478,5 @@ def recover_plan(
     smoothed optimizer the column sums match the target weights as well.
     Invariant under ``psi -> psi + k * 1``.
     """
-    _, weights, sums = _row_pass(_psi_array(psi), cost.entries, lam)
-    weights *= (source.weights / sums)[:, None]
-    return TransportPlan(weights)
+    rows = _checked_rows(psi, cost, lam)
+    return TransportPlan(rows.plan(source.weights / rows.sums))

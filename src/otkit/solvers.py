@@ -16,14 +16,15 @@ plan is built once, after the last iteration. On its absorbed iterations
 For a cost with grid factors (squared Euclidean between full grids) in the
 log domain the passes come from per-axis stages and no m x n array is touched
 until the plan is formed; otherwise, and always in kernel mode, from the
-dense pass, ``smoothed_dual._DenseRows``. ``_setup`` builds the grid's axis
-kernels once per solve and decides, per axis, whether its stages run as
-matrix products (``max(A_k)/lam`` within about 690) or in the log domain.
-Each solve then builds one ``smoothed_dual._GridRows`` per cost orientation,
-FISTA over ``C`` and Sinkhorn over ``C`` and ``C.T``, and calls it at every
-new potential. A grid pass is stabilized by its own log-sum-exp, so its row
-sums are one: both loops take ``w / sums`` as ``w`` and ``log(sums)`` as 0
-there, which is bitwise what the division and the logarithm give. FISTA
+dense pass, ``smoothed_dual._DenseRows``. ``_setup`` checks ``lam`` and
+hands on the cost's grid factors outside kernel mode. Each solve then builds
+one ``smoothed_dual._GridRows`` per cost orientation, FISTA over ``C`` and
+Sinkhorn over ``C`` and ``C.T``, which builds its axis kernels once and
+decides, per axis, whether its stages run as matrix products
+(``max(A_k)/lam`` within about 690) or in the log domain; the solve calls it
+at every new potential. A grid pass is stabilized by its own log-sum-exp, so
+its row sums are one: both loops take ``w / sums`` as ``w`` and ``log(sums)``
+as 0 there, which is bitwise what the division and the logarithm give. FISTA
 takes E from the pass's max-plus chain.
 
 On a dense cost in the log domain both solvers run those passes only now
@@ -65,7 +66,7 @@ import numpy as np
 
 from .costs import _BLOCK_BYTES, CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import (Potential, TransportPlan, _DenseRows, _GridRows, _GridStages,
+from .smoothed_dual import (Potential, TransportPlan, _check_lam, _DenseRows, _GridRows,
                             _marginal_dev, _row_max, project_H, recover_plan)
 
 CONVERGED = "converged"
@@ -248,17 +249,16 @@ class _StopRule:
 
 
 def _setup(source, target, cost: CostMatrix, lam: float, kernel_mode: bool):
-    """Both solvers' checked ``mu``, ``nu``, ``C``, kernel-mode ``K = exp(-C/lam)``
-    and, for a log-domain pass over a cost with grid factors, its axis stages."""
-    if not lam > 0.0:
-        raise ValueError("lam must be > 0")
+    """Both solvers' checked ``lam``, ``mu``, ``nu``, ``C``, kernel-mode
+    ``K = exp(-C/lam)`` and, for a log-domain pass, the cost's grid factors
+    (None without them)."""
+    _check_lam(lam)
     mu, nu, C = source.weights, target.weights, cost.entries
     if (mu.size, nu.size) != C.shape:
         raise ValueError("measure sizes do not match the cost matrix")
     with np.errstate(over="ignore"):
         K = np.exp(-C / lam) if kernel_mode else None
-    grid = None if K is not None or cost.grid is None else _GridStages.build(cost.grid, lam)
-    return mu, nu, C, K, grid
+    return mu, nu, C, K, None if K is not None else cost.grid
 
 
 def fista_solve(
@@ -317,7 +317,7 @@ def fista_solve(
     t = 0
 
     offset = config.cost_offset
-    grid_rows = None if grid is None else _GridRows(C, grid, mu)
+    grid_rows = None if grid is None else _GridRows(C, grid, lam, mu)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
             # One row pass at psi_t gives E_lambda, the gradient and the plan,
@@ -693,7 +693,7 @@ def sinkhorn_solve(
     kernel = _AbsorbedKernel(CT) if K is None and grid is None else None
     row_out, col_out = (None, None) if kernel is None else kernel.halves
     if grid is not None:
-        row_pass, col_pass = _GridRows(C, grid, mu), _GridRows(CT, grid.T, nu)
+        row_pass, col_pass = _GridRows(C, grid, lam, mu), _GridRows(CT, grid.T, lam, nu)
     f, g = np.zeros(m), np.zeros(n)
 
     t = 0
@@ -765,8 +765,7 @@ def psi_infinity_bound(cost: CostMatrix, target: DiscreteMeasure, lam: float) ->
     Requires strictly positive target weights (guaranteed by measure
     construction).
     """
-    if not lam > 0.0:
-        raise ValueError("lam must be > 0")
+    _check_lam(lam)
     nu_min = float(target.weights.min())
     if nu_min <= 0.0:
         raise ValueError("target weights must be strictly positive")

@@ -36,11 +36,15 @@ class TestSquaredEuclidean:
         slow = naive_squared_euclidean(src.points, tgt.points)
         np.testing.assert_array_equal(fast, slow)
 
-    def test_dimension_mismatch(self):
-        src = ok.from_points([[0.0, 0.0]], [1.0])
-        tgt = ok.from_points([[0.0, 0.0, 0.0]], [1.0])
+    @pytest.mark.parametrize("build", [ok.squared_euclidean,
+                                       lambda s, t: ok.power_cost(s, t, 3.0), ok.spherical],
+                             ids=["squared_euclidean", "power_cost", "spherical"])
+    def test_dimension_mismatch(self, build):
+        # Unit-norm points, so only the dimensions are wrong for every builder.
+        src = ok.from_points([[1.0, 0.0]], [1.0])
+        tgt = ok.from_points([[0.0, 0.0, 1.0]], [1.0])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            ok.squared_euclidean(src, tgt)
+            build(src, tgt)
 
     def test_cached_extrema(self):
         src, tgt = random_point_instance(4, 8, 9)

@@ -1,14 +1,18 @@
-"""Every private name and every ``module.attr`` of the package that README.md
-cites in backticks is defined in the package: a stale name there points the
-reader at deleted code."""
+"""Every private name and every ``module.attr`` of the package that README.md,
+or a module's own docstrings and comments, cite in backticks is defined in
+the package: a stale name there points the reader at deleted code."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = {p.stem: p for p in (ROOT / "src" / "otkit").glob("*.py")}
-# A backticked name, dotted or called: ``_GridRows``, ``_GridStages.T``,
+# A backticked name, dotted or called: ``_GridRows``, ``_GridRows.row``,
 # ``smoothed_dual.project_H`` or ``_row_max(psi, C)``.
 CITED_NAME = re.compile(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*\))?")
 
@@ -60,6 +64,16 @@ def unresolved(text: str, modules: dict[str, str]) -> list[str]:
     return missing
 
 
+def own_text(source: str) -> str:
+    """A module's docstrings and comments, double backticks read as single."""
+    nodes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    parts = [ast.get_docstring(node, clean=False) or ""
+             for node in ast.walk(ast.parse(source)) if isinstance(node, nodes)]
+    parts += [token.string for token in tokenize.generate_tokens(io.StringIO(source).readline)
+              if token.type == tokenize.COMMENT]
+    return "\n".join(parts).replace("``", "`")
+
+
 def test_modules_found():
     assert {"smoothed_dual", "solvers", "costs", "measures"} <= set(MODULES)
 
@@ -67,6 +81,21 @@ def test_modules_found():
 def test_readme_cites_only_defined_names():
     modules = {name: path.read_text() for name, path in MODULES.items()}
     assert unresolved((ROOT / "README.md").read_text(), modules) == []
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_module_text_cites_only_defined_names(name):
+    modules = {module: path.read_text() for module, path in MODULES.items()}
+    assert unresolved(own_text(modules[name]), modules) == []
+
+
+def test_own_text_is_docstrings_and_comments():
+    source = ('"""Module: ``_Gone``."""\n\n'
+              'class _Kept:\n    """Class: ``_Kept`` and ``_Lost.attr``."""\n\n'
+              '    def go(self):\n        """Method: ``_old(psi)``."""\n'
+              '        return "``_NotText``"  # comment: ``_Stale``\n')
+    assert unresolved(own_text(source), {"smoothed_dual": source}) == [
+        "_Gone", "_Lost.attr", "_old(psi)", "_Stale"]
 
 
 def test_detects_stale_names():

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 import otkit as ok
 from helpers import grid_measure, small_random_instance
-from otkit.smoothed_dual import (_AxisStage, _DenseRows, _GridRows, _GridStages,
-                                 _marginal_dev, _to_grid)
+from otkit.smoothed_dual import _AxisStage, _DenseRows, _GridRows, _marginal_dev
 
 
 def finite_difference_gradient(psi, src, tgt, cost, lam, h=1e-6):
@@ -296,17 +295,17 @@ def test_smoothed_functions_reject_nonpositive_lambda(name):
     src = ok.from_points([[0.0], [1.0]], [0.5, 0.5])
     tgt = ok.from_points([[0.0], [1.0]], [0.3, 0.7])
     cost = ok.CostMatrix.from_entries(np.zeros((2, 2)))
-    for lam in (0.0, -1.0):
-        with pytest.raises(ValueError, match="lam must be > 0"):
+    for lam in (0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
             SMOOTHED_FUNCTIONS[name](np.zeros(2), src, tgt, cost, lam)
 
 
-def solver_reductions(rows, psi, mu, nu, lam, offset):
+def solver_reductions(rows, psi, mu, nu, lam, offset, scale=None):
     """What the solvers read from one row pass: the exact c-transform, the
     smoothed one ``shift + lam log(sums)`` (each pass has its own shift), E,
     E_lam, gradient, <P, C> and the marginal deviation of
-    P = (mu / sums)[:, None] * weights."""
-    scale = mu / rows.sums
+    P = scale[:, None] * weights, with ``scale = mu / sums`` unless given."""
+    scale = mu / rows.sums if scale is None else scale
     smoothed = rows.shift + lam * np.log(rows.sums)
     c_transform = rows.c_transform()
     e_lam = float(mu @ smoothed - nu @ psi) - lam * math.log(psi.size)
@@ -317,20 +316,20 @@ def solver_reductions(rows, psi, mu, nu, lam, offset):
 
 
 def grid_reductions(psi, C, grid, mu, nu, lam, offset):
-    """:func:`solver_reductions` of the grid pass at ``psi``. The pass is
+    """:func:`solver_reductions` of the grid pass at ``psi``, at
+    ``scale = mu`` itself, as a grid pass takes its column sums. The pass is
     called at another potential first, as a solve reuses it, and must read
-    what a fresh pass reads bit for bit; so must the solvers' shortcuts for
-    row sums of one: the column sums at ``scale = mu``, from the held
-    ``log mu``, against those at ``mu / sums``, and ``mu @ log(sums)``
-    against 0."""
-    reused = _GridRows(C, grid, mu)
+    what a fresh pass reads bit for bit; the solvers' shortcuts for row sums
+    of one must hold bitwise: ``mu / sums`` is ``mu`` and ``mu @ log(sums)``
+    is 0."""
+    reused = _GridRows(C, grid, lam, mu)
     reused(psi[::-1].copy())
     rows = reused(psi)
-    fast = solver_reductions(rows, psi, mu, nu, lam, offset)
-    fresh = solver_reductions(_GridRows(C, grid, mu)(psi), psi, mu, nu, lam, offset)
+    fast = solver_reductions(rows, psi, mu, nu, lam, offset, mu)
+    fresh = solver_reductions(_GridRows(C, grid, lam, mu)(psi), psi, mu, nu, lam, offset, mu)
     for name, value in fast.items():
         assert np.asarray(value).tobytes() == np.asarray(fresh[name]).tobytes(), name
-    assert rows.col_sums(mu).tobytes() == rows.col_sums(mu / rows.sums).tobytes()
+    assert (mu / rows.sums).tobytes() == mu.tobytes()
     assert float(mu @ np.log(rows.sums)) == 0.0
     return fast
 
@@ -359,9 +358,8 @@ def test_grid_pass_matches_dense_pass(d, data):
     width = max(cost.spread, 1.0)
     lam = width / data.draw(st.floats(0.5, 20.0), label="T")
     entries = cost.entries
-    stages = _GridStages.build(cost.grid, lam)
-    for C, grid, mu, nu in ((entries, stages, src.weights, tgt.weights),
-                            (entries.T, stages.T, tgt.weights, src.weights)):
+    for C, grid, mu, nu in ((entries, cost.grid, src.weights, tgt.weights),
+                            (entries.T, cost.grid.T, tgt.weights, src.weights)):
         psi = rng.uniform(-width, width, size=nu.size)
         scale = width + np.abs(C).max()
         fast = grid_reductions(psi, C, grid, mu, nu, lam, offset)
@@ -372,6 +370,17 @@ def test_grid_pass_matches_dense_pass(d, data):
         # P carries unit mass, so D and the gradient's L1 norm are relative to it.
         assert abs(fast["D"] - slow["D"]) <= GRID_TOL
         assert np.abs(fast["grad"] - slow["grad"]).sum() <= GRID_TOL
+
+
+def test_grid_col_sums_take_only_the_held_marginal(rng):
+    # The column chain reads the held log w, so a scale that is not w itself,
+    # even one equal to it, is refused rather than read wrongly.
+    src, tgt = grid_measure(rng, (3, 4)), grid_measure(rng, (2, 5))
+    cost = ok.center(ok.squared_euclidean(src, tgt))
+    rows = _GridRows(cost.entries, cost.grid, 1.0, src.weights)(np.zeros(tgt.size))
+    rows.col_sums(src.weights)
+    with pytest.raises(ValueError, match="own row marginal"):
+        rows.col_sums(src.weights.copy())
 
 
 @settings(max_examples=60)
@@ -396,13 +405,13 @@ def test_mixed_grid_chain_matches_dense_pass(d, data):
     tgt = ok.from_points(tgt.points * stretch, tgt.weights)
     original = ok.squared_euclidean(src, tgt)
     cost = ok.center(original)
-    stages = _GridStages.build(cost.grid, lam)
-    assert [not s.product for s in stages.row] == [not s.product for s in stages.col] == over
+    entries = cost.entries
+    rows = _GridRows(entries, cost.grid, lam, src.weights)
+    assert [not s.product for s in rows.row] == [not s.product for s in rows.col] == over
     offset = (original.c_max + original.c_min) / 2.0
     width = cost.spread
-    entries = cost.entries
-    for C, grid, mu, nu in ((entries, stages, src.weights, tgt.weights),
-                            (entries.T, stages.T, tgt.weights, src.weights)):
+    for C, grid, mu, nu in ((entries, cost.grid, src.weights, tgt.weights),
+                            (entries.T, cost.grid.T, tgt.weights, src.weights)):
         psi = rng.uniform(-width, width, size=nu.size)
         scale = width + np.abs(C).max()
         # GRID_TOL's derivation with R = (|psi|_inf + |c|_inf) / lam <= scale / lam
@@ -430,8 +439,9 @@ class TestPotentialAndParams:
         assert params.lam == 4.0 / 500.0
 
     def test_lambda_positive_required(self):
-        with pytest.raises(ValueError):
-            ok.SmoothingParams(0.0)
+        for lam in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="lam must be > 0 and finite"):
+                ok.SmoothingParams(lam)
 
 
 def broadcast_max(U, B):
@@ -478,11 +488,11 @@ class TestMaxPlusStage:
         cost = ok.center(ok.squared_euclidean(src, tgt))
         assert cost.grid is not None
         for lam in (1.0, cost.spread / 7.0):
-            stages = _GridStages.build(cost.grid, lam)
             psi = rng.integers(-3, 4, size=tgt.size) * lam
-            rows = _GridRows(cost.entries, stages, src.weights)(psi)
-            u = _to_grid(psi / lam, cost.grid.cols)
-            for stage in stages.row:
+            rows = _GridRows(cost.entries, cost.grid, lam, src.weights)(psi)
+            u = np.empty(tgt.size)
+            u[cost.grid.cols] = psi / lam
+            for stage in rows.row:
                 u = broadcast_max(u.reshape(stage.B.shape[0], -1), stage.B)
             expected = lam * u.ravel()[cost.grid.rows] - cost.grid.offset
             # Twice: the second call runs on the stages' reused buffers.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import otkit as ok
 from otkit import smoothed_dual, solvers
-from otkit.smoothed_dual import _GridRows, _GridStages, _marginal_dev
+from otkit.smoothed_dual import _GridRows, _marginal_dev
 from helpers import (criterion1_instance, grid_measure, random_point_instance,
                      reference_optimum, small_random_instance, traced_memory)
 
@@ -64,6 +64,18 @@ def test_rejects_measure_sizes_not_matching_cost(name):
     cost = ok.CostMatrix.from_entries(np.ones((4, 6)))
     with pytest.raises(ValueError, match="measure sizes do not match the cost matrix"):
         SOLVES[name](src, tgt, cost)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("solve", [ok.fista_solve, ok.sinkhorn_solve],
+                         ids=["fista", "sinkhorn"])
+def test_solvers_reject_nonpositive_or_nonfinite_lambda(solve, lam):
+    # An infinite lam is an input error, not a numerical failure of the run.
+    src = ok.from_points([[0.0], [1.0]], [0.5, 0.5])
+    tgt = ok.from_points([[0.0], [1.0]], [0.3, 0.7])
+    cost = ok.CostMatrix.from_entries(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="lam must be > 0 and finite"):
+        solve(src, tgt, cost, lam)
 
 
 class TestThetaSchedule:
@@ -414,23 +426,24 @@ def plain_fista(src, tgt, cost, lam, eta, max_iters, stop_rel_tol, offset=0.0):
 def plain_grid_fista(src, tgt, cost, lam, config):
     """FISTA on a grid cost, traced every iteration, with a fresh grid pass
     each iteration and the dense path's arithmetic for E, E_lambda, the
-    gradient and <P, C>: ``mu / sums`` and ``mu @ log(sums)`` as written.
-    Returns the rows ``(t, E, E_lambda, <P, C>, D)``, the status and the
-    last proximal point."""
+    gradient and <P, C>: ``mu / sums`` and ``mu @ log(sums)`` as written,
+    except that the column sums take ``mu`` itself, as a grid pass requires,
+    once ``mu / sums`` is seen to be ``mu`` bitwise. Returns the rows
+    ``(t, E, E_lambda, <P, C>, D)``, the status and the last proximal point."""
     mu, nu = src.weights, tgt.weights
-    stages = _GridStages.build(cost.grid, lam)
     offset, log_n = config.cost_offset, math.log(nu.size)
     psi, z, theta = np.zeros(nu.size), np.zeros(nu.size), 1.0
     rows, previous = [], None
     for t in range(config.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows_t = _GridRows(cost.entries, stages, mu)(psi)
+            rows_t = _GridRows(cost.entries, cost.grid, lam, mu)(psi)
             nu_psi = nu @ psi
             e_shift = float(mu @ rows_t.shift - nu_psi) - offset
             e = float(mu @ rows_t.c_transform() - nu_psi) - offset
             e_lam = e_shift + lam * (float(mu @ np.log(rows_t.sums)) - log_n)
             scale = mu / rows_t.sums
-            grad = rows_t.col_sums(scale) - nu
+            assert scale.tobytes() == mu.tobytes()
+            grad = rows_t.col_sums(mu) - nu
         rows.append((t, e, e_lam, rows_t.plan_cost(scale, offset), float(np.abs(grad).sum())))
         if previous is not None and solvers._rel_change(e, previous) < config.stop_rel_tol:
             return rows, ok.CONVERGED, z
@@ -955,7 +968,8 @@ class TestGridCosts:
         _, src, tgt, original = self.synthetic_image()
         cost = ok.center(original)
         lam = cost.spread / T
-        assert [s.product for s in _GridStages.build(cost.grid, lam).row] == [product, product]
+        stages = _GridRows(cost.entries, cost.grid, lam, src.weights).row
+        assert [s.product for s in stages] == [product, product]
         result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=200, stop_rel_tol=1e-300)
         assert result.trace.status == ok.MAX_ITERS
         dev = ok.marginal_deviation(result.plan, src, tgt)
@@ -979,7 +993,8 @@ class TestGridCosts:
         assert not np.array_equal(grid.rows, np.arange(src.size))
         assert not np.array_equal(grid.cols, np.arange(tgt.size))
         lam = cost.spread / T
-        assert [s.product for s in _GridStages.build(grid, lam).row] == [product, product]
+        stages = _GridRows(cost.entries, grid, lam, src.weights).row
+        assert [s.product for s in stages] == [product, product]
         return config, src, tgt, cost, (original.c_max + original.c_min) / 2.0, lam
 
     @pytest.mark.parametrize("T, product", [(700.0, True), (5000.0, False)],
@@ -1010,24 +1025,25 @@ class TestGridCosts:
     def test_sinkhorn_grid_matches_fresh_pass_per_half(self, T, product, stop_rel_tol):
         # Sinkhorn's two grid passes, one per cost orientation, against a
         # loop that builds a grid pass afresh for each half and takes
-        # log(sums) and nu / sums as written: every trace row, the status,
-        # the count, the potentials and the plan agree bit for bit.
+        # log(sums) and nu / sums as written (the column sums at nu itself,
+        # once nu / sums is seen to be nu bitwise): every trace row, the
+        # status, the count, the potentials and the plan agree bit for bit.
         _, src, tgt, cost, offset, lam = self.relabelled_image(T, product)
         mu, nu, C = src.weights, tgt.weights, cost.entries
-        stages = _GridStages.build(cost.grid, lam)
         max_iters = 150
         result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=max_iters,
                                    stop_rel_tol=stop_rel_tol, cost_offset=offset)
         g, previous, rows = np.zeros(nu.size), None, []
         for t in range(1, max_iters + 1):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                half = _GridRows(C, stages, mu)(g)
+                half = _GridRows(C, cost.grid, lam, mu)(g)
                 f = lam * (np.log(mu) - np.log(half.sums)) - half.shift
-                half = _GridRows(C.T, stages.T, nu)(f)
+                half = _GridRows(C.T, cost.grid.T, lam, nu)(f)
                 g = lam * (np.log(nu) - np.log(half.sums)) - half.shift
                 scale = nu / half.sums
+                assert scale.tobytes() == nu.tobytes()
                 pc = half.plan_cost(scale, offset)
-            rows.append((t, pc, _marginal_dev(scale * half.sums, half.col_sums(scale), nu, mu)))
+            rows.append((t, pc, _marginal_dev(scale * half.sums, half.col_sums(nu), nu, mu)))
             if previous is not None and solvers._rel_change(pc, previous) < stop_rel_tol:
                 status = ok.CONVERGED
                 break
@@ -1101,6 +1117,13 @@ class TestPsiInfinityBound:
         cost = ok.CostMatrix.from_entries([[4.0, 0.0], [1.0, 2.0]])
         tgt = ok.from_points([[0.0], [1.0]], [0.1, 0.9])
         assert ok.psi_infinity_bound(cost, tgt, 1e-12) == pytest.approx(4.0, abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.0, math.inf])
+    def test_lambda_positive_and_finite_required(self, lam):
+        cost = ok.CostMatrix.from_entries([[4.0, 0.0], [1.0, 2.0]])
+        tgt = ok.from_points([[0.0], [1.0]], [0.1, 0.9])
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
+            ok.psi_infinity_bound(cost, tgt, lam)
 
     def test_converged_potentials_respect_bound(self):
         for seed in (4, 5, 6, 7):
