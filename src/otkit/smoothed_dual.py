@@ -125,7 +125,7 @@ def _psi_array(psi) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _checked_rows(psi, cost: CostMatrix, lam) -> "_DenseRows":
+def _checked_rows(psi, cost: CostMatrix, lam) -> _DenseRows:
     """The public functions' dense pass at ``psi``, once ``lam`` is checked."""
     return _DenseRows(_psi_array(psi), cost.entries, _check_lam(lam))
 
