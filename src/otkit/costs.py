@@ -1,14 +1,18 @@
-"""Dense pairwise cost matrices, their grid factors, and the range-centering
+"""Pairwise cost matrices, their grid factors, and the range-centering
 transform.
 
-Costs are stored dense, row-major, with source atoms indexing rows; all
-solver reductions are per-row. Matrices are immutable after construction.
+Costs are m x n, row-major, with source atoms indexing rows; all solver
+reductions are per-row. Costs are immutable after construction.
 
 When both measures of a squared Euclidean cost are full Cartesian grids in
-two or more dimensions (in any atom order), the cost also carries its
-:class:`GridFactors`: ``c_ij`` is a constant plus one small per-axis term per
-coordinate. The solvers use them to evaluate their log-domain passes one axis
-at a time; ``entries`` stays dense for everything else.
+two or more dimensions (in any atom order), the cost keeps only its
+:class:`GridFactors` and extrema: ``c_ij`` is a constant plus one small
+per-axis term per coordinate. The solvers evaluate their log-domain passes
+from them one axis at a time, and ``center`` shifts only the constant. The
+dense ``entries`` of such a cost are formed, bitwise as for a cost without
+factors, only when something reads them: kernel mode, the exact oracle, the
+text export and the dense public functions. Every other builder stores its
+entries dense.
 """
 
 from __future__ import annotations
@@ -58,6 +62,13 @@ class GridFactors:
         """Factors of the transposed cost, target atoms indexing rows."""
         return GridFactors(tuple(a.T for a in self.axes), self.cols, self.rows, self.offset)
 
+    def same_axes(self, other: "GridFactors") -> bool:
+        """Whether ``other`` has these axis terms and grid indices, so that
+        the two costs differ by the difference of their offsets alone."""
+        mine, theirs = (*self.axes, self.rows, self.cols), (*other.axes, other.rows, other.cols)
+        return len(mine) == len(theirs) and all(
+            a is b or np.array_equal(a, b) for a, b in zip(mine, theirs))
+
 
 def _grid_layout(points: np.ndarray):
     """Per-axis sorted coordinates and each atom's flat grid index, or None
@@ -89,29 +100,40 @@ def _grid_factors(source: DiscreteMeasure, target: DiscreteMeasure) -> GridFacto
     return GridFactors(axes, rows, cols)
 
 
-@dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Dense m x n matrix of transport costs with cached extrema.
+    """m x n matrix of transport costs with cached extrema.
 
     ``c_min``/``c_max`` are the matrix minimum/maximum and ``spread`` is the
     range ``c_max - c_min`` used to pick the smoothing scale. ``grid`` holds
     the separable factors of the same costs when they are known
     (:func:`squared_euclidean` between full grids), else None.
+
+    ``entries`` is the dense array, or, for a cost with ``grid``, a function
+    that forms it: it is then called on the first read of ``entries`` and
+    its result kept, and until then the cost holds only its factors and
+    extrema. Every entry lies between the extrema, so such a cost is finite
+    when they and the axis terms are.
     """
 
-    entries: np.ndarray
-    c_min: float
-    c_max: float
-    grid: GridFactors | None = None
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
+    def __init__(self, entries, c_min: float, c_max: float, grid: GridFactors | None = None):
+        self.c_min, self.c_max, self.grid = c_min, c_max, grid
+        if callable(entries):
+            if grid is None:
+                raise ValueError("only a cost with grid factors forms its entries on demand")
+            if not (math.isfinite(c_min) and math.isfinite(c_max)
+                    and all(np.isfinite(A).all() for A in grid.axes)):
+                raise ValueError("cost entries must be finite")
+            self._entries, self._form = None, entries
+            self.shape = (grid.rows.size, grid.cols.size)
+            return
+        entries = np.asarray(entries, dtype=float)
         if entries.ndim != 2 or entries.size == 0:
             raise ValueError("cost entries must be a nonempty 2D array")
         if not np.all(np.isfinite(entries)):
             raise ValueError("cost entries must be finite")
         entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        self._entries, self._form = entries, None
+        self.shape = entries.shape
 
     @classmethod
     def from_entries(cls, entries) -> "CostMatrix":
@@ -119,13 +141,23 @@ class CostMatrix:
         return cls(entries, float(entries.min()), float(entries.max()))
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+    def entries(self) -> np.ndarray:
+        """The dense m x n costs, formed on the first read if not held."""
+        if self._entries is None:
+            entries = self._form()
+            entries.flags.writeable = False
+            self._entries, self._form = entries, None
+        return self._entries
 
     @property
     def spread(self) -> float:
         """Cost range ``c_max - c_min``."""
         return self.c_max - self.c_min
+
+
+def _check_dimensions(source: DiscreteMeasure, target: DiscreteMeasure) -> None:
+    if source.dimension != target.dimension:
+        raise ValueError("dimension mismatch: %d vs %d" % (source.dimension, target.dimension))
 
 
 def _squared_distances(source: DiscreteMeasure, target: DiscreteMeasure) -> np.ndarray:
@@ -137,8 +169,7 @@ def _squared_distances(source: DiscreteMeasure, target: DiscreteMeasure) -> np.n
     matrix allocates one m x n array.
     """
     x, y = source.points, target.points
-    if source.dimension != target.dimension:
-        raise ValueError("dimension mismatch: %d vs %d" % (source.dimension, target.dimension))
+    _check_dimensions(source, target)
     m, n = source.size, target.size
     out = np.empty((m, n))
     np.subtract(x[:, 0, None], y[None, :, 0], out=out)
@@ -158,12 +189,20 @@ def _squared_distances(source: DiscreteMeasure, target: DiscreteMeasure) -> np.n
 def squared_euclidean(source: DiscreteMeasure, target: DiscreteMeasure) -> CostMatrix:
     """Cost ``c_ij = ||x_i - y_j||^2``, bitwise equal to a naive double loop.
 
-    Between two full grids in two or more dimensions the result carries its
-    :class:`GridFactors`.
+    Between two full grids in two or more dimensions the result keeps only
+    its :class:`GridFactors` and forms its entries on first read. Its
+    extrema are then the per-axis extrema summed in axis order: every
+    combination of axis terms occurs and rounded addition is monotone, so
+    they are bitwise those of the summed entries.
     """
-    entries = _squared_distances(source, target)
-    return CostMatrix(entries, float(entries.min()), float(entries.max()),
-                      _grid_factors(source, target))
+    _check_dimensions(source, target)
+    grid = _grid_factors(source, target)
+    if grid is None:
+        entries = _squared_distances(source, target)
+        return CostMatrix(entries, float(entries.min()), float(entries.max()))
+    return CostMatrix(lambda: _squared_distances(source, target),
+                      sum(float(A.min()) for A in grid.axes),
+                      sum(float(A.max()) for A in grid.axes), grid)
 
 
 def power_cost(source: DiscreteMeasure, target: DiscreteMeasure, p: float) -> CostMatrix:
@@ -182,8 +221,7 @@ def spherical(source: DiscreteMeasure, target: DiscreteMeasure) -> CostMatrix:
     Inner products are clamped to [-1, 1] before arccos so rounding never
     produces NaN.
     """
-    if source.dimension != target.dimension:
-        raise ValueError("dimension mismatch: %d vs %d" % (source.dimension, target.dimension))
+    _check_dimensions(source, target)
     for name, mea in (("source", source), ("target", target)):
         norms = np.linalg.norm(mea.points, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
@@ -199,14 +237,28 @@ def center(cost: CostMatrix) -> CostMatrix:
 
     A constant shift leaves optimal plans (and per-row argmaxes of
     ``psi_j - c_ij``) unchanged while making the best use of the exponent
-    range available to ``exp(-c/lam)``.
+    range available to ``exp(-c/lam)``. A cost with grid factors shifts only
+    their offset; its entries, if read, are the old ones less the midpoint,
+    formed then.
     """
     mid = (cost.c_max + cost.c_min) / 2.0
-    entries = cost.entries - mid
-    grid = None if cost.grid is None else replace(cost.grid, offset=cost.grid.offset - mid)
     # Subtracting a constant rounds monotonically, so the shifted extrema are
     # those of the shifted entries, without two more m x n scans.
-    return CostMatrix(entries, float(cost.c_min - mid), float(cost.c_max - mid), grid)
+    c_min, c_max = float(cost.c_min - mid), float(cost.c_max - mid)
+    if cost.grid is None:
+        return CostMatrix(cost.entries - mid, c_min, c_max)
+    return CostMatrix(lambda: _shifted(cost, mid), c_min, c_max,
+                      replace(cost.grid, offset=cost.grid.offset - mid))
+
+
+def _shifted(cost: CostMatrix, mid: float) -> np.ndarray:
+    """A fresh ``cost.entries - mid``, which leaves unformed entries of
+    ``cost`` unformed and unkept."""
+    if cost._entries is not None:
+        return cost._entries - mid
+    entries = cost._form()
+    entries -= mid
+    return entries
 
 
 def save_cost_text(cost: CostMatrix, path) -> None:

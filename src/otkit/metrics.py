@@ -7,18 +7,16 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .costs import CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import TransportPlan, _marginal_dev
+from .smoothed_dual import TransportPlan, _check_lam, _marginal_dev
 
 
 def plan_cost(plan: TransportPlan, cost: CostMatrix) -> float:
-    """Total transport cost ``<P, C> = sum_ij p_ij c_ij``, with no m x n temporary."""
-    if plan.entries.shape != cost.shape:
-        raise ValueError("plan and cost shapes do not match")
-    return float(np.einsum("ij,ij->", plan.entries, cost.entries))
+    """Total transport cost ``<P, C> = sum_ij p_ij c_ij``, with no m x n
+    temporary; a factored plan against a cost with its grid axes reads its
+    own terms and forms no entries."""
+    return plan.transport_cost(cost)
 
 
 def marginal_deviation(plan: TransportPlan, source: DiscreteMeasure,
@@ -27,9 +25,10 @@ def marginal_deviation(plan: TransportPlan, source: DiscreteMeasure,
 
         D(P) = ||P 1 - mu||_1 + ||P^T 1 - nu||_1
 
-    Zero exactly when the plan has the prescribed marginals.
+    Zero exactly when the plan has the prescribed marginals. A factored
+    plan gives its sums without forming its entries.
     """
-    if plan.entries.shape != (source.size, target.size):
+    if plan.shape != (source.size, target.size):
         raise ValueError("plan shape does not match the measures")
     return _marginal_dev(plan.row_sums(), plan.col_sums(), source.weights, target.weights)
 
@@ -49,6 +48,7 @@ def theorem8_gap(final_energy: float, oracle_cost: float, lam: float, n: int,
     ``solver_slack`` is an explicit extra allowance for the solver's own
     suboptimality since ``psi_final`` only approximates that optimizer.
     """
+    _check_lam(lam)
     bound = 2.0 * lam * math.log(n)
     gap = final_energy + oracle_cost
     within = -1e-10 <= gap <= bound + solver_slack

@@ -11,35 +11,42 @@ shift is the row maximum of ``psi_j - c_ij`` (the c-transform), so any
 finite smoothing scale ``lam > 0`` is representable; ``lam`` is checked where
 it enters (``SmoothingParams``, the public functions, the solvers' set-up),
 not in the pass. The exact c-transform alone, as ``c_transform`` and
-``energy`` take it, comes from ``_row_max``, a block of rows at a time
-without an m x n array; FISTA's rescaled passes take it over each row's
-candidate columns where their weights certify it, and from ``_row_max``
-elsewhere. Given the multiplicative kernel ``K = exp(-C/lam)`` the pass
-returns ``K * exp(psi/lam)`` with zero shift; only the solvers' opt-in kernel
-mode takes this path, to expose its overflow behavior.
+``energy`` take it on a dense cost, comes from ``_row_max``, a block of rows
+at a time without an m x n array; FISTA's rescaled passes take it over each
+row's candidate columns where their weights certify it, and from
+``_row_max`` elsewhere. Given the multiplicative kernel ``K = exp(-C/lam)``
+the pass returns ``K * exp(psi/lam)`` with zero shift; only the solvers'
+opt-in kernel mode takes this path, to expose its overflow behavior.
 
 Each kind of pass is one class that builds what it reads, and the solvers
 read only a few reductions of it: the shift, the row sums, the scaled column
 sums and the plan's cost (the marginal deviation follows from the sums
 through ``_marginal_dev``), and, for FISTA's hard E, the exact c-transform.
-``_DenseRows`` is the dense m x n pass at one potential; the public functions
-read it too. For a cost with grid factors in the log domain ``_GridRows``
-gives the same reductions from one stage per grid axis, without an m x n
-array; each solve builds one per cost orientation, which builds its stages
-once, and calls it at every new potential. A stage is a matrix product with
-the axis kernel ``exp(-A_k/lam)``, stabilized by the maximum over the summed
-axis, while that kernel stays a normal float
-(``max(A_k)/lam <= _PRODUCT_MAX``, about 690); otherwise it is a
-log-sum-exp over the ``q x r x p`` exponents. Such a pass is stabilized by
+``_DenseRows`` is the dense m x n pass at one potential; the smoothed public
+functions read it too, and form a grid cost's entries to do so. For a cost
+with grid factors in the log domain ``_GridRows`` gives the same reductions
+from one stage per grid axis, and reads no cost entries; each solve builds
+one per cost orientation, which builds its stages once, and calls it at
+every new potential. A stage is a matrix product with the axis kernel
+``exp(-A_k/lam)``, stabilized by the maximum over the summed axis, while
+that kernel stays a normal float (``max(A_k)/lam <= _PRODUCT_MAX``, about
+690); otherwise it is a log-sum-exp over the ``q x r x p`` exponents. Such a pass is stabilized by
 its own log-sum-exp rather than by the c-transform, which is a separate
-max-plus chain that only FISTA's E reads. The two kinds of stage sum in
-different orders, so their results agree to rounding, not bitwise.
+max-plus chain that FISTA's E reads, and ``c_transform`` and ``energy`` on a
+grid cost. The two kinds of stage sum in different orders, so their results
+agree to rounding, not bitwise.
+
+A grid pass returns its plan factored (``_GridRows.plan``), as both solvers
+and ``recover_plan`` do on a grid cost: a :class:`TransportPlan` whose row
+sums, column sums and ``<P, C>`` are the chains' (``_PlanTerms``), and whose
+entries are formed, from the cost's entries, only when read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,29 +102,83 @@ class SmoothingParams:
         return cls(cost.spread / T)
 
 
-@dataclass(frozen=True, eq=False)
+def _checked_plan(entries) -> np.ndarray:
+    entries = np.asarray(entries, dtype=float)
+    if entries.ndim != 2:
+        raise ValueError("plan must be a 2D array")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("plan entries must be finite")
+    if np.any(entries < 0.0):
+        raise ValueError("plan entries must be >= 0")
+    entries.flags.writeable = False
+    return entries
+
+
+class _PlanTerms(NamedTuple):
+    """A factored plan's reductions: its row and column sums, and its cost
+    ``<P, C> = axis_cost + offset * mass`` against every cost whose grid
+    factors have the axes of ``grid`` (:meth:`GridFactors.same_axes`),
+    whatever their ``offset``."""
+
+    row_sums: np.ndarray
+    col_sums: np.ndarray
+    grid: GridFactors | None
+    axis_cost: float
+    mass: float
+
+    @property
+    def T(self) -> "_PlanTerms":
+        """The terms of the transposed plan."""
+        grid = None if self.grid is None else self.grid.T
+        return _PlanTerms(self.col_sums, self.row_sums, grid, self.axis_cost, self.mass)
+
+
 class TransportPlan:
-    """Dense nonnegative coupling. Row sums approximate (or equal) the source
-    weights, column sums the target weights."""
+    """Nonnegative coupling. Row sums approximate (or equal) the source
+    weights, column sums the target weights.
 
-    entries: np.ndarray
+    ``entries`` is the dense array, or a function that forms it, given with
+    the plan's reductions ``terms``. A grid solve returns such a factored
+    plan: its sums and its cost against the grid cost come from the solve's
+    chains, and its entries are formed, checked and kept only when read.
+    """
 
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2:
-            raise ValueError("plan must be a 2D array")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("plan entries must be finite")
-        if np.any(entries < 0.0):
-            raise ValueError("plan entries must be >= 0")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries, terms: _PlanTerms | None = None):
+        self._terms = terms
+        if not callable(entries):
+            self._entries, self._form = _checked_plan(entries), None
+            self.shape = self._entries.shape
+            return
+        for sums in terms[:2]:
+            if not np.all(np.isfinite(sums)):
+                raise ValueError("plan sums must be finite")
+            sums.flags.writeable = False
+        self._entries, self._form = None, entries
+        self.shape = (terms.row_sums.size, terms.col_sums.size)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense plan, formed on the first read if not held."""
+        if self._entries is None:
+            self._entries, self._form = _checked_plan(self._form()), None
+        return self._entries
 
     def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
+        return self.entries.sum(axis=1) if self._terms is None else self._terms.row_sums
 
     def col_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=0)
+        return self.entries.sum(axis=0) if self._terms is None else self._terms.col_sums
+
+    def transport_cost(self, cost: CostMatrix) -> float:
+        """``<P, C> = sum_ij p_ij c_ij``: from the plan's terms for a cost
+        with the same grid axes, else with no m x n temporary."""
+        if self.shape != cost.shape:
+            raise ValueError("plan and cost shapes do not match")
+        terms = self._terms
+        grid = None if terms is None else terms.grid
+        if grid is not None and cost.grid is not None and cost.grid.same_axes(grid):
+            return terms.axis_cost + cost.grid.offset * terms.mass
+        return float(np.einsum("ij,ij->", self.entries, cost.entries))
 
 
 def _psi_array(psi) -> np.ndarray:
@@ -287,12 +348,20 @@ def _grid_mean_cost(weights, stages) -> np.ndarray:
     return mean.ravel()
 
 
+def _grid_max(u, stages) -> np.ndarray:
+    """The max-plus chain ``max_j (u_j - sum_k B_k[a_k, b_k(j)])``, staged
+    as :func:`_grid_lse`."""
+    for stage in stages:
+        u = stage.max(_leading(u, stage))
+    return u.ravel()
+
+
 class _GridRows:
     """The reductions of :class:`_DenseRows` in the log domain for a cost with
     grid factors, from per-axis stages instead of an m x n pass. One is built
-    per solve and cost orientation, over ``C`` with its ``grid`` factors and
-    the row marginal ``w`` of its rows; calling it at ``psi`` runs the row
-    chain there and returns it. It builds its stages at ``lam`` once: the row
+    per solve and cost orientation, over the cost's ``grid`` factors and the
+    row marginal ``w`` of its rows; calling it at ``psi`` runs the row chain
+    there and returns it. It builds its stages at ``lam`` once: the row
     chain over ``A_k^T / lam`` (target axes summed) and the column chain over
     ``A_k / lam`` (source axes summed), each a matrix product or in the log
     domain as :class:`_AxisStage` decides per axis. It owns a grid buffer for
@@ -308,18 +377,18 @@ class _GridRows:
     from the held ``log w``, so they take ``scale = w`` itself, and
     ``<P, C>`` averages the axis terms under the row chain's own weights. The
     grid offset cancels in ``psi_j - c_ij - shift_i``, so only the reported
-    shifts and ``<P, C>`` carry it. ``C`` is read only by :meth:`plan`,
-    which forms the plan against the same shift.
+    shifts and ``<P, C>`` carry it. The pass reads no cost entries: its
+    :meth:`plan` is factored, and forms its entries only when they are read.
     """
 
-    def __init__(self, C, grid: GridFactors, lam, w):
-        self.C, self.grid, self.lam, self.w = C, grid, lam, w
+    def __init__(self, grid: GridFactors, lam, w):
+        self.grid, self.lam, self.w = grid, lam, w
         self.row = tuple(_AxisStage(A.T / lam) for A in grid.axes)
         self.col = tuple(_AxisStage(A / lam) for A in grid.axes)
         self.sums = np.ones(w.size)
         self._log_w = np.empty(w.size)
         self._log_w[grid.rows] = np.log(w)
-        self._u = np.empty(C.shape[1])
+        self._u = np.empty(grid.cols.size)
 
     def __call__(self, psi) -> "_GridRows":
         """The pass at ``psi``: one scatter of ``psi / lam`` and the row chain."""
@@ -331,12 +400,8 @@ class _GridRows:
         return self
 
     def c_transform(self) -> np.ndarray:
-        """The max-plus chain ``max_j (u_j - sum_k B_k[a_k, b_k(j)])``,
-        staged as :func:`_grid_lse`."""
-        u = self._u
-        for stage in self.row:
-            u = stage.max(_leading(u, stage))
-        return self.lam * u.ravel()[self.grid.rows] - self.grid.offset
+        """The max-plus chain ``max_j (u_j - sum_k B_k[a_k, b_k(j)])``."""
+        return self.lam * _grid_max(self._u, self.row)[self.grid.rows] - self.grid.offset
 
     def col_sums(self, scale) -> np.ndarray:
         """Column sums of ``P``; ``scale`` must be the pass's own ``w``."""
@@ -345,14 +410,21 @@ class _GridRows:
         lse, _ = _grid_lse(self._log_w - self._lse, self.col)
         return np.exp((self._u + lse)[self.grid.cols])
 
-    def plan_cost(self, scale, offset: float) -> float:
+    def _cost_terms(self, scale) -> tuple[float, float]:
+        """``<P, C>`` without the grid offset, and ``sum(P)``."""
         mean = self.lam * _grid_mean_cost(self._weights, self.row)[self.grid.rows]
-        return float(scale @ mean) + (self.grid.offset + offset) * float(scale @ self.sums)
+        return float(scale @ mean), float(scale @ self.sums)
 
-    def plan(self, scale) -> np.ndarray:
-        weights = _exp_rows(self.psi[None, :] - self.C, self.shift, self.lam)
-        weights *= scale[:, None]
-        return weights
+    def plan_cost(self, scale, offset: float) -> float:
+        axis_cost, mass = self._cost_terms(scale)
+        return axis_cost + (self.grid.offset + offset) * mass
+
+    def plan(self, scale, form, transposed: bool = False) -> TransportPlan:
+        """``P`` factored: its sums and cost terms from the chains, and
+        ``form()`` for its dense entries (``P.T`` with ``transposed``)."""
+        terms = _PlanTerms(scale * self.sums, self.col_sums(scale), self.grid,
+                           *self._cost_terms(scale))
+        return TransportPlan(form, terms.T if transposed else terms)
 
 
 def _row_max(psi: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -371,8 +443,19 @@ def _row_max(psi: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def c_transform(psi, cost: CostMatrix) -> np.ndarray:
-    """Per-row conjugate ``max_j (psi_j - c_ij)``, one value per source atom."""
-    return _row_max(_psi_array(psi), cost.entries)
+    """Per-row conjugate ``max_j (psi_j - c_ij)``, one value per source atom.
+
+    On a cost with grid factors it is the max-plus chain over the axes,
+    which subtracts one axis term at a time and so agrees with the dense
+    maximum to rounding; otherwise it is taken over ``entries``.
+    """
+    psi = _psi_array(psi)
+    grid = cost.grid
+    if grid is None:
+        return _row_max(psi, cost.entries)
+    u = np.empty(grid.cols.size)
+    u[grid.cols] = psi
+    return _grid_max(u, [_AxisStage(A.T) for A in grid.axes])[grid.rows] - grid.offset
 
 
 def smoothed_c_transform(psi, cost: CostMatrix, lam: float) -> np.ndarray:
@@ -476,7 +559,20 @@ def recover_plan(
 
     Row sums equal the source weights by construction (up to rounding); at the
     smoothed optimizer the column sums match the target weights as well.
-    Invariant under ``psi -> psi + k * 1``.
+    Invariant under ``psi -> psi + k * 1``. On a cost with grid factors the
+    plan is factored: its sums and ``<P, C>`` come from a grid pass at
+    ``psi``, and its entries, when read, from the dense pass, as on a cost
+    without factors.
     """
-    rows = _checked_rows(psi, cost, lam)
-    return TransportPlan(rows.plan(source.weights / rows.sums))
+    mu = source.weights
+    if cost.grid is None:
+        rows = _checked_rows(psi, cost, lam)
+        return TransportPlan(rows.plan(mu / rows.sums))
+    psi = _psi_array(psi).copy()
+
+    def form():
+        rows = _DenseRows(psi, cost.entries, lam)
+        return rows.plan(mu / rows.sums)
+
+    # A grid pass's row sums are one, so mu / sums is mu itself.
+    return _GridRows(cost.grid, _check_lam(lam), mu)(psi).plan(mu, form)

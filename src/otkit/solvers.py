@@ -14,10 +14,13 @@ plan is built once, after the last iteration. On its absorbed iterations
 (below) the <P, C> of due rows is taken in batches, one m x n pass for up to
 ``_COST_BATCH`` rows, so such a row reaches the trace up to one batch late.
 For a cost with grid factors (squared Euclidean between full grids) in the
-log domain the passes come from per-axis stages and no m x n array is touched
-until the plan is formed; otherwise, and always in kernel mode, from the
-dense pass, ``smoothed_dual._DenseRows``. ``_setup`` checks ``lam`` and
-hands on the cost's grid factors outside kernel mode. Each solve then builds
+log domain the passes come from per-axis stages and no m x n array is
+touched: the cost's entries are not read, and the returned plan is factored,
+its sums and <P, C> from the chains and its entries formed only when read.
+Otherwise, and always in kernel mode, they come from the dense pass,
+``smoothed_dual._DenseRows``. ``_setup`` checks ``lam`` and hands on the
+cost's grid factors outside kernel mode, and its dense entries (with kernel
+mode's ``K``) only without them. Each solve then builds
 one ``smoothed_dual._GridRows`` per cost orientation, FISTA over ``C`` and
 Sinkhorn over ``C`` and ``C.T``, which builds its axis kernels once and
 decides, per axis, whether its stages run as matrix products
@@ -66,8 +69,9 @@ import numpy as np
 
 from .costs import _BLOCK_BYTES, CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import (Potential, TransportPlan, _check_lam, _DenseRows, _GridRows,
-                            _marginal_dev, _row_max, project_H, recover_plan)
+from .smoothed_dual import (Potential, TransportPlan, _check_lam, _DenseRows, _exp_rows,
+                            _GridRows, _marginal_dev, _PlanTerms, _row_max, project_H,
+                            recover_plan)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -249,16 +253,19 @@ class _StopRule:
 
 
 def _setup(source, target, cost: CostMatrix, lam: float, kernel_mode: bool):
-    """Both solvers' checked ``lam``, ``mu``, ``nu``, ``C``, kernel-mode
-    ``K = exp(-C/lam)`` and, for a log-domain pass, the cost's grid factors
-    (None without them)."""
+    """Both solvers' checked ``lam``, ``mu``, ``nu``, and either, for a
+    log-domain pass on a cost with grid factors, those factors, or the dense
+    ``C`` and kernel-mode ``K = exp(-C/lam)``; the others are None. A grid
+    solve thus reads no cost entries."""
     _check_lam(lam)
-    mu, nu, C = source.weights, target.weights, cost.entries
-    if (mu.size, nu.size) != C.shape:
+    mu, nu = source.weights, target.weights
+    if (mu.size, nu.size) != cost.shape:
         raise ValueError("measure sizes do not match the cost matrix")
+    grid = None if kernel_mode else cost.grid
+    C = None if grid is not None else cost.entries
     with np.errstate(over="ignore"):
         K = np.exp(-C / lam) if kernel_mode else None
-    return mu, nu, C, K, None if K is not None else cost.grid
+    return mu, nu, C, K, grid
 
 
 def fista_solve(
@@ -293,7 +300,8 @@ def fista_solve(
     iteration. A grid cost calls the solve's :class:`_GridRows` at every
     ``psi_t``: one scatter of ``psi/lam``, the row chain, the max-plus chain
     for E, and the column chain of ``log mu`` held in grid order for the
-    gradient.
+    gradient. The plan is :func:`recover_plan`'s at the returned potential,
+    factored on a grid cost.
 
     A due row read from the kernel is queued with its E, E_lambda, D and
     wall-clock stamp; its <P, C> comes from one blocked pass over
@@ -317,7 +325,7 @@ def fista_solve(
     t = 0
 
     offset = config.cost_offset
-    grid_rows = None if grid is None else _GridRows(C, grid, lam, mu)
+    grid_rows = None if grid is None else _GridRows(grid, lam, mu)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
             # One row pass at psi_t gives E_lambda, the gradient and the plan,
@@ -369,7 +377,7 @@ def fista_solve(
             theta = theta_new
             t += 1
 
-    # Drop the kernel (and the grid pass's stage weights): the plan formed
+    # Drop the kernel (and the grid pass's stage weights): a dense plan formed
     # below is then the one m x n array.
     rows = absorbed = grid_rows = None
     potential = Potential(project_H(z), normalized=True)
@@ -653,7 +661,8 @@ def sinkhorn_solve(
     solve's two :class:`_GridRows`, over ``C`` and ``C.T``, so it is iterated
     one axis at a time, as in :func:`fista_solve` but with no max-plus chain;
     the row sums are one, so ``log(sums)`` is 0 and ``nu / sums`` is ``nu``.
-    Its plan is formed once, on return, against the last pass's own shift.
+    Its plan is returned factored, from the column half's last pass: its
+    entries, when read, are formed against that pass's own shift.
 
     On a dense cost in the log domain both halves write their passes into
     the one ``(2n, m)`` buffer of :class:`_AbsorbedKernel`, allocated once
@@ -675,7 +684,8 @@ def sinkhorn_solve(
     The default path is log-domain (stable for any ``lam > 0``);
     ``kernel_mode`` hands the pass the multiplicative kernel, whose overflow
     at small ``lam`` makes ``g`` or <P, C> non-finite, so the run ends as a
-    ``numerical_failure`` and the returned plan is all zeros. ``cost_offset``
+    ``numerical_failure`` and the returned plan is all zeros, factored, so
+    that its entries are formed only when read. ``cost_offset``
     is as in :class:`FistaConfig`. ``potentials`` are the ``(f, g)`` of the
     returned plan ``exp((f_i + g_j - c_ij)/lam)`` over ``cost``; after an
     absorbed iteration they are ``f + lam log u`` and ``g + lam log v``. On a
@@ -685,15 +695,17 @@ def sinkhorn_solve(
     """
     mu, nu, C, K, grid = _setup(source, target, cost, lam, kernel_mode)
     rule = _StopRule(max_iters, stop_rel_tol, trace_every)
-    m, n = C.shape
+    m, n = cost.shape
     log_mu = np.log(mu)
     log_nu = np.log(nu)
-    CT = C.T
-    KT = None if K is None else K.T
-    kernel = _AbsorbedKernel(CT) if K is None and grid is None else None
-    row_out, col_out = (None, None) if kernel is None else kernel.halves
     if grid is not None:
-        row_pass, col_pass = _GridRows(C, grid, lam, mu), _GridRows(CT, grid.T, lam, nu)
+        row_pass, col_pass = _GridRows(grid, lam, mu), _GridRows(grid.T, lam, nu)
+        kernel = row_out = col_out = None
+    else:
+        CT = C.T
+        KT = None if K is None else K.T
+        kernel = _AbsorbedKernel(CT) if K is None else None
+        row_out, col_out = (None, None) if kernel is None else kernel.halves
     f, g = np.zeros(m), np.zeros(n)
 
     t = 0
@@ -734,7 +746,18 @@ def sinkhorn_solve(
             kernel.absorb(scale)
 
     if not finite:
-        return SinkhornResult(TransportPlan(np.zeros((m, n))), rule.trace, last)
+        zeros = _PlanTerms(np.zeros(m), np.zeros(n), grid, 0.0, 0.0)
+        return SinkhornResult(TransportPlan(lambda: np.zeros((m, n)), zeros), rule.trace, last)
+    if grid is not None:
+        # The column half's plan, against its own shift when formed.
+        shift = half.shift
+
+        def form():
+            plan_t = _exp_rows(f[None, :] - cost.entries.T, shift, lam)
+            plan_t *= nu[:, None]
+            return plan_t.T
+
+        return SinkhornResult(half.plan(nu, form, transposed=True), rule.trace, (f, g))
     if kernel is not None:
         # Drop every other view of the kernel's buffer, so the plan can shrink it.
         half, row_out, col_out = kernel, None, None
@@ -752,7 +775,8 @@ def corollary9_iteration_bound(psi_star_norm: float, lam: float, epsilon: float)
 
     ``psi_star_norm`` is the Euclidean norm of the zero-mean optimizer.
     """
-    if not (psi_star_norm > 0.0 and lam > 0.0 and epsilon > 0.0):
+    _check_lam(lam)
+    if not (psi_star_norm > 0.0 and epsilon > 0.0):
         raise ValueError("all arguments must be > 0")
     return math.ceil(math.sqrt(2.0 * psi_star_norm * psi_star_norm / (lam * epsilon)))
 

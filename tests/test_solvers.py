@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otkit as ok
-from otkit import smoothed_dual, solvers
+from otkit import costs, smoothed_dual, solvers
 from otkit.smoothed_dual import _GridRows, _marginal_dev
 from helpers import (criterion1_instance, grid_measure, random_point_instance,
                      reference_optimum, small_random_instance, traced_memory)
@@ -436,7 +436,7 @@ def plain_grid_fista(src, tgt, cost, lam, config):
     rows, previous = [], None
     for t in range(config.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows_t = _GridRows(cost.entries, cost.grid, lam, mu)(psi)
+            rows_t = _GridRows(cost.grid, lam, mu)(psi)
             nu_psi = nu @ psi
             e_shift = float(mu @ rows_t.shift - nu_psi) - offset
             e = float(mu @ rows_t.c_transform() - nu_psi) - offset
@@ -479,6 +479,20 @@ def count_grid_passes(monkeypatch):
             return _plain(self, *args)
         monkeypatch.setattr(_GridRows, name, spy)
     return events
+
+
+def count_entry_forms(monkeypatch):
+    """Record every dense squared-distance array built, which forming the
+    entries of a grid cost (or of a plan over one) takes."""
+    calls = []
+    plain = costs._squared_distances
+
+    def spy(*args):
+        calls.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(costs, "_squared_distances", spy)
+    return calls
 
 
 def row_pass_instance(path, rng):
@@ -664,7 +678,8 @@ class TestAbsorbedRows:
     def test_row_passes(self, path, rng, monkeypatch):
         # Only the dense log-domain loop absorbs; kernel mode runs one pass
         # every iteration, and a grid cost one call of the one grid pass
-        # the solve builds.
+        # the solve builds, then recover_plan one grid pass at the returned
+        # potential for the factored plan.
         src, tgt, cost, lam = row_pass_instance(path, rng)
         passes = count_row_passes(monkeypatch)
         grid = count_grid_passes(monkeypatch)
@@ -676,7 +691,8 @@ class TestAbsorbedRows:
         elif path == "kernel_mode":
             assert len(passes) == result.trace.n_iterations + 1 and not grid
         else:
-            assert grid == ["built"] + ["called"] * (result.trace.n_iterations + 1)
+            assert grid == (["built"] + ["called"] * (result.trace.n_iterations + 1)
+                            + ["built", "called"])
             assert not passes
 
     @pytest.mark.parametrize("cost_scale, lam, eta, passes", [(3000.0, 1e-3, 20.0, 15),
@@ -968,7 +984,7 @@ class TestGridCosts:
         _, src, tgt, original = self.synthetic_image()
         cost = ok.center(original)
         lam = cost.spread / T
-        stages = _GridRows(cost.entries, cost.grid, lam, src.weights).row
+        stages = _GridRows(cost.grid, lam, src.weights).row
         assert [s.product for s in stages] == [product, product]
         result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=200, stop_rel_tol=1e-300)
         assert result.trace.status == ok.MAX_ITERS
@@ -993,7 +1009,7 @@ class TestGridCosts:
         assert not np.array_equal(grid.rows, np.arange(src.size))
         assert not np.array_equal(grid.cols, np.arange(tgt.size))
         lam = cost.spread / T
-        stages = _GridRows(cost.entries, grid, lam, src.weights).row
+        stages = _GridRows(grid, lam, src.weights).row
         assert [s.product for s in stages] == [product, product]
         return config, src, tgt, cost, (original.c_max + original.c_min) / 2.0, lam
 
@@ -1036,9 +1052,9 @@ class TestGridCosts:
         g, previous, rows = np.zeros(nu.size), None, []
         for t in range(1, max_iters + 1):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                half = _GridRows(C, cost.grid, lam, mu)(g)
+                half = _GridRows(cost.grid, lam, mu)(g)
                 f = lam * (np.log(mu) - np.log(half.sums)) - half.shift
-                half = _GridRows(C.T, cost.grid.T, lam, nu)(f)
+                half = _GridRows(cost.grid.T, lam, nu)(f)
                 g = lam * (np.log(nu) - np.log(half.sums)) - half.shift
                 scale = nu / half.sums
                 assert scale.tobytes() == nu.tobytes()
@@ -1054,15 +1070,18 @@ class TestGridCosts:
             assert np.array(getattr(trace, column)).tobytes() == np.array(expected).tobytes()
         for actual, expected in zip(result.potentials, (f, g), strict=True):
             assert actual.tobytes() == expected.tobytes()
-        assert result.plan.entries.tobytes() == half.plan(scale).T.tobytes()
+        # The plan the column half's pass formed against its own shift.
+        expected = smoothed_dual._exp_rows(f[None, :] - C.T, half.shift, lam)
+        expected *= scale[:, None]
+        assert result.plan.entries.tobytes() == expected.T.tobytes()
 
     @pytest.mark.parametrize("T", [700.0, 5000.0], ids=["product_stages", "log_domain_stages"])
     @pytest.mark.parametrize("name", sorted(SOLVES))
     def test_no_plan_array_before_the_plan(self, name, T):
-        # On a 20 x 20 grid pair the loop holds O(m + n) values, so the peak
-        # is the returned plan and the pass that forms it (measured: FISTA
-        # 1.41 and 1.39 arrays, Sinkhorn 1.21 and 1.29); a second m x n
-        # array alive would read 2.
+        # On a 20 x 20 grid pair the loop holds O(m + n) values and per-axis
+        # stages, and the returned plan is factored, so the peak stays below
+        # one m x n array (measured: FISTA 0.32 and 0.57 arrays, Sinkhorn
+        # 0.17 and 0.50); a dense plan formed on return read 1.2 to 1.4.
         _, src, tgt, original = self.synthetic_image(20)
         cost = ok.center(original)
         m, n = cost.shape
@@ -1075,7 +1094,133 @@ class TestGridCosts:
         }
         result, _, peak = traced_memory(solves[name])
         assert result.trace.n_iterations == 200
-        assert peak <= 1.5 * m * n * 8
+        assert peak <= 0.75 * m * n * 8
+
+
+    @pytest.mark.parametrize("instance", ["grid_3d", "sed_28"])
+    def test_grid_extrema_are_the_dense_extrema(self, instance, rng):
+        # A grid cost's extrema are its per-axis extrema summed in axis
+        # order, and bitwise those of its entries (every combination of axis
+        # terms occurs and rounded addition is monotone), before and after
+        # centering, so lam = spread / T is too. Entries formed on demand are
+        # today's arrays: the naive sums, and those less the midpoint.
+        if instance == "grid_3d":
+            src = grid_measure(rng, (3, 4, 2), spacing=0.37, origin=-1.1)
+            tgt = grid_measure(rng, (2, 3, 5), spacing=1.9)
+            T = 700.0
+        else:
+            config, src, tgt, _ = self.synthetic_image(28)
+            T = config.T
+        original = ok.squared_euclidean(src, tgt)
+        centered = ok.center(ok.squared_euclidean(src, tgt))
+        entries = costs._squared_distances(src, tgt)
+        mid = (original.c_max + original.c_min) / 2.0
+        assert centered.entries.tobytes() == (entries - mid).tobytes()
+        assert original.entries.tobytes() == entries.tobytes()
+        for cost in (original, centered):
+            assert cost.grid is not None
+            dense = ok.CostMatrix.from_entries(cost.entries)
+            for name in ("c_min", "c_max", "spread"):
+                assert np.float64(getattr(cost, name)).tobytes() == \
+                    np.float64(getattr(dense, name)).tobytes(), name
+            assert ok.SmoothingParams.from_divisor(cost, T).lam == \
+                ok.SmoothingParams.from_divisor(dense, T).lam
+
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_requested_plan_entries_are_the_dense_arrays(self, name, monkeypatch):
+        # A grid solve returns a factored plan and forms no entries; read,
+        # they are bitwise the arrays the plan was formed as before: FISTA's
+        # dense row-max pass at its potential, Sinkhorn's column half
+        # against the shift of its last grid pass.
+        config, src, tgt, cost, offset, lam = self.relabelled_image(700.0, True)
+        mu, nu = src.weights, tgt.weights
+        forms = count_entry_forms(monkeypatch)
+        if name == "fista":
+            result = ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
+                eta=config.eta, max_iters=400, stop_rel_tol=config.stop_rel_tol,
+                cost_offset=offset))
+        else:
+            result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=400,
+                                       stop_rel_tol=config.stop_rel_tol, cost_offset=offset)
+        assert result.trace.status == ok.CONVERGED and not forms
+        C = cost.entries
+        if name == "fista":
+            psi = result.potential.values
+            expected = psi[None, :] - C
+            expected -= expected.max(axis=1)[:, None]
+            expected /= lam
+            np.exp(expected, out=expected)
+            expected *= (mu / expected.sum(axis=1))[:, None]
+        else:
+            f, _ = result.potentials
+            shift = _GridRows(cost.grid.T, lam, nu)(f).shift
+            expected = f[None, :] - C.T
+            expected -= shift[:, None]
+            expected /= lam
+            np.exp(expected, out=expected)
+            expected *= nu[:, None]
+            expected = expected.T
+        assert result.plan.entries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_benchmark_reductions_form_no_entries(self, name, monkeypatch):
+        # What the benchmark reads of a grid solve, as run_experiment solves
+        # the 12 x 12 sed-paper instance: -E at FISTA's potential and <P, C>
+        # against the uncentered cost, and D. None forms a cost or plan
+        # array, and each agrees with the same quantity taken from the
+        # entries. E and <P, C> agree to 1e-12 relative; D is a difference of
+        # sums of unit mass, so it is compared to 1e-12 of that mass: the
+        # formed entries' column sums carry their own exp rounding, about
+        # 2e-12 of Sinkhorn's D here.
+        forms = count_entry_forms(monkeypatch)
+        config, src, tgt, original = self.synthetic_image()
+        cost = ok.center(original)
+        offset = (original.c_max + original.c_min) / 2.0
+        lam = ok.SmoothingParams.from_divisor(cost, config.T).lam
+        if name == "fista":
+            result = ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
+                eta=config.eta, max_iters=config.max_iters,
+                stop_rel_tol=config.stop_rel_tol, cost_offset=offset))
+            psi = result.potential.values
+            energy = ok.energy(result.potential, src, tgt, original)
+        else:
+            result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=config.max_iters,
+                                       stop_rel_tol=config.stop_rel_tol, cost_offset=offset)
+        pc = ok.plan_cost(result.plan, original)
+        dev = ok.marginal_deviation(result.plan, src, tgt)
+        assert result.trace.status == ok.CONVERGED and not forms
+        C, P = original.entries, result.plan.entries
+        if name == "fista":
+            dense_energy = float(src.weights @ (psi[None, :] - C).max(axis=1)
+                                 - tgt.weights @ psi)
+            assert energy == pytest.approx(dense_energy, rel=1e-12)
+        assert pc == pytest.approx(float(np.einsum("ij,ij->", P, C)), rel=1e-12)
+        assert pc == pytest.approx(ok.plan_cost(ok.TransportPlan(P), original), rel=1e-12)
+        dense_dev = _marginal_dev(P.sum(axis=1), P.sum(axis=0), src.weights, tgt.weights)
+        assert abs(dev - dense_dev) <= 1e-12 * P.sum()
+
+    def test_sinkhorn_at_128_squared_holds_no_cost_or_plan_array(self):
+        # The 128 x 128 sed-paper instance, 16384 atoms a side, whose dense
+        # cost would take 2.1 GB: building and centering the cost, the solve
+        # to the paper stop and the benchmark's reductions of its plan peak
+        # below 1/64 of one m x n array (measured: 0.24 of that).
+        config, src, tgt = self.synthetic_image(128)[:3]
+
+        def run():
+            original = ok.squared_euclidean(src, tgt)
+            cost = ok.center(original)
+            result = ok.sinkhorn_solve(
+                src, tgt, cost, cost.spread / config.T, max_iters=config.max_iters,
+                stop_rel_tol=config.stop_rel_tol,
+                cost_offset=(original.c_max + original.c_min) / 2.0)
+            return (result, ok.plan_cost(result.plan, original),
+                    ok.marginal_deviation(result.plan, src, tgt))
+
+        (result, pc, dev), _, peak = traced_memory(run)
+        assert result.trace.status == ok.CONVERGED
+        assert pc == result.trace.plan_cost[-1]
+        assert dev == pytest.approx(result.trace.marginal_dev[-1], rel=1e-12)
+        assert peak <= src.size * tgt.size * 8 / 64
 
 
 class TestCorollary9Bound:
@@ -1091,6 +1236,12 @@ class TestCorollary9Bound:
     def test_positive_arguments_required(self):
         with pytest.raises(ValueError):
             ok.corollary9_iteration_bound(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -1.0])
+    def test_lambda_positive_and_finite_required(self, lam):
+        # An infinite lam gave a bound of 0 iterations.
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
+            ok.corollary9_iteration_bound(1.0, lam, 1.0)
 
     def test_bound_sufficient_on_random_instance(self, rng):
         src, tgt, cost = small_random_instance(rng, 30, 30)
