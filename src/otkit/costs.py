@@ -11,8 +11,8 @@ per-axis term per coordinate. The solvers evaluate their log-domain passes
 from them one axis at a time, and ``center`` shifts only the constant. The
 dense ``entries`` of such a cost are formed, bitwise as for a cost without
 factors, only when something reads them: kernel mode, the exact oracle, the
-text export and the dense public functions. Every other builder stores its
-entries dense.
+text export and ``hessian_apply``. Every other builder stores its entries
+dense.
 """
 
 from __future__ import annotations

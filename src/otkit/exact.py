@@ -466,7 +466,7 @@ def exact_solve(
         raise ValueError("instance too large for exact oracle (%d cells > %d)" % (m * n, cell_cap))
     state = transportation_simplex(source.weights, target.weights, cost.entries)
     plan = TransportPlan(state.plan)
-    return plan, float(np.einsum("ij,ij->", state.plan, cost.entries))
+    return plan, plan.transport_cost(cost)
 
 
 # ---------------------------------------------------------------------------

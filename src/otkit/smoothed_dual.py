@@ -9,32 +9,34 @@ both solvers' dense log-domain loops only rescale the weights of their last
 one (see ``solvers``). The default path is log-domain: the dense pass's
 shift is the row maximum of ``psi_j - c_ij`` (the c-transform), so any
 finite smoothing scale ``lam > 0`` is representable; ``lam`` is checked where
-it enters (``SmoothingParams``, the public functions, the solvers' set-up),
-not in the pass. The exact c-transform alone, as ``c_transform`` and
-``energy`` take it on a dense cost, comes from ``_row_max``, a block of rows
-at a time without an m x n array; FISTA's rescaled passes take it over each
-row's candidate columns where their weights certify it, and from
-``_row_max`` elsewhere. Given the multiplicative kernel ``K = exp(-C/lam)``
-the pass returns ``K * exp(psi/lam)`` with zero shift; only the solvers'
-opt-in kernel mode takes this path, to expose its overflow behavior.
+it enters (``SmoothingParams``, ``_row_passes``, ``hessian_apply``), not in
+the pass. The exact c-transform alone, as ``c_transform`` and ``energy`` take
+it on a dense cost, comes from ``_row_max``, a block of rows at a time without
+an m x n array; FISTA's rescaled passes take it over each row's candidate
+columns where their weights certify it, and from ``_row_max`` elsewhere.
+Given the multiplicative kernel ``K = exp(-C/lam)`` the pass returns
+``K * exp(psi/lam)`` with zero shift; only the solvers' opt-in kernel mode
+takes this path, to expose its overflow behavior.
 
-Each kind of pass is one class that builds what it reads, and the solvers
-read only a few reductions of it: the shift, the row sums, the scaled column
-sums and the plan's cost (the marginal deviation follows from the sums
-through ``_marginal_dev``), and, for FISTA's hard E, the exact c-transform.
-``_DenseRows`` is the dense m x n pass at one potential; the smoothed public
-functions read it too, and form a grid cost's entries to do so. For a cost
-with grid factors in the log domain ``_GridRows`` gives the same reductions
-from one stage per grid axis, and reads no cost entries; each solve builds
-one per cost orientation, which builds its stages once, and calls it at
-every new potential. A stage is a matrix product with the axis kernel
-``exp(-A_k/lam)``, stabilized by the maximum over the summed axis, while
-that kernel stays a normal float (``max(A_k)/lam <= _PRODUCT_MAX``, about
-690); otherwise it is a log-sum-exp over the ``q x r x p`` exponents. Such a pass is stabilized by
-its own log-sum-exp rather than by the c-transform, which is a separate
-max-plus chain that FISTA's E reads, and ``c_transform`` and ``energy`` on a
-grid cost. The two kinds of stage sum in different orders, so their results
-agree to rounding, not bitwise.
+Every pass has one protocol. ``_row_passes``, the one place that picks the
+kind of pass from the cost, checks ``lam`` and the measure sizes and builds
+one pass per cost orientation, over ``C`` at the source weights ``w`` and
+over ``C.T`` at the target weights. Called at a potential, a pass holds
+``shift``, the row ``sums`` of its weights, ``log_sums`` and
+``scale = w / sums``, and reduces the plan ``P = scale[:, None] * weights``
+without taking a scale (the marginal deviation follows from the sums through
+``_marginal_dev``). ``_DenseRows`` is the dense m x n pass; ``hessian_apply``
+alone builds it on any cost, as it needs the weights matrix. For a cost with
+grid factors in the log domain ``_GridRows`` gives the same reductions from
+one stage per grid axis, which both orientations share, and reads no cost
+entries. A stage is a matrix product with the axis kernel ``exp(-A_k/lam)``,
+stabilized by the maximum over the summed axis, while that kernel stays a
+normal float (``max(A_k)/lam <= _PRODUCT_MAX``, about 690); otherwise it is
+a log-sum-exp over the ``q x r x p`` exponents. Such a pass is stabilized by
+its own log-sum-exp rather than by the c-transform, so its row sums are one;
+the c-transform is a separate max-plus chain that FISTA's E reads, and
+``c_transform`` and ``energy`` on a grid cost. The two kinds of stage sum in
+different orders, so their results agree to rounding, not bitwise.
 
 A grid pass returns its plan factored (``_GridRows.plan``), as both solvers
 and ``recover_plan`` do on a grid cost: a :class:`TransportPlan` whose row
@@ -186,11 +188,6 @@ def _psi_array(psi) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _checked_rows(psi, cost: CostMatrix, lam) -> _DenseRows:
-    """The public functions' dense pass at ``psi``, once ``lam`` is checked."""
-    return _DenseRows(_psi_array(psi), cost.entries, _check_lam(lam))
-
-
 def _exp_rows(weights, shift, lam) -> np.ndarray:
     """``exp((weights - shift[:, None]) / lam)``, in place."""
     weights -= shift[:, None]
@@ -204,49 +201,65 @@ def _marginal_dev(row_sums, col_sums, row_target, col_target) -> float:
 
 
 class _DenseRows:
-    """The smoothed c-transform of ``psi`` over the rows of a dense cost
-    ``C`` (or its kernel ``K``), kept whole.
+    """The smoothed c-transform over the rows of a dense cost ``C`` (or its
+    kernel ``K``), kept whole, built at the row marginal ``w`` (or none).
 
-    ``weights_ij = exp((psi_j - c_ij - shift_i)/lam)`` and ``sums`` are its
-    row sums, so the smoothed c-transform is ``shift + lam * log(sums / n)``.
-    In the log domain ``shift`` is the row maximum of ``psi_j - c_ij``, taken
-    before the division by ``lam`` so constant rows are reproduced exactly.
-    Given the kernel ``K = exp(-C/lam)`` the shift is zero and the weights
-    are ``K * exp(psi/lam)``, which may overflow to inf/nan. The weights are
-    written into ``out`` if given, else into one new m x n array. ``lam`` is
-    checked where it enters, not here. The methods reduce the plan
-    ``P = scale[:, None] * weights`` without forming it.
+    At ``psi`` its ``weights_ij = exp((psi_j - c_ij - shift_i)/lam)``, so the
+    smoothed c-transform is ``shift + lam * (log_sums - log n)``. In the log
+    domain ``shift`` is the row maximum of ``psi_j - c_ij``, taken before the
+    division by ``lam`` so constant rows are reproduced exactly. Given the
+    kernel ``K = exp(-C/lam)`` the shift is zero and the weights are
+    ``K * exp(psi/lam)``, which may overflow to inf/nan. The weights are
+    written into ``out`` if set (Sinkhorn's absorbed kernel lends it), else
+    into one new m x n array once the last call's is released. ``lam`` is
+    checked where it enters, not here. A pass has no ``grid``, and
+    ``absorbs``: only log-domain weights may be rescaled to nearby potentials.
     """
 
-    def __init__(self, psi, C, lam, K=None, out=None):
-        self.psi, self.C, self._kernel = psi, C, K is not None
-        if K is None:
+    grid = None
+
+    def __init__(self, C, lam, w=None, K=None):
+        self.C, self.lam, self.w, self.K = C, lam, w, K
+        self.absorbs, self.out = K is None, None
+        if K is not None:
+            self.shift = np.zeros(C.shape[0])
+
+    def __call__(self, psi) -> "_DenseRows":
+        """The pass at ``psi``."""
+        self.psi, self.weights = psi, None
+        if self.K is None:
             # Built in place, so the pass allocates at most one m x n buffer.
-            self.weights = np.subtract(psi[None, :], C, out=out)
+            self.weights = np.subtract(psi[None, :], self.C, out=self.out)
             self.shift = self.weights.max(axis=1)
-            _exp_rows(self.weights, self.shift, lam)
+            _exp_rows(self.weights, self.shift, self.lam)
         else:
-            self.shift = np.zeros(K.shape[0])
-            self.weights = np.multiply(K, np.exp(psi / lam)[None, :], out=out)
+            self.weights = np.multiply(self.K, np.exp(psi / self.lam)[None, :], out=self.out)
         self.sums = self.weights.sum(axis=1)
+        self.log_sums = np.log(self.sums)
+        if self.w is not None:
+            self.scale = self.w / self.sums
+        return self
+
+    def max(self, psi) -> np.ndarray:
+        """The exact c-transform ``max_j (psi_j - c_ij)`` at ``psi``, from ``C``."""
+        return _row_max(psi, self.C)
 
     def c_transform(self) -> np.ndarray:
-        """The exact c-transform ``max_j (psi_j - c_ij)``: the log-domain
-        shift, or, behind a kernel, from ``C``."""
-        return _row_max(self.psi, self.C) if self._kernel else self.shift
+        """The exact c-transform at the pass's ``psi``: the log-domain shift, or :meth:`max`."""
+        return self.shift if self.K is None else self.max(self.psi)
 
-    def col_sums(self, scale) -> np.ndarray:
+    def col_sums(self) -> np.ndarray:
         """Column sums ``scale @ weights`` of ``P``."""
-        return scale @ self.weights
+        return self.scale @ self.weights
 
-    def plan_cost(self, scale, offset: float) -> float:
+    def plan_cost(self, offset: float) -> float:
         """``<P, C> + offset * sum(P)``."""
-        return (float(scale @ np.einsum("ij,ij->i", self.weights, self.C))
-                + offset * float(scale @ self.sums))
+        return (float(self.scale @ np.einsum("ij,ij->i", self.weights, self.C))
+                + offset * float(self.scale @ self.sums))
 
-    def plan(self, scale) -> np.ndarray:
+    def plan(self) -> np.ndarray:
         """``P`` itself, formed in place of the weights: the last use of the pass."""
-        self.weights *= scale[:, None]
+        self.weights *= self.scale[:, None]
         return self.weights
 
 
@@ -266,12 +279,12 @@ class _AxisStage:
     maximum of ``U`` over the summed axis, which needs no ``q x r x p``
     temporary; beyond it ``K`` would underflow, and the stage subtracts,
     maximizes and exponentiates the ``q x r x p`` exponents themselves. The
-    choice is made per axis, once per grid pass.
+    choice is made per axis, once per :func:`_row_passes` call.
 
     The max-plus stage :meth:`max` runs on flat ``(q, r p)`` rows, ``U``
     repeated ``p`` times less ``B`` tiled ``r`` times, in one buffer it owns;
     the tiling and the buffer are built on the first call for a given ``r``
-    (once per grid pass).
+    (once per solve).
     """
 
     def __init__(self, B):
@@ -358,73 +371,100 @@ def _grid_max(u, stages) -> np.ndarray:
 
 class _GridRows:
     """The reductions of :class:`_DenseRows` in the log domain for a cost with
-    grid factors, from per-axis stages instead of an m x n pass. One is built
-    per solve and cost orientation, over the cost's ``grid`` factors and the
-    row marginal ``w`` of its rows; calling it at ``psi`` runs the row chain
-    there and returns it. It builds its stages at ``lam`` once: the row
-    chain over ``A_k^T / lam`` (target axes summed) and the column chain over
-    ``A_k / lam`` (source axes summed), each a matrix product or in the log
-    domain as :class:`_AxisStage` decides per axis. It owns a grid buffer for
-    ``psi / lam``, the row sums and ``log w`` in grid order.
+    grid factors, from per-axis stages instead of an m x n pass: over the
+    cost's ``grid`` factors, at the row marginal ``w`` of its rows (or none),
+    with the stages of its row chain ``row`` (``A_k^T / lam``, target axes
+    summed) and column chain ``col`` (``A_k / lam``, source axes summed), a
+    matrix product or in the log domain as :class:`_AxisStage` decides per
+    axis. It owns a grid buffer for ``psi / lam`` and holds ``log w`` in grid
+    order.
 
     With ``c_ij = offset + sum_k A_k[a_k(i), b_k(j)]`` and everything in units
     of ``lam``, the pass is stabilized by its own log-sum-exp rather than by
     the c-transform: the shift is the row chain over the target axes, so the
-    weights are each row's softmax and their sums are one (``w / sums`` is
-    ``w``, and ``w @ log(sums)`` is 0). The exact c-transform is the
-    max-plus chain over the same grid values. The column sums of ``P`` are
-    the column chain over the source axes of ``log w_i - shift_i / lam``,
-    from the held ``log w``, so they take ``scale = w`` itself, and
-    ``<P, C>`` averages the axis terms under the row chain's own weights. The
-    grid offset cancels in ``psi_j - c_ij - shift_i``, so only the reported
-    shifts and ``<P, C>`` carry it. The pass reads no cost entries: its
-    :meth:`plan` is factored, and forms its entries only when they are read.
+    weights are each row's softmax, ``sums`` are ones, ``log_sums`` zeros and
+    ``scale`` is ``w`` itself, bitwise ``w / sums``. The exact c-transform
+    is the max-plus chain over the same grid values. The column sums of ``P``
+    are the column chain over the source axes of ``log w_i - shift_i / lam``,
+    and ``<P, C>`` averages the axis terms under the row chain's own weights.
+    The grid offset cancels in ``psi_j - c_ij - shift_i``, so only the
+    reported shifts and ``<P, C>`` carry it. The pass reads no cost entries:
+    its :meth:`plan` is factored, and forms its entries only when read.
     """
 
-    def __init__(self, grid: GridFactors, lam, w):
-        self.grid, self.lam, self.w = grid, lam, w
-        self.row = tuple(_AxisStage(A.T / lam) for A in grid.axes)
-        self.col = tuple(_AxisStage(A / lam) for A in grid.axes)
-        self.sums = np.ones(w.size)
-        self._log_w = np.empty(w.size)
-        self._log_w[grid.rows] = np.log(w)
+    absorbs = False
+
+    def __init__(self, grid: GridFactors, lam, w, row, col):
+        self.grid, self.lam, self.scale, self.row, self.col = grid, lam, w, row, col
+        size = grid.rows.size
+        self.sums, self.log_sums = np.ones(size), np.zeros(size)
+        if w is not None:
+            self._log_w = np.empty(size)
+            self._log_w[grid.rows] = np.log(w)
         self._u = np.empty(grid.cols.size)
 
     def __call__(self, psi) -> "_GridRows":
         """The pass at ``psi``: one scatter of ``psi / lam`` and the row chain."""
-        grid = self.grid
-        self.psi = psi
-        self._u[grid.cols] = psi / self.lam
+        self._u[self.grid.cols] = psi / self.lam
         self._lse, self._weights = _grid_lse(self._u, self.row)
-        self.shift = self.lam * self._lse[grid.rows] - grid.offset
+        self.shift = self.lam * self._lse[self.grid.rows] - self.grid.offset
         return self
+
+    def max(self, psi) -> np.ndarray:
+        """The exact c-transform at ``psi``, without the row chain; the other
+        reductions need a new call of the pass."""
+        self._u[self.grid.cols] = psi / self.lam
+        return self.c_transform()
 
     def c_transform(self) -> np.ndarray:
         """The max-plus chain ``max_j (u_j - sum_k B_k[a_k, b_k(j)])``."""
         return self.lam * _grid_max(self._u, self.row)[self.grid.rows] - self.grid.offset
 
-    def col_sums(self, scale) -> np.ndarray:
-        """Column sums of ``P``; ``scale`` must be the pass's own ``w``."""
-        if scale is not self.w:
-            raise ValueError("a grid pass takes its column sums at its own row marginal")
+    def col_sums(self) -> np.ndarray:
+        """Column sums of ``P``."""
         lse, _ = _grid_lse(self._log_w - self._lse, self.col)
         return np.exp((self._u + lse)[self.grid.cols])
 
-    def _cost_terms(self, scale) -> tuple[float, float]:
+    def _cost_terms(self) -> tuple[float, float]:
         """``<P, C>`` without the grid offset, and ``sum(P)``."""
         mean = self.lam * _grid_mean_cost(self._weights, self.row)[self.grid.rows]
-        return float(scale @ mean), float(scale @ self.sums)
+        return float(self.scale @ mean), float(self.scale @ self.sums)
 
-    def plan_cost(self, scale, offset: float) -> float:
-        axis_cost, mass = self._cost_terms(scale)
+    def plan_cost(self, offset: float) -> float:
+        axis_cost, mass = self._cost_terms()
         return axis_cost + (self.grid.offset + offset) * mass
 
-    def plan(self, scale, form, transposed: bool = False) -> TransportPlan:
+    def plan(self, form, transposed: bool = False) -> TransportPlan:
         """``P`` factored: its sums and cost terms from the chains, and
         ``form()`` for its dense entries (``P.T`` with ``transposed``)."""
-        terms = _PlanTerms(scale * self.sums, self.col_sums(scale), self.grid,
-                           *self._cost_terms(scale))
+        terms = _PlanTerms(self.scale * self.sums, self.col_sums(), self.grid,
+                           *self._cost_terms())
         return TransportPlan(form, terms.T if transposed else terms)
+
+
+def _row_passes(cost: CostMatrix, lam, source: DiscreteMeasure | None = None,
+                target: DiscreteMeasure | None = None, kernel_mode: bool = False):
+    """The row passes over ``C`` at the source weights and over ``C.T`` at
+    the target weights (at none without the measure), once ``lam`` and the
+    measure sizes are checked: on a cost with grid factors outside kernel
+    mode grid passes, which share their stages and read no cost entries, and
+    otherwise dense passes, in kernel mode over ``K = exp(-C/lam)`` and
+    ``K.T``."""
+    _check_lam(lam)
+    mu, nu = (None if measure is None else measure.weights for measure in (source, target))
+    if any(w is not None and w.size != size for w, size in zip((mu, nu), cost.shape)):
+        raise ValueError("measure sizes do not match the cost matrix")
+    grid = None if kernel_mode else cost.grid
+    if grid is not None:
+        row = tuple(_AxisStage(A.T / lam) for A in grid.axes)
+        col = tuple(_AxisStage(A / lam) for A in grid.axes)
+        return _GridRows(grid, lam, mu, row, col), _GridRows(grid.T, lam, nu, col, row)
+    C = cost.entries
+    if not kernel_mode:
+        return _DenseRows(C, lam, mu), _DenseRows(C.T, lam, nu)
+    with np.errstate(over="ignore"):
+        K = np.exp(-C / lam)
+    return _DenseRows(C, lam, mu, K), _DenseRows(C.T, lam, nu, K.T)
 
 
 def _row_max(psi: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -449,13 +489,8 @@ def c_transform(psi, cost: CostMatrix) -> np.ndarray:
     which subtracts one axis term at a time and so agrees with the dense
     maximum to rounding; otherwise it is taken over ``entries``.
     """
-    psi = _psi_array(psi)
-    grid = cost.grid
-    if grid is None:
-        return _row_max(psi, cost.entries)
-    u = np.empty(grid.cols.size)
-    u[grid.cols] = psi
-    return _grid_max(u, [_AxisStage(A.T) for A in grid.axes])[grid.rows] - grid.offset
+    # No smoothing enters: a pass at lam = 1 takes its max in cost units.
+    return _row_passes(cost, 1.0)[0].max(_psi_array(psi))
 
 
 def smoothed_c_transform(psi, cost: CostMatrix, lam: float) -> np.ndarray:
@@ -466,8 +501,8 @@ def smoothed_c_transform(psi, cost: CostMatrix, lam: float) -> np.ndarray:
     Always finite for ``lam > 0`` and sandwiched within ``lam * log n`` below
     the exact c-transform.
     """
-    rows = _checked_rows(psi, cost, lam)
-    return rows.shift + lam * (np.log(rows.sums) - math.log(cost.shape[1]))
+    rows = _row_passes(cost, lam)[0](_psi_array(psi))
+    return rows.shift + lam * (rows.log_sums - math.log(cost.shape[1]))
 
 
 def energy(psi, source: DiscreteMeasure, target: DiscreteMeasure, cost: CostMatrix) -> float:
@@ -510,8 +545,8 @@ def smoothed_gradient(
     where ``softmax_i`` is the row softmax. Softmax rows sum to one, so the
     gradient entries sum to zero up to rounding.
     """
-    rows = _checked_rows(psi, cost, lam)
-    return rows.col_sums(source.weights / rows.sums) - target.weights
+    rows = _row_passes(cost, lam, source, target)[0](_psi_array(psi))
+    return rows.col_sums() - target.weights
 
 
 def hessian_apply(
@@ -528,10 +563,12 @@ def hessian_apply(
         H w = (1/lam) * sum_i mu_i (s_i * w - (s_i . w) s_i)
 
     with ``s_i`` the row softmax. ``H 1 = 0`` (the all-ones direction spans the
-    null space) and the largest eigenvalue is at most ``1/lam``.
+    null space) and the largest eigenvalue is at most ``1/lam``. It reads the
+    row softmax as a matrix, so it alone runs the dense pass on every cost,
+    and on a cost with grid factors forms and keeps its entries.
     """
     w = np.asarray(direction, dtype=float)
-    rows = _checked_rows(psi, cost, lam)
+    rows = _DenseRows(cost.entries, _check_lam(lam))(_psi_array(psi))
     softmax = rows.weights
     softmax /= rows.sums[:, None]
     mu = source.weights
@@ -565,14 +602,9 @@ def recover_plan(
     without factors.
     """
     mu = source.weights
-    if cost.grid is None:
-        rows = _checked_rows(psi, cost, lam)
-        return TransportPlan(rows.plan(mu / rows.sums))
-    psi = _psi_array(psi).copy()
-
-    def form():
-        rows = _DenseRows(psi, cost.entries, lam)
-        return rows.plan(mu / rows.sums)
-
-    # A grid pass's row sums are one, so mu / sums is mu itself.
-    return _GridRows(cost.grid, _check_lam(lam), mu)(psi).plan(mu, form)
+    psi = _psi_array(psi)
+    rows = _row_passes(cost, lam, source, target)[0](psi)
+    if rows.grid is None:
+        return TransportPlan(rows.plan())
+    psi = psi.copy()
+    return rows.plan(lambda: _DenseRows(cost.entries, lam, mu)(psi).plan())

@@ -13,29 +13,24 @@ come from reductions of the row pass plus O(m + n) vectors, and the returned
 plan is built once, after the last iteration. On its absorbed iterations
 (below) the <P, C> of due rows is taken in batches, one m x n pass for up to
 ``_COST_BATCH`` rows, so such a row reaches the trace up to one batch late.
-For a cost with grid factors (squared Euclidean between full grids) in the
-log domain the passes come from per-axis stages and no m x n array is
-touched: the cost's entries are not read, and the returned plan is factored,
-its sums and <P, C> from the chains and its entries formed only when read.
-Otherwise, and always in kernel mode, they come from the dense pass,
-``smoothed_dual._DenseRows``. ``_setup`` checks ``lam`` and hands on the
-cost's grid factors outside kernel mode, and its dense entries (with kernel
-mode's ``K``) only without them. Each solve then builds
-one ``smoothed_dual._GridRows`` per cost orientation, FISTA over ``C`` and
-Sinkhorn over ``C`` and ``C.T``, which builds its axis kernels once and
-decides, per axis, whether its stages run as matrix products
-(``max(A_k)/lam`` within about 690) or in the log domain; the solve calls it
-at every new potential. A grid pass is stabilized by its own log-sum-exp, so
-its row sums are one: both loops take ``w / sums`` as ``w`` and ``log(sums)``
-as 0 there, which is bitwise what the division and the logarithm give. FISTA
-takes E from the pass's max-plus chain.
+Each solve takes its row passes from ``smoothed_dual._row_passes``, built
+once and called at every new potential: FISTA calls the one over ``C`` at
+``mu``, Sinkhorn that one and the one over ``C.T`` at ``nu``, one per half.
+Every pass holds ``shift``, ``sums``, ``log_sums`` and ``scale = w / sums``
+at its row marginal ``w``, so each loop body reads every kind alike. For a
+cost with grid factors (squared Euclidean between full grids) in the log
+domain they are grid passes and no m x n array is touched: the cost's
+entries are not read, and the returned plan is factored, its sums and
+<P, C> from the chains and its entries formed only when read. Otherwise,
+and always in kernel mode, they are dense passes. FISTA takes E from the
+pass's exact c-transform.
 
 On a dense cost in the log domain both solvers run those passes only now
 and then, and read the iterations between them from the weights of the last
 one by matrix-vector products (stabilized scaling with absorption). Sinkhorn
 holds the absorbed plan kernel ``K_ij = exp((f_i + g_j - c_ij)/lam)`` of its
 last log-domain iteration and ``K o C`` in one stacked ``(2n, m)`` buffer,
-allocated once per solve, into which its log-domain passes also write; it
+allocated once per solve and lent to its log-domain passes to write into; it
 iterates by scaling the kernel, two products a round, the second one
 threaded product over the whole buffer that gives both the column sums and
 <P, C>. A scaling that leaves a fixed range is folded back into the
@@ -69,9 +64,8 @@ import numpy as np
 
 from .costs import _BLOCK_BYTES, CostMatrix
 from .measures import DiscreteMeasure
-from .smoothed_dual import (Potential, TransportPlan, _check_lam, _DenseRows, _exp_rows,
-                            _GridRows, _marginal_dev, _PlanTerms, _row_max, project_H,
-                            recover_plan)
+from .smoothed_dual import (Potential, TransportPlan, _check_lam, _exp_rows, _marginal_dev,
+                            _PlanTerms, _row_max, _row_passes, project_H, recover_plan)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -252,22 +246,6 @@ class _StopRule:
                 self.trace.append(*row)
 
 
-def _setup(source, target, cost: CostMatrix, lam: float, kernel_mode: bool):
-    """Both solvers' checked ``lam``, ``mu``, ``nu``, and either, for a
-    log-domain pass on a cost with grid factors, those factors, or the dense
-    ``C`` and kernel-mode ``K = exp(-C/lam)``; the others are None. A grid
-    solve thus reads no cost entries."""
-    _check_lam(lam)
-    mu, nu = source.weights, target.weights
-    if (mu.size, nu.size) != cost.shape:
-        raise ValueError("measure sizes do not match the cost matrix")
-    grid = None if kernel_mode else cost.grid
-    C = None if grid is not None else cost.entries
-    with np.errstate(over="ignore"):
-        K = np.exp(-C / lam) if kernel_mode else None
-    return mu, nu, C, K, grid
-
-
 def fista_solve(
     source: DiscreteMeasure,
     target: DiscreteMeasure,
@@ -297,7 +275,7 @@ def fista_solve(
     and on a NaN, the kernel is dropped and the dense pass at psi_t runs and
     becomes the new kernel, so the dense pass makes the failure decisions
     and one m x n array is alive. Kernel mode runs the dense pass every
-    iteration. A grid cost calls the solve's :class:`_GridRows` at every
+    iteration. A grid cost calls the solve's grid row pass at every
     ``psi_t``: one scatter of ``psi/lam``, the row chain, the max-plus chain
     for E, and the column chain of ``log mu`` held in grid order for the
     gradient. The plan is :func:`recover_plan`'s at the returned potential,
@@ -312,12 +290,12 @@ def fista_solve(
     :class:`_StopRule`). Rows of a dense pass, of grid costs and of kernel
     mode are evaluated at once.
     """
-    mu, nu, C, K, grid = _setup(source, target, cost, lam, config.kernel_mode)
+    row_pass = _row_passes(cost, lam, source, target, config.kernel_mode)[0]
+    mu, nu = source.weights, target.weights
     n = nu.size
     log_n = math.log(n)
     step = config.eta * lam
     rule = _StopRule(config.max_iters, config.stop_rel_tol, config.trace_every)
-    absorb = K is None and grid is None
     absorbed = None
     psi = np.zeros(n)
     z = np.zeros(n)
@@ -325,34 +303,28 @@ def fista_solve(
     t = 0
 
     offset = config.cost_offset
-    grid_rows = None if grid is None else _GridRows(grid, lam, mu)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
             # One row pass at psi_t gives E_lambda, the gradient and the plan,
             # and E from its exact c-transform (on a dense log-domain pass,
             # its shift). With true cost = C + offset, E_true(psi) = E_C(psi) - offset.
-            if grid_rows is not None:
-                # A grid pass's row sums are one: mu / sums is mu, mu @ log(sums) is 0.
-                rows, scale, log_sums = grid_rows(psi), mu, 0.0
+            if absorbed is not None and absorbed.rescale(psi):
+                rows = absorbed
             else:
-                if absorbed is not None and absorbed.rescale(psi):
-                    rows = absorbed
-                else:
-                    # Drop the kernel once its queued rows are complete: the
-                    # pass that replaces it is the one m x n array.
-                    rule.flush()
-                    rows = absorbed = None
-                    rows = _DenseRows(psi, C, lam, K)
-                    if absorb:
-                        absorbed = _AbsorbedRows(rows, psi, lam)
-                scale, log_sums = mu / rows.sums, float(mu @ np.log(rows.sums))
+                # Drop the kernel once its queued rows are complete: the
+                # pass that replaces it is the one m x n array.
+                rule.flush()
+                rows = absorbed = None
+                rows = row_pass(psi)
+                if rows.absorbs:
+                    absorbed = _AbsorbedRows(rows)
             nu_psi = nu @ psi
             e_shift = float(mu @ rows.shift - nu_psi) - offset
             # A dense log-domain pass is stabilized by the c-transform itself.
             exact = rows.c_transform()
             e_val = e_shift if exact is rows.shift else float(mu @ exact - nu_psi) - offset
-            e_lam = e_shift + lam * (log_sums - log_n)
-            grad = rows.col_sums(scale) - nu
+            e_lam = e_shift + lam * (float(mu @ rows.log_sums) - log_n)
+            grad = rows.col_sums() - nu
 
             finite = (math.isfinite(e_val) and math.isfinite(e_lam)
                       and np.isfinite(grad).all())
@@ -364,9 +336,9 @@ def fista_solve(
                     # An absorbed row's <P, C> waits for its kernel's next batch.
                     dev = float(np.abs(grad).sum())
                     if rows is absorbed:
-                        rule.record(t, e_val, e_lam, rows.queue_cost(scale, offset), dev, rows)
+                        rule.record(t, e_val, e_lam, rows.queue_cost(offset), dev, rows)
                     else:
-                        rule.record(t, e_val, e_lam, rows.plan_cost(scale, offset), dev)
+                        rule.record(t, e_val, e_lam, rows.plan_cost(offset), dev)
             if rule.stopped:
                 break
 
@@ -377,9 +349,9 @@ def fista_solve(
             theta = theta_new
             t += 1
 
-    # Drop the kernel (and the grid pass's stage weights): a dense plan formed
-    # below is then the one m x n array.
-    rows = absorbed = grid_rows = None
+    # Drop the pass and its kernel: a dense plan formed below is then the one
+    # m x n array.
+    rows = absorbed = row_pass = None
     potential = Potential(project_H(z), normalized=True)
     plan = recover_plan(potential, source, target, cost, lam)
     return FistaResult(potential, plan, rule.trace)
@@ -433,20 +405,22 @@ def _row_candidates(W0, C):
 
 
 class _AbsorbedRows:
-    """FISTA's dense log-domain row pass at ``psi0``, with weights
+    """FISTA's dense log-domain row pass, called at ``psi0``, with weights
     ``W0_ij = exp((psi0_j - c_ij - s_i)/lam)`` and ``s`` its row max, read
     at nearby potentials by matrix-vector products (the absorption of
-    :class:`_AbsorbedKernel`, applied to the row half).
+    :class:`_AbsorbedKernel`, applied to the row half). It answers as that
+    pass does at its row marginal ``w``.
 
     At ``psi`` let ``e = exp((psi - psi0)/lam)`` and ``h`` be the exact row
     max of ``psi_j - c_ij``. The pass's weights are then ``r_i W0_ij e_j``
     with ``r = exp((s - h)/lam)``, and ``|s_i - h_i| <= max|psi - psi0|``,
     so ``r`` stays in range with ``e``. :meth:`rescale` reads them as the
     pass does: ``shift = h`` (the c-transform, so E stays exact),
-    ``sums = r * (W0 e)`` and the scaled column sums, with ``W0`` the pass's
-    own weights array, so no other m x n array is held. The plan's cost
-    ``<P, C> = a^T (W0 o C) e`` with ``a = scale * r`` is queued per row by
-    :meth:`queue_cost` and taken for the whole queue by :meth:`queued_costs`.
+    ``sums = r * (W0 e)``, ``log_sums``, ``scale = w / sums`` and the column
+    sums of the plan, with ``W0`` the pass's own weights array, so no other
+    m x n array is held. The plan's cost ``<P, C> = a^T (W0 o C) e`` with
+    ``a = scale * r`` is queued per row by :meth:`queue_cost` and taken for
+    the whole queue by :meth:`queued_costs`.
 
     ``h`` comes from :meth:`row_max`. Each row keeps its candidate columns,
     ``W0_ij >= exp(-tau/3)`` (:func:`_row_candidates`), unless they are
@@ -460,14 +434,14 @@ class _AbsorbedRows:
     the kernel the same way).
     """
 
-    def __init__(self, rows, psi0, lam):
+    def __init__(self, rows):
         self.W0, self.C, self.s = rows.weights, rows.C, rows.shift
-        self.psi0, self.lam = psi0, lam
+        self.psi0, self.lam, self.w = rows.psi, rows.lam, rows.w
         self._queued = []
         self._candidates = _row_candidates(self.W0, self.C)
         # W0_ij e_j carries the rounding of psi0_j - c_ij and psi_j - c_ij,
         # about eps |s_i| / lam relative on the entries that can reach the top.
-        self._slack = 1e-9 + 4.0 * np.finfo(float).eps * np.abs(self.s) / lam
+        self._slack = 1e-9 + 4.0 * np.finfo(float).eps * np.abs(self.s) / self.lam
 
     def rescale(self, psi) -> bool:
         """The pass at ``psi``; False if ``e`` leaves the range (or is NaN)."""
@@ -479,6 +453,8 @@ class _AbsorbedRows:
         self.shift = self.row_max(psi, raw)
         self.r = np.exp((self.s - self.shift) / self.lam)
         self.sums = raw * self.r
+        self.log_sums = np.log(self.sums)
+        self.scale = self.w / self.sums
         return True
 
     def row_max(self, psi, raw) -> np.ndarray:
@@ -517,14 +493,14 @@ class _AbsorbedRows:
         """The exact row max taken by :meth:`rescale`."""
         return self.shift
 
-    def col_sums(self, scale) -> np.ndarray:
-        return ((scale * self.r) @ self.W0) * self.e
+    def col_sums(self) -> np.ndarray:
+        return ((self.scale * self.r) @ self.W0) * self.e
 
-    def queue_cost(self, scale, offset: float) -> float:
+    def queue_cost(self, offset: float) -> float:
         """Queue ``<P, C>`` of the pass for :meth:`queued_costs` and return
         the rest of the row's plan cost, ``offset * sum(P)``."""
-        self._queued.append((scale * self.r, self.e))
-        return offset * float(scale @ self.sums)
+        self._queued.append((self.scale * self.r, self.e))
+        return offset * float(self.scale @ self.sums)
 
     def queued_costs(self) -> np.ndarray:
         """``<P, C> = a^T (W0 o C) e`` of each queued pass, with ``a = scale * r``,
@@ -549,36 +525,38 @@ class _AbsorbedKernel:
     scaling from ``u = v = 1`` (log-stabilized scaling with absorption:
     Schmitzer, SIAM J. Sci. Comput. 2019, Alg. 2).
 
-    One ``(2n, m)`` buffer ``S = [K^T; (K o C)^T]`` is allocated per solve.
-    The log-domain halves write their passes into it (:attr:`halves`: the
-    row half into the bottom, the column half into the top), and
-    :meth:`absorb` forms the column half's plan in place as ``K^T`` and
-    ``(K o C)^T`` over the row half's pass. A round is then two products,
-    ``v @ K^T`` and one ``S @ u`` that gives ``K^T u`` and ``(K o C)^T u``
-    together, which OpenBLAS threads from about 4.6e5 entries. The
-    potentials of the scaled plan are ``f + lam log u`` and ``g + lam log v``.
-    After :meth:`rescale` the kernel reads as the column half's pass, with
-    weights ``K^T diag(u)`` and ``sums = K^T u``, so ``scale = nu / sums`` is
-    ``v``. ``v`` is None while no plan is absorbed.
+    It is built once per solve over the dense log-domain row pass ``rows``
+    (over ``C`` at ``mu``) and column pass ``cols`` (over ``C.T`` at
+    ``nu``), and allocates one ``(2n, m)`` buffer ``S = [K^T; (K o C)^T]``,
+    whose halves it lends to the passes as their ``out``: the row pass
+    writes into the bottom, the column pass into the top. :meth:`absorb`
+    forms the column pass's plan in place as ``K^T`` and ``(K o C)^T`` over
+    the row pass's weights. A round is then two products, ``v @ K^T`` and one
+    ``S @ u`` that gives ``K^T u`` and ``(K o C)^T u`` together, which
+    OpenBLAS threads from about 4.6e5 entries. The potentials of the scaled
+    plan are ``f + lam log u`` and ``g + lam log v``. After :meth:`rescale`
+    the kernel answers as the column pass does, with weights ``K^T diag(u)``,
+    ``sums = K^T u`` and ``scale`` = ``v``, which is bitwise ``nu / sums``.
+    ``v`` is None while no plan is absorbed.
     """
 
-    def __init__(self, CT):
-        self.CT = CT
-        self.S = np.empty((2 * CT.shape[0], CT.shape[1]))
+    def __init__(self, rows, cols):
+        self.passes, self.CT, self.mu, self.nu = (rows, cols), cols.C, rows.w, cols.w
+        n, m = self.CT.shape
+        self.S = np.empty((2 * n, m))
+        rows.out, cols.out = self.S[n:].reshape(m, n), self.S[:n]
         self.u = self.v = None
 
     @property
-    def halves(self):
-        """The buffers of the row half's pass and of the column half's."""
-        n, m = self.CT.shape
-        return self.S[n:].reshape(m, n), self.S[:n]
+    def scale(self):
+        return self.v
 
-    def absorb(self, scale) -> None:
-        """Take the plan ``scale[:, None] * weights`` of the column half's
-        pass as ``K^T``, and write ``(K o C)^T`` over the row half's."""
+    def absorb(self) -> None:
+        """Take the plan of the column pass as ``K^T``, and write
+        ``(K o C)^T`` over the row pass's weights."""
         n, m = self.CT.shape
         KT = self.S[:n]
-        KT *= scale[:, None]
+        KT *= self.passes[1].scale[:, None]
         np.multiply(KT, self.CT, out=self.S[n:])
         self.u, self.v = np.ones(m), np.ones(n)
 
@@ -590,34 +568,38 @@ class _AbsorbedKernel:
             self.u = self.v = None
         return f, g
 
-    def rescale(self, mu, nu) -> bool:
+    def rescale(self) -> bool:
         """One round ``u <- mu / (K v)``, ``v <- nu / (K^T u)``; False,
         keeping the last accepted scalings, if a new one leaves the range
         or no plan is absorbed."""
         if self.v is None:
             return False
         n = self.v.size
-        u = mu / (self.v @ self.S[:n])
+        u = self.mu / (self.v @ self.S[:n])
         if not _in_scaling_range(u):
             return False
         products = self.S @ u
-        v = nu / products[:n]
+        v = self.nu / products[:n]
         if not _in_scaling_range(v):
             return False
         self.u, self.v, self.sums, self._cost_rows = u, v, products[:n], products[n:]
         return True
 
-    def col_sums(self, scale) -> np.ndarray:
-        return (scale @ self.S[:scale.size]) * self.u
+    def col_sums(self) -> np.ndarray:
+        return (self.v @ self.S[:self.v.size]) * self.u
 
-    def plan_cost(self, scale, offset: float) -> float:
-        return float(scale @ self._cost_rows) + offset * float(scale @ self.sums)
+    def plan_cost(self, offset: float) -> float:
+        return float(self.v @ self._cost_rows) + offset * float(self.v @ self.sums)
 
-    def plan(self, scale) -> np.ndarray:
-        """The plan's transpose: the top half scaled in place (by ``u`` too
-        if a plan is absorbed), with the buffer shrunk to it, so the plan
+    def plan(self) -> np.ndarray:
+        """The plan's transpose: the top half scaled in place, as the column
+        pass's plan or, if a plan is absorbed, by ``v`` and ``u``, with the
+        buffer taken back from the passes and shrunk to it, so the plan
         keeps no ``K o C`` alive. The last use of the kernel."""
-        n = scale.size
+        n = self.CT.shape[0]
+        scale = self.passes[1].scale if self.v is None else self.v
+        for rows in self.passes:
+            rows.out = rows.weights = None
         S, self.S = self.S, None
         KT = S[:n]
         KT *= scale[:, None]
@@ -657,21 +639,21 @@ def sinkhorn_solve(
     column half's weights, so its column sums equal ``nu`` up to rounding.
     Each iteration takes <P, C> from the weights' row dots with ``C.T`` and
     from ``sums``, and stops by :class:`_StopRule` on it; trace rows add the
-    marginal deviation. On a cost with grid factors the halves call the
-    solve's two :class:`_GridRows`, over ``C`` and ``C.T``, so it is iterated
-    one axis at a time, as in :func:`fista_solve` but with no max-plus chain;
-    the row sums are one, so ``log(sums)`` is 0 and ``nu / sums`` is ``nu``.
-    Its plan is returned factored, from the column half's last pass: its
-    entries, when read, are formed against that pass's own shift.
+    marginal deviation. The halves call the solve's two passes, over ``C``
+    at ``mu`` and over ``C.T`` at ``nu``. On a cost with grid factors these
+    are grid passes, so it is iterated one axis at a time, as in
+    :func:`fista_solve` but with no max-plus chain, and its plan is returned
+    factored, from the column half's last pass: its entries, when read, are
+    formed against that pass's own shift.
 
     On a dense cost in the log domain both halves write their passes into
     the one ``(2n, m)`` buffer of :class:`_AbsorbedKernel`, allocated once
-    per solve, and the plan of a log-domain iteration is formed in place
-    there as the absorbed kernel ``K^T``, with ``(K o C)^T`` beside it. The
-    next iterations scale it, ``u <- mu / (K v)``, ``v <- nu / (K^T u)``,
-    by two matrix-vector products: ``v @ K^T``, and one product of the whole
-    buffer with ``u`` that gives ``K^T u`` and, for <P, C>, ``(K o C)^T u``;
-    trace rows add one more. When a new scaling leaves
+    per solve and lent to them, and the plan of a log-domain iteration is
+    formed in place there as the absorbed kernel ``K^T``, with ``(K o C)^T``
+    beside it. The next iterations scale it, ``u <- mu / (K v)``,
+    ``v <- nu / (K^T u)``, by two matrix-vector products: ``v @ K^T``, and
+    one product of the whole buffer with ``u`` that gives ``K^T u`` and, for
+    <P, C>, ``(K o C)^T u``; trace rows add one more. When a new scaling leaves
     ``[exp(-tau), exp(tau)]`` (``tau = 30``) it is discarded, the last
     accepted ``u`` and ``v`` are folded into ``f`` and ``g`` and that
     iteration runs as the two log-domain passes, after which the new plan is
@@ -693,45 +675,30 @@ def sinkhorn_solve(
     iteration started from, with ``u`` and ``v`` folded in, or zeros if the
     first iteration fails.
     """
-    mu, nu, C, K, grid = _setup(source, target, cost, lam, kernel_mode)
+    row_pass, col_pass = _row_passes(cost, lam, source, target, kernel_mode)
+    kernel = _AbsorbedKernel(row_pass, col_pass) if row_pass.absorbs else None
     rule = _StopRule(max_iters, stop_rel_tol, trace_every)
+    mu, nu = source.weights, target.weights
     m, n = cost.shape
     log_mu = np.log(mu)
     log_nu = np.log(nu)
-    if grid is not None:
-        row_pass, col_pass = _GridRows(grid, lam, mu), _GridRows(grid.T, lam, nu)
-        kernel = row_out = col_out = None
-    else:
-        CT = C.T
-        KT = None if K is None else K.T
-        kernel = _AbsorbedKernel(CT) if K is None else None
-        row_out, col_out = (None, None) if kernel is None else kernel.halves
     f, g = np.zeros(m), np.zeros(n)
 
     t = 0
     while not rule.stopped:
         t += 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if kernel is not None and kernel.rescale(mu, nu):
-                half, scale = kernel, kernel.v
+            if kernel is not None and kernel.rescale():
+                half = kernel
             else:
                 if kernel is not None:
                     f, g = kernel.release(f, g, lam)
                 last = f, g
-                if grid is not None:
-                    # A grid pass's row sums are one: log(sums) is 0, nu / sums is nu.
-                    half = row_pass(g)
-                    f = lam * log_mu - half.shift
-                    half = col_pass(f)
-                    g = lam * log_nu - half.shift
-                    scale = nu
-                else:
-                    half = _DenseRows(g, C, lam, K, row_out)
-                    f = lam * (log_mu - np.log(half.sums)) - half.shift
-                    half = _DenseRows(f, CT, lam, KT, col_out)
-                    g = lam * (log_nu - np.log(half.sums)) - half.shift
-                    scale = nu / half.sums
-            pc = half.plan_cost(scale, cost_offset)
+                half = row_pass(g)
+                f = lam * (log_mu - half.log_sums) - half.shift
+                half = col_pass(f)
+                g = lam * (log_nu - half.log_sums) - half.shift
+            pc = half.plan_cost(cost_offset)
 
         # Each plan entry is scale_j * w_ji with 0 <= w_ji <= sums_j, so a
         # non-finite entry needs a non-finite or zero sums_j, which makes g_j
@@ -739,17 +706,17 @@ def sinkhorn_solve(
         # finite by the range check.
         finite = math.isfinite(pc) and np.all(np.isfinite(g))
         if rule.row_due(t, pc, finite):
-            dev = (_marginal_dev(scale * half.sums, half.col_sums(scale), nu, mu)
+            dev = (_marginal_dev(half.scale * half.sums, half.col_sums(), nu, mu)
                    if finite else math.nan)
             rule.record(t, math.nan, math.nan, pc if finite else math.nan, dev)
         if kernel is not None and half is not kernel and finite and not rule.stopped:
-            kernel.absorb(scale)
+            kernel.absorb()
 
     if not finite:
-        zeros = _PlanTerms(np.zeros(m), np.zeros(n), grid, 0.0, 0.0)
+        zeros = _PlanTerms(np.zeros(m), np.zeros(n), col_pass.grid, 0.0, 0.0)
         return SinkhornResult(TransportPlan(lambda: np.zeros((m, n)), zeros), rule.trace, last)
-    if grid is not None:
-        # The column half's plan, against its own shift when formed.
+    if col_pass.grid is not None:
+        # The column pass's plan, against its own shift when formed.
         shift = half.shift
 
         def form():
@@ -757,11 +724,8 @@ def sinkhorn_solve(
             plan_t *= nu[:, None]
             return plan_t.T
 
-        return SinkhornResult(half.plan(nu, form, transposed=True), rule.trace, (f, g))
-    if kernel is not None:
-        # Drop every other view of the kernel's buffer, so the plan can shrink it.
-        half, row_out, col_out = kernel, None, None
-    plan = TransportPlan(half.plan(scale).T)
+        return SinkhornResult(half.plan(form, transposed=True), rule.trace, (f, g))
+    plan = TransportPlan((half if kernel is None else kernel).plan().T)
     if kernel is not None:
         f, g = kernel.release(f, g, lam)
     return SinkhornResult(plan, rule.trace, (f, g))

@@ -1,0 +1,40 @@
+"""The calls the benchmark in ``perfbench/`` makes of the package, run on each
+workload's tiny instance, so that a change that breaks one of them fails in
+the default test run and not only in the benchmark's own, slower self-test
+(``python3 -m pytest -q perfbench``)."""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+# Import the harness without writing its bytecode under perfbench/.
+_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+try:
+    import harness
+finally:
+    sys.dont_write_bytecode = _write_bytecode
+
+# The instances and solver settings of perfbench/test_perfbench.py.
+TINY = {
+    "sed-paper": dict(image_size=8),
+    "sphere-paper": dict(m=40, n=40),
+    "p-sweep-exact": dict(m=12, n=12),
+}
+SMOKE = dict(eta=5.0, T=50.0)
+
+
+@pytest.mark.parametrize("workload", sorted(TINY))
+def test_benchmark_calls(workload, tmp_path):
+    config = harness.workload_config(workload, tmp_path, **TINY[workload], **SMOKE)
+    problem = harness.setup(config)
+    for name in ("fista", "sinkhorn"):
+        # The untimed pass swaps solvers.SolveTrace at solve time.
+        iteration, dev = harness.tta_pass(name, problem, config)
+        assert iteration is not None and dev <= harness.TTA_DEV, name
+        result = harness.solve(name, problem, config, config.max_iters,
+                               config.stop_rel_tol, 1)
+        assert math.isfinite(harness.estimate(name, problem, result)), name

@@ -302,7 +302,7 @@ class TestExactSolve:
         # kernel between log-domain passes: 2 passes here (91 rounds), where a
         # plain log-domain loop makes two a round.
         src, tgt, _, centered = self.p_sweep_exact_instance()
-        code = smoothed_dual._DenseRows.__init__.__code__
+        code = smoothed_dual._DenseRows.__call__.__code__
         calls = []
 
         def profile(frame, event, arg):

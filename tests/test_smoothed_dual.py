@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import otkit as ok
 from helpers import grid_measure, small_random_instance
-from otkit.smoothed_dual import _AxisStage, _DenseRows, _GridRows, _marginal_dev
+from otkit.smoothed_dual import _AxisStage, _marginal_dev, _row_passes
 
 
 def finite_difference_gradient(psi, src, tgt, cost, lam, h=1e-6):
@@ -300,37 +300,36 @@ def test_smoothed_functions_reject_nonpositive_lambda(name):
             SMOOTHED_FUNCTIONS[name](np.zeros(2), src, tgt, cost, lam)
 
 
-def solver_reductions(rows, psi, mu, nu, lam, offset, scale=None):
-    """What the solvers read from one row pass: the exact c-transform, the
-    smoothed one ``shift + lam log(sums)`` (each pass has its own shift), E,
-    E_lam, gradient, <P, C> and the marginal deviation of
-    P = scale[:, None] * weights, with ``scale = mu / sums`` unless given."""
-    scale = mu / rows.sums if scale is None else scale
-    smoothed = rows.shift + lam * np.log(rows.sums)
+def solver_reductions(rows, psi, mu, nu, lam, offset):
+    """What the solvers read from one row pass, called at ``psi`` and built
+    at its row marginal ``mu``: the exact c-transform, the smoothed one
+    ``shift + lam log_sums`` (each pass has its own shift), E, E_lam,
+    gradient, <P, C> and the marginal deviation of
+    P = scale[:, None] * weights."""
+    smoothed = rows.shift + lam * rows.log_sums
     c_transform = rows.c_transform()
     e_lam = float(mu @ smoothed - nu @ psi) - lam * math.log(psi.size)
     return dict(c_transform=c_transform, smoothed=smoothed,
                 E=float(mu @ c_transform - nu @ psi), E_lam=e_lam,
-                grad=rows.col_sums(scale) - nu, plan_cost=rows.plan_cost(scale, offset),
-                D=_marginal_dev(scale * rows.sums, rows.col_sums(scale), mu, nu))
+                grad=rows.col_sums() - nu, plan_cost=rows.plan_cost(offset),
+                D=_marginal_dev(rows.scale * rows.sums, rows.col_sums(), mu, nu))
 
 
-def grid_reductions(psi, grid, mu, nu, lam, offset):
-    """:func:`solver_reductions` of the grid pass at ``psi``, at
-    ``scale = mu`` itself, as a grid pass takes its column sums. The pass is
-    called at another potential first, as a solve reuses it, and must read
-    what a fresh pass reads bit for bit; the solvers' shortcuts for row sums
-    of one must hold bitwise: ``mu / sums`` is ``mu`` and ``mu @ log(sums)``
-    is 0."""
-    reused = _GridRows(grid, lam, mu)
+def grid_reductions(psi, build, mu, nu, lam, offset):
+    """:func:`solver_reductions` of the grid pass ``build()`` at ``psi``.
+    The pass is called at another potential first, as a solve reuses it, and
+    must read what a fresh pass reads bit for bit; its ``scale`` and
+    ``log_sums`` must be bitwise ``mu / sums`` and ``log(sums)``, as the
+    solvers read them for every kind of pass."""
+    reused = build()
     reused(psi[::-1].copy())
     rows = reused(psi)
-    fast = solver_reductions(rows, psi, mu, nu, lam, offset, mu)
-    fresh = solver_reductions(_GridRows(grid, lam, mu)(psi), psi, mu, nu, lam, offset, mu)
+    fast = solver_reductions(rows, psi, mu, nu, lam, offset)
+    fresh = solver_reductions(build()(psi), psi, mu, nu, lam, offset)
     for name, value in fast.items():
         assert np.asarray(value).tobytes() == np.asarray(fresh[name]).tobytes(), name
-    assert (mu / rows.sums).tobytes() == mu.tobytes()
-    assert float(mu @ np.log(rows.sums)) == 0.0
+    assert rows.scale.tobytes() == (mu / rows.sums).tobytes()
+    assert rows.log_sums.tobytes() == np.log(rows.sums).tobytes()
     return fast
 
 
@@ -357,13 +356,14 @@ def test_grid_pass_matches_dense_pass(d, data):
     offset = (original.c_max + original.c_min) / 2.0
     width = max(cost.spread, 1.0)
     lam = width / data.draw(st.floats(0.5, 20.0), label="T")
-    entries = cost.entries
-    for C, grid, mu, nu in ((entries, cost.grid, src.weights, tgt.weights),
-                            (entries.T, cost.grid.T, tgt.weights, src.weights)):
+    dense = ok.CostMatrix.from_entries(cost.entries)
+    scale = width + np.abs(dense.entries).max()
+    for side, mu, nu in ((0, src.weights, tgt.weights), (1, tgt.weights, src.weights)):
         psi = rng.uniform(-width, width, size=nu.size)
-        scale = width + np.abs(C).max()
-        fast = grid_reductions(psi, grid, mu, nu, lam, offset)
-        slow = solver_reductions(_DenseRows(psi, C, lam), psi, mu, nu, lam, offset)
+        fast = grid_reductions(psi, lambda: _row_passes(cost, lam, src, tgt)[side],
+                               mu, nu, lam, offset)
+        slow = solver_reductions(_row_passes(dense, lam, src, tgt)[side](psi),
+                                 psi, mu, nu, lam, offset)
         for name in ("c_transform", "smoothed", "E", "E_lam"):
             np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=GRID_TOL * scale)
         assert abs(fast["plan_cost"] - slow["plan_cost"]) <= GRID_TOL * (scale + abs(offset))
@@ -374,10 +374,11 @@ def test_grid_pass_matches_dense_pass(d, data):
 
 @pytest.mark.parametrize("lengths_s, lengths_t", [((4, 3), (2, 5)), ((3, 1, 2), (2, 2, 3))])
 def test_public_functions_on_a_grid_cost(lengths_s, lengths_t, rng):
-    # c_transform and energy take the max-plus chain and recover_plan a grid
-    # pass, without forming the cost's entries; they agree with the same
-    # calls on the dense costs, and the plan's entries, once read, are
-    # bitwise the dense call's.
+    # c_transform and energy take the max-plus chain, and the smoothed
+    # functions and recover_plan a grid pass, without forming the cost's
+    # entries; they agree with the same calls on the dense costs, and the
+    # plan's entries, once read, are bitwise the dense call's. hessian_apply
+    # alone runs the dense pass, bitwise the dense call.
     src = grid_measure(rng, lengths_s, spacing=0.37, origin=-1.1)
     tgt = grid_measure(rng, lengths_t, spacing=1.9)
     original = ok.squared_euclidean(src, tgt)
@@ -385,31 +386,32 @@ def test_public_functions_on_a_grid_cost(lengths_s, lengths_t, rng):
         width = cost.spread
         lam = width / 20.0
         psi = rng.uniform(-width, width, size=tgt.size)
-        values = (ok.c_transform(psi, cost), ok.energy(psi, src, tgt, cost))
+        values = (ok.c_transform(psi, cost), ok.energy(psi, src, tgt, cost),
+                  ok.smoothed_c_transform(psi, cost, lam),
+                  ok.smoothed_energy(psi, src, tgt, cost, lam))
+        gradient = ok.smoothed_gradient(psi, src, tgt, cost, lam)
         plan = ok.recover_plan(psi, src, tgt, cost, lam)
         sums, pc = (plan.row_sums(), plan.col_sums()), ok.plan_cost(plan, original)
         assert cost._entries is None and plan._entries is None
         dense = ok.CostMatrix.from_entries(cost.entries)
         tol = GRID_TOL * (width + np.abs(cost.entries).max())
-        np.testing.assert_allclose(values[0], ok.c_transform(psi, dense), rtol=0, atol=tol)
-        assert abs(values[1] - ok.energy(psi, src, tgt, dense)) <= tol
+        expected = (ok.c_transform(psi, dense), ok.energy(psi, src, tgt, dense),
+                    ok.smoothed_c_transform(psi, dense, lam),
+                    ok.smoothed_energy(psi, src, tgt, dense, lam))
+        for got, want in zip(values, expected, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        # The gradient's entries are column sums of a plan of unit mass.
+        assert np.abs(gradient - ok.smoothed_gradient(psi, src, tgt, dense, lam)).sum() \
+            <= GRID_TOL
+        direction = rng.standard_normal(tgt.size)
+        assert ok.hessian_apply(psi, src, tgt, cost, lam, direction).tobytes() == \
+            ok.hessian_apply(psi, src, tgt, dense, lam, direction).tobytes()
         expected = ok.recover_plan(psi, src, tgt, dense, lam).entries
         assert plan.entries.tobytes() == expected.tobytes()
         for got, want in zip(sums, (expected.sum(axis=1), expected.sum(axis=0))):
             np.testing.assert_allclose(got, want, rtol=0, atol=GRID_TOL)
         assert abs(pc - ok.plan_cost(ok.TransportPlan(expected), original)) <= \
             GRID_TOL * original.c_max
-
-
-def test_grid_col_sums_take_only_the_held_marginal(rng):
-    # The column chain reads the held log w, so a scale that is not w itself,
-    # even one equal to it, is refused rather than read wrongly.
-    src, tgt = grid_measure(rng, (3, 4)), grid_measure(rng, (2, 5))
-    cost = ok.center(ok.squared_euclidean(src, tgt))
-    rows = _GridRows(cost.grid, 1.0, src.weights)(np.zeros(tgt.size))
-    rows.col_sums(src.weights)
-    with pytest.raises(ValueError, match="own row marginal"):
-        rows.col_sums(src.weights.copy())
 
 
 @settings(max_examples=60)
@@ -434,21 +436,22 @@ def test_mixed_grid_chain_matches_dense_pass(d, data):
     tgt = ok.from_points(tgt.points * stretch, tgt.weights)
     original = ok.squared_euclidean(src, tgt)
     cost = ok.center(original)
-    entries = cost.entries
-    rows = _GridRows(cost.grid, lam, src.weights)
+    rows = _row_passes(cost, lam, src, tgt)[0]
     assert [not s.product for s in rows.row] == [not s.product for s in rows.col] == over
     offset = (original.c_max + original.c_min) / 2.0
     width = cost.spread
-    for C, grid, mu, nu in ((entries, cost.grid, src.weights, tgt.weights),
-                            (entries.T, cost.grid.T, tgt.weights, src.weights)):
+    dense = ok.CostMatrix.from_entries(cost.entries)
+    scale = width + np.abs(dense.entries).max()
+    # GRID_TOL's derivation with R = (|psi|_inf + |c|_inf) / lam <= scale / lam
+    # in place of R <= 30: weight errors below 16 * 2.2e-16 * R, and a
+    # factor of ten for the sums.
+    tol = GRID_TOL * (scale / lam) / 30.0
+    for side, mu, nu in ((0, src.weights, tgt.weights), (1, tgt.weights, src.weights)):
         psi = rng.uniform(-width, width, size=nu.size)
-        scale = width + np.abs(C).max()
-        # GRID_TOL's derivation with R = (|psi|_inf + |c|_inf) / lam <= scale / lam
-        # in place of R <= 30: weight errors below 16 * 2.2e-16 * R, and a
-        # factor of ten for the sums.
-        tol = GRID_TOL * (scale / lam) / 30.0
-        fast = grid_reductions(psi, grid, mu, nu, lam, offset)
-        slow = solver_reductions(_DenseRows(psi, C, lam), psi, mu, nu, lam, offset)
+        fast = grid_reductions(psi, lambda: _row_passes(cost, lam, src, tgt)[side],
+                               mu, nu, lam, offset)
+        slow = solver_reductions(_row_passes(dense, lam, src, tgt)[side](psi),
+                                 psi, mu, nu, lam, offset)
         for name in ("c_transform", "smoothed", "E", "E_lam"):
             np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=tol * scale)
         assert abs(fast["plan_cost"] - slow["plan_cost"]) <= tol * (scale + abs(offset))
@@ -518,7 +521,7 @@ class TestMaxPlusStage:
         assert cost.grid is not None
         for lam in (1.0, cost.spread / 7.0):
             psi = rng.integers(-3, 4, size=tgt.size) * lam
-            rows = _GridRows(cost.grid, lam, src.weights)(psi)
+            rows = _row_passes(cost, lam, src, tgt)[0](psi)
             u = np.empty(tgt.size)
             u[cost.grid.cols] = psi / lam
             for stage in rows.row:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import otkit as ok
 from otkit import costs, smoothed_dual, solvers
-from otkit.smoothed_dual import _GridRows, _marginal_dev
+from otkit.smoothed_dual import _DenseRows, _GridRows, _marginal_dev, _row_passes
 from helpers import (criterion1_instance, grid_measure, random_point_instance,
                      reference_optimum, small_random_instance, traced_memory)
 
@@ -64,6 +65,33 @@ def test_rejects_measure_sizes_not_matching_cost(name):
     cost = ok.CostMatrix.from_entries(np.ones((4, 6)))
     with pytest.raises(ValueError, match="measure sizes do not match the cost matrix"):
         SOLVES[name](src, tgt, cost)
+
+
+@pytest.mark.parametrize("path", ["dense", "kernel_mode", "grid"])
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_passes_built_at_the_marginal_they_reduce(name, path, rng, monkeypatch):
+    # Each solve builds one pass per cost orientation, once, each at the row
+    # marginal of the plan it reduces: FISTA's row pass and Sinkhorn's row
+    # half at mu, Sinkhorn's column half at nu. So at its last call each
+    # pass's plan has that marginal as its row sums, to rounding.
+    src, tgt, cost, lam = row_pass_instance(path, rng)
+    built, plain = [], solvers._row_passes
+
+    def passes(*args, **kwargs):
+        built.append(plain(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(solvers, "_row_passes", passes)
+    kernel_mode = path == "kernel_mode"
+    if name == "fista":
+        ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(max_iters=50, kernel_mode=kernel_mode))
+        called = built[0][:1]
+    else:
+        ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=50, kernel_mode=kernel_mode)
+        called = built[0]
+    assert len(built) == 1
+    for rows, w in zip(called, (src.weights, tgt.weights)):
+        np.testing.assert_allclose(rows.scale * rows.sums, w, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
@@ -425,26 +453,24 @@ def plain_fista(src, tgt, cost, lam, eta, max_iters, stop_rel_tol, offset=0.0):
 
 def plain_grid_fista(src, tgt, cost, lam, config):
     """FISTA on a grid cost, traced every iteration, with a fresh grid pass
-    each iteration and the dense path's arithmetic for E, E_lambda, the
-    gradient and <P, C>: ``mu / sums`` and ``mu @ log(sums)`` as written,
-    except that the column sums take ``mu`` itself, as a grid pass requires,
-    once ``mu / sums`` is seen to be ``mu`` bitwise. Returns the rows
-    ``(t, E, E_lambda, <P, C>, D)``, the status and the last proximal point."""
+    each iteration and ``mu @ log(sums)`` as written for E_lambda, once the
+    pass's ``scale`` is seen to be ``mu / sums`` bitwise, from which it takes
+    the gradient and <P, C>. Returns the rows ``(t, E, E_lambda, <P, C>, D)``,
+    the status and the last proximal point."""
     mu, nu = src.weights, tgt.weights
     offset, log_n = config.cost_offset, math.log(nu.size)
     psi, z, theta = np.zeros(nu.size), np.zeros(nu.size), 1.0
     rows, previous = [], None
     for t in range(config.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows_t = _GridRows(cost.grid, lam, mu)(psi)
+            rows_t = _row_passes(cost, lam, src, tgt)[0](psi)
             nu_psi = nu @ psi
             e_shift = float(mu @ rows_t.shift - nu_psi) - offset
             e = float(mu @ rows_t.c_transform() - nu_psi) - offset
             e_lam = e_shift + lam * (float(mu @ np.log(rows_t.sums)) - log_n)
-            scale = mu / rows_t.sums
-            assert scale.tobytes() == mu.tobytes()
-            grad = rows_t.col_sums(mu) - nu
-        rows.append((t, e, e_lam, rows_t.plan_cost(scale, offset), float(np.abs(grad).sum())))
+            assert rows_t.scale.tobytes() == (mu / rows_t.sums).tobytes()
+            grad = rows_t.col_sums() - nu
+        rows.append((t, e, e_lam, rows_t.plan_cost(offset), float(np.abs(grad).sum())))
         if previous is not None and solvers._rel_change(e, previous) < config.stop_rel_tol:
             return rows, ok.CONVERGED, z
         if t == config.max_iters:
@@ -457,15 +483,25 @@ def plain_grid_fista(src, tgt, cost, lam, config):
 
 
 def count_row_passes(monkeypatch):
-    """Record every dense row pass the solvers build, ``solvers._DenseRows``."""
-    calls = []
-    plain = solvers._DenseRows
+    """Record every dense row pass the solvers run: each call, at a
+    potential, of a ``_DenseRows`` that ``solvers._row_passes`` built (not
+    those of ``recover_plan`` or the public functions)."""
+    # Held weakly, so the spy keeps no pass (and its weights) alive.
+    calls, built = [], weakref.WeakSet()
+    plain_passes, plain_call = solvers._row_passes, _DenseRows.__call__
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return plain(*args, **kwargs)
+    def passes(*args, **kwargs):
+        out = plain_passes(*args, **kwargs)
+        built.update(out)
+        return out
 
-    monkeypatch.setattr(solvers, "_DenseRows", spy)
+    def call(self, psi):
+        if self in built:
+            calls.append(1)
+        return plain_call(self, psi)
+
+    monkeypatch.setattr(solvers, "_row_passes", passes)
+    monkeypatch.setattr(_DenseRows, "__call__", call)
     return calls
 
 
@@ -677,9 +713,11 @@ class TestAbsorbedRows:
     @pytest.mark.parametrize("path", ["dense", "kernel_mode", "grid"])
     def test_row_passes(self, path, rng, monkeypatch):
         # Only the dense log-domain loop absorbs; kernel mode runs one pass
-        # every iteration, and a grid cost one call of the one grid pass
-        # the solve builds, then recover_plan one grid pass at the returned
-        # potential for the factored plan.
+        # every iteration, and a grid cost one call of the row pass of the
+        # two grid passes the solve builds (the column pass shares its
+        # stages and is not called), then recover_plan builds two more and
+        # calls its row pass once at the returned potential for the
+        # factored plan.
         src, tgt, cost, lam = row_pass_instance(path, rng)
         passes = count_row_passes(monkeypatch)
         grid = count_grid_passes(monkeypatch)
@@ -691,8 +729,8 @@ class TestAbsorbedRows:
         elif path == "kernel_mode":
             assert len(passes) == result.trace.n_iterations + 1 and not grid
         else:
-            assert grid == (["built"] + ["called"] * (result.trace.n_iterations + 1)
-                            + ["built", "called"])
+            assert grid == (["built"] * 2 + ["called"] * (result.trace.n_iterations + 1)
+                            + ["built"] * 2 + ["called"])
             assert not passes
 
     @pytest.mark.parametrize("cost_scale, lam, eta, passes", [(3000.0, 1e-3, 20.0, 15),
@@ -766,7 +804,7 @@ class TestAbsorbedRows:
             C = rng.uniform(0.0, 8.0, (m, n))
             psi0 = rng.uniform(-4.0, 4.0, n)
             drift = lam * rng.uniform(-29.9, 29.9, n)
-        kernel = solvers._AbsorbedRows(smoothed_dual._DenseRows(psi0, C, lam), psi0, lam)
+        kernel = solvers._AbsorbedRows(_DenseRows(C, lam, np.full(m, 1.0 / m))(psi0))
         psi = psi0 + drift
         assert kernel.rescale(psi)
         np.testing.assert_array_equal(kernel.shift, smoothed_dual._row_max(psi, C))
@@ -984,7 +1022,7 @@ class TestGridCosts:
         _, src, tgt, original = self.synthetic_image()
         cost = ok.center(original)
         lam = cost.spread / T
-        stages = _GridRows(cost.grid, lam, src.weights).row
+        stages = _row_passes(cost, lam, src, tgt)[0].row
         assert [s.product for s in stages] == [product, product]
         result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=200, stop_rel_tol=1e-300)
         assert result.trace.status == ok.MAX_ITERS
@@ -1009,7 +1047,7 @@ class TestGridCosts:
         assert not np.array_equal(grid.rows, np.arange(src.size))
         assert not np.array_equal(grid.cols, np.arange(tgt.size))
         lam = cost.spread / T
-        stages = _GridRows(grid, lam, src.weights).row
+        stages = _row_passes(cost, lam, src, tgt)[0].row
         assert [s.product for s in stages] == [product, product]
         return config, src, tgt, cost, (original.c_max + original.c_min) / 2.0, lam
 
@@ -1040,10 +1078,10 @@ class TestGridCosts:
                              ids=["product_stages", "log_domain_stages"])
     def test_sinkhorn_grid_matches_fresh_pass_per_half(self, T, product, stop_rel_tol):
         # Sinkhorn's two grid passes, one per cost orientation, against a
-        # loop that builds a grid pass afresh for each half and takes
-        # log(sums) and nu / sums as written (the column sums at nu itself,
-        # once nu / sums is seen to be nu bitwise): every trace row, the
-        # status, the count, the potentials and the plan agree bit for bit.
+        # loop that builds both afresh for each half and takes log(sums) as
+        # written, once the column pass's scale is seen to be nu / sums
+        # bitwise: every trace row, the status, the count, the potentials
+        # and the plan agree bit for bit.
         _, src, tgt, cost, offset, lam = self.relabelled_image(T, product)
         mu, nu, C = src.weights, tgt.weights, cost.entries
         max_iters = 150
@@ -1052,14 +1090,13 @@ class TestGridCosts:
         g, previous, rows = np.zeros(nu.size), None, []
         for t in range(1, max_iters + 1):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                half = _GridRows(cost.grid, lam, mu)(g)
+                half = _row_passes(cost, lam, src, tgt)[0](g)
                 f = lam * (np.log(mu) - np.log(half.sums)) - half.shift
-                half = _GridRows(cost.grid.T, lam, nu)(f)
+                half = _row_passes(cost, lam, src, tgt)[1](f)
                 g = lam * (np.log(nu) - np.log(half.sums)) - half.shift
-                scale = nu / half.sums
-                assert scale.tobytes() == nu.tobytes()
-                pc = half.plan_cost(scale, offset)
-            rows.append((t, pc, _marginal_dev(scale * half.sums, half.col_sums(nu), nu, mu)))
+                assert half.scale.tobytes() == (nu / half.sums).tobytes()
+                pc = half.plan_cost(offset)
+            rows.append((t, pc, _marginal_dev(half.scale * half.sums, half.col_sums(), nu, mu)))
             if previous is not None and solvers._rel_change(pc, previous) < stop_rel_tol:
                 status = ok.CONVERGED
                 break
@@ -1072,7 +1109,7 @@ class TestGridCosts:
             assert actual.tobytes() == expected.tobytes()
         # The plan the column half's pass formed against its own shift.
         expected = smoothed_dual._exp_rows(f[None, :] - C.T, half.shift, lam)
-        expected *= scale[:, None]
+        expected *= (nu / half.sums)[:, None]
         assert result.plan.entries.tobytes() == expected.T.tobytes()
 
     @pytest.mark.parametrize("T", [700.0, 5000.0], ids=["product_stages", "log_domain_stages"])
@@ -1153,7 +1190,7 @@ class TestGridCosts:
             expected *= (mu / expected.sum(axis=1))[:, None]
         else:
             f, _ = result.potentials
-            shift = _GridRows(cost.grid.T, lam, nu)(f).shift
+            shift = _row_passes(cost, lam, src, tgt)[1](f).shift
             expected = f[None, :] - C.T
             expected -= shift[:, None]
             expected /= lam
