@@ -1,7 +1,7 @@
 """Benchmark harness: instance generation, solver execution, CSV/JSON reports.
 
 ``otbench run`` builds one instance, runs the selected solvers sequentially on
-the (optionally range-centered) cost matrix with ``lam = spread / T``, writes
+the range-centered cost matrix with ``lam = spread / T``, writes
 one trace CSV per solver plus a summary JSON, and exits 0 on success, 2 if any
 solver reports a numerical failure, 3 on configuration errors.
 ``otbench generate`` writes the instance files and stops.
@@ -27,6 +27,7 @@ from .exact import DEFAULT_CELL_CAP, exact_solve
 COST_KINDS = ("sqeuclidean", "power", "spherical")
 INSTANCE_KINDS = ("image_pair", "synthetic_image", "random_points")
 SOLVER_NAMES = ("fista", "sinkhorn", "exact")
+_BLOBS = 3
 
 
 class ConfigError(ValueError):
@@ -61,7 +62,6 @@ class ExperimentConfig:
     max_iters: int = 20000
     stop_rel_tol: float = 1e-3
     trace_every: int = 1
-    center: bool = True
     kernel_mode: bool = False
     oracle_cell_cap: int = DEFAULT_CELL_CAP
     out: str = "results"
@@ -116,12 +116,12 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def synthetic_blob_image(rng: np.random.Generator, size: int = 28, n_blobs: int = 3) -> np.ndarray:
-    """Seeded stand-in for a handwritten-digit image: a few Gaussian blobs on a
-    ``size x size`` grid, dim pixels zeroed out to form a background."""
+def synthetic_blob_image(rng: np.random.Generator, size: int = 28) -> np.ndarray:
+    """Seeded stand-in for a handwritten-digit image: ``_BLOBS`` Gaussian blobs
+    on a ``size x size`` grid, dim pixels zeroed out to form a background."""
     rows, cols = np.indices((size, size), dtype=float)
     img = np.zeros((size, size))
-    for _ in range(n_blobs):
+    for _ in range(_BLOBS):
         cy, cx = rng.uniform(0.2 * size, 0.8 * size, size=2)
         sy, sx = rng.uniform(0.05 * size, 0.18 * size, size=2)
         amp = rng.uniform(0.5, 1.0)
@@ -192,12 +192,9 @@ def run_experiment(config: ExperimentConfig):
 
     source, target = build_instance(config)
     original = build_cost(config, source, target)
-    solve_cost = costs.center(original) if config.center else original
-    cost_offset = (original.c_max + original.c_min) / 2.0 if config.center else 0.0
+    solve_cost = costs.center(original)
+    cost_offset = (original.c_max + original.c_min) / 2.0
     lam = smoothed_dual.SmoothingParams.from_divisor(solve_cost, config.T).lam
-    if "exact" in config.solvers and source.size * target.size > config.oracle_cell_cap:
-        raise ConfigError("exact solver refused: %d cells exceed the oracle cap %d"
-                          % (source.size * target.size, config.oracle_cell_cap))
 
     bound = 2.0 * lam * float(np.log(target.size))
     summary = {
@@ -332,7 +329,6 @@ def _add_shared_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", dest="stop_rel_tol", type=float)
     parser.add_argument("--trace-every", dest="trace_every", type=int)
     parser.add_argument("--out")
-    parser.add_argument("--no-center", dest="center", action="store_false", default=None)
     parser.add_argument("--kernel-mode", dest="kernel_mode", action="store_true", default=None)
     parser.add_argument("--instance", choices=INSTANCE_KINDS)
     parser.add_argument("--m", type=int)

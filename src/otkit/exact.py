@@ -474,6 +474,8 @@ def exact_solve(
 # ---------------------------------------------------------------------------
 
 _BRUTE_FORCE_LIMIT = 5
+# A basis allocation counts as feasible down to this negative rounding error.
+_FEAS_TOL = 1e-10
 _schedule_cache: dict[tuple[int, int], tuple] = {}
 
 
@@ -561,20 +563,18 @@ def brute_force_solve(
     source: DiscreteMeasure,
     target: DiscreteMeasure,
     cost: CostMatrix,
-    feas_tol: float = 1e-10,
 ) -> tuple[TransportPlan, float]:
     """Minimum over every basic feasible solution, by exhaustive enumeration.
 
     Every vertex of the transportation polytope is the unique allocation of
     some spanning-tree basis, so scanning all trees and keeping the cheapest
     feasible allocation is an oracle that shares no code path with the
-    simplex. Limited to 5x5 instances.
+    simplex. Two measures always balance (each sums to one), so only the
+    size is checked. Limited to 5x5 instances.
     """
     m, n = cost.shape
     if m > _BRUTE_FORCE_LIMIT or n > _BRUTE_FORCE_LIMIT:
         raise ValueError("brute force limited to %dx%d" % (_BRUTE_FORCE_LIMIT, _BRUTE_FORCE_LIMIT))
-    if abs(source.weights.sum() - target.weights.sum()) > MASS_BALANCE_TOL:
-        raise ValueError("total source and target mass must match")
 
     cells, leaf, nbr, last_row = _tree_peel_schedules(m, n)
     n_trees, edges = cells.shape
@@ -591,7 +591,7 @@ def brute_force_solve(
     x[:, edges - 1] = masses[ar, last_row]
 
     tree_costs = (x * cost.entries.ravel()[cells]).sum(axis=1)
-    feasible = (x >= -feas_tol).all(axis=1)
+    feasible = (x >= -_FEAS_TOL).all(axis=1)
     if not feasible.any():
         raise RuntimeError("no feasible basis found (masses inconsistent?)")
     best = int(np.argmin(np.where(feasible, tree_costs, np.inf)))

@@ -64,10 +64,12 @@ def normalize(raw_weights) -> np.ndarray:
     Raises
     ------
     ValueError
-        "negative mass" if any input weight is negative, "degenerate measure"
-        if all weights are zero.
+        "non-finite mass" if any input weight is NaN or infinite, "negative
+        mass" if any is negative, "degenerate measure" if all are zero.
     """
     w = np.asarray(raw_weights, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("non-finite mass")
     if np.any(w < 0.0):
         raise ValueError("negative mass")
     total = w.sum()
@@ -76,26 +78,16 @@ def normalize(raw_weights) -> np.ndarray:
     return w / total
 
 
-def from_points(points, raw_weights, drop_zeros: bool = False) -> DiscreteMeasure:
+def from_points(points, raw_weights) -> DiscreteMeasure:
     """Build a measure from points and raw (unnormalized) weights.
 
-    Zero-weight atoms are rejected by default; with ``drop_zeros=True`` they are
-    removed before normalization.
+    1-D ``points`` are read as one coordinate per atom. The weights pass
+    through :func:`normalize`, and a zero-weight atom is rejected.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
-    w = np.asarray(raw_weights, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("negative mass")
-    if drop_zeros:
-        keep = w > 0.0
-        points, w = points[keep], w[keep]
-    if w.size == 0 or w.sum() <= 0.0:
-        raise ValueError("degenerate measure")
-    if np.any(w == 0.0):
-        raise ValueError("zero-weight atom: pass drop_zeros=True to remove them")
-    return DiscreteMeasure(points, normalize(w))
+    return DiscreteMeasure(points, normalize(raw_weights))
 
 
 def from_image_grid(pixel_intensities, background_noise: float = 0.01) -> DiscreteMeasure:
@@ -110,14 +102,10 @@ def from_image_grid(pixel_intensities, background_noise: float = 0.01) -> Discre
         raise ValueError("pixel grid must be a nonempty 2D array")
     if background_noise < 0.0:
         raise ValueError("background_noise must be >= 0")
-    if np.any(grid < 0.0):
-        raise ValueError("negative mass")
     rows, cols = np.indices(grid.shape)
     points = np.column_stack([rows.ravel(), cols.ravel()]).astype(float)
     w = grid.ravel().copy()
     w[w == 0.0] = background_noise
-    if w.sum() <= 0.0:
-        raise ValueError("degenerate measure")
     return DiscreteMeasure(points, normalize(w))
 
 

@@ -97,8 +97,8 @@ class FistaConfig:
     cost_offset: float = 0.0
 
     def __post_init__(self):
-        if not self.eta > 0.0:
-            raise ValueError("eta must be > 0")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError("eta must be > 0 and finite")
         _StopRule.check(self.max_iters, self.stop_rel_tol, self.trace_every)
 
 
@@ -740,8 +740,8 @@ def corollary9_iteration_bound(psi_star_norm: float, lam: float, epsilon: float)
     ``psi_star_norm`` is the Euclidean norm of the zero-mean optimizer.
     """
     _check_lam(lam)
-    if not (psi_star_norm > 0.0 and epsilon > 0.0):
-        raise ValueError("all arguments must be > 0")
+    if not (0.0 < psi_star_norm < math.inf and 0.0 < epsilon < math.inf):
+        raise ValueError("all arguments must be > 0 and finite")
     return math.ceil(math.sqrt(2.0 * psi_star_norm * psi_star_norm / (lam * epsilon)))
 
 

@@ -25,6 +25,8 @@ TINY = {
     "p-sweep-exact": dict(m=12, n=12),
 }
 SMOKE = dict(eta=5.0, T=50.0)
+# Solves ``harness.run_cli`` records: the preset's solvers, the oracle included.
+CLI_OPERATIONS = {"sed-paper": 2, "sphere-paper": 2, "p-sweep-exact": 3}
 
 
 @pytest.mark.parametrize("workload", sorted(TINY))
@@ -38,3 +40,8 @@ def test_benchmark_calls(workload, tmp_path):
         result = harness.solve(name, problem, config, config.max_iters,
                                config.stop_rel_tol, 1)
         assert math.isfinite(harness.estimate(name, problem, result)), name
+    # The ``otbench run`` path the benchmark times as ``run_s``.
+    ledger = harness.Ledger()
+    harness.run_cli(config, ledger, tmp_path / "cli")
+    assert ledger.failures == []
+    assert ledger.attempted == CLI_OPERATIONS[workload]

@@ -76,7 +76,7 @@ class TestConfig:
 
     def test_bad_boolean_rejected(self, tmp_path):
         config_file = tmp_path / "exp.cfg"
-        config_file.write_text("center = maybe\n")
+        config_file.write_text("sphere = maybe\n")
         with pytest.raises(ConfigError, match="bad boolean"):
             config_from_sources(None, config_file, None)
 
@@ -88,7 +88,7 @@ class TestConfig:
         config = ExperimentConfig(instance="random_points", m=40, n=40, seed=1,
                                   solvers=("exact",), oracle_cell_cap=100,
                                   out=str(tmp_path))
-        with pytest.raises(ConfigError, match="oracle cap"):
+        with pytest.raises(ValueError, match="too large for exact oracle"):
             run_experiment(config)
 
 
@@ -131,7 +131,7 @@ class TestRunExperiment:
         src, tgt = write_pgm_pair(tmp_path)
         code = main(["run", "--instance", "image_pair",
                      "--image-source", str(src), "--image-target", str(tgt),
-                     "--cost", "sqeuclidean", "--solvers", "exact", "--no-center",
+                     "--cost", "sqeuclidean", "--solvers", "exact",
                      "--out", str(tmp_path / "out")])
         assert code == 0
         out = capsys.readouterr().out
@@ -187,8 +187,8 @@ class TestRunExperiment:
 
     def test_numerical_failure_exit_code(self, tmp_path):
         code = main(["run", "--preset", "p-sweep", "--seed", "2", "--p", "4.0",
-                     "--T", "800", "--solvers", "sinkhorn", "--kernel-mode",
-                     "--no-center", "--max-iters", "50", "--out", str(tmp_path)])
+                     "--T", "1500", "--solvers", "sinkhorn", "--kernel-mode",
+                     "--max-iters", "50", "--out", str(tmp_path)])
         assert code == 2
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["solvers"]["sinkhorn"]["status"] == "numerical_failure"
@@ -202,16 +202,6 @@ class TestRunExperiment:
                      "--image-source", str(tmp_path / "none.pgm"),
                      "--image-target", str(tmp_path / "none2.pgm"),
                      "--out", str(tmp_path)]) == 3
-
-    def test_no_center_flag_changes_lambda(self, tmp_path):
-        base = dict(instance="random_points", m=6, n=6, seed=0, solvers=("fista",),
-                    T=50.0, max_iters=10, stop_rel_tol=1e-9, trace_every=5)
-        with_center, _ = run_experiment(ExperimentConfig(out=str(tmp_path / "a"), **base))
-        without, _ = run_experiment(ExperimentConfig(out=str(tmp_path / "b"),
-                                                     center=False, **base))
-        # spread is preserved by centering, so lambda agrees; offsets differ
-        assert with_center["lambda"] == pytest.approx(without["lambda"], rel=1e-12)
-        assert with_center["cost_spread"] == pytest.approx(without["cost_spread"], rel=1e-12)
 
     def test_generate_cli(self, tmp_path, capsys):
         code = main(["generate", "--instance", "random_points", "--m", "5", "--n", "4",

@@ -21,6 +21,12 @@ class TestNormalize:
         with pytest.raises(ValueError, match="negative mass"):
             ok.normalize([1.0, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN gave all-NaN weights and inf gave [0, nan] with a RuntimeWarning.
+        with pytest.raises(ValueError, match="non-finite mass"):
+            ok.normalize([1.0, bad])
+
     @given(st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=30))
     def test_sums_to_one_and_preserves_proportions(self, raw):
         w = ok.normalize(raw)
@@ -34,11 +40,6 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError, match="zero-weight"):
             ok.from_points([[0.0], [1.0]], [1.0, 0.0])
 
-    def test_drop_zeros_flag(self):
-        mea = ok.from_points([[0.0], [1.0], [2.0]], [1.0, 0.0, 3.0], drop_zeros=True)
-        assert mea.size == 2
-        np.testing.assert_allclose(mea.weights, [0.25, 0.75])
-
     def test_immutable(self):
         mea = ok.from_points([[0.0], [1.0]], [1.0, 1.0])
         with pytest.raises(ValueError):
@@ -47,6 +48,33 @@ class TestDiscreteMeasure:
     def test_weight_sum_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
             ok.DiscreteMeasure(np.zeros((2, 1)), np.array([0.6, 0.6]))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: ok.from_points([[0.0], [1.0]], [1.0, -0.5]), "negative mass",
+                 id="points-negative"),
+    pytest.param(lambda: ok.from_points([[0.0], [1.0]], [0.0, 0.0]), "degenerate measure",
+                 id="points-all-zero"),
+    pytest.param(lambda: ok.from_points([], []), "degenerate measure", id="points-empty"),
+    pytest.param(lambda: ok.from_points([[0.0], [1.0]], [1.0, 0.0]), "zero-weight atom",
+                 id="points-zero-atom"),
+    pytest.param(lambda: ok.from_points([0.0, 1.0, 2.0], [1.0, 1.0]),
+                 "weights length must match", id="points-length-mismatch"),
+    pytest.param(lambda: ok.from_points([0.0, 1.0], [1.0, np.nan]), "non-finite mass",
+                 id="points-nan"),
+    pytest.param(lambda: ok.from_points([0.0, 1.0], [1.0, np.inf]), "non-finite mass",
+                 id="points-inf"),
+    pytest.param(lambda: ok.from_image_grid([[1.0, -1.0]]), "negative mass", id="grid-negative"),
+    pytest.param(lambda: ok.from_image_grid(np.zeros((2, 2)), background_noise=0.0),
+                 "degenerate measure", id="grid-all-zero"),
+    pytest.param(lambda: ok.from_image_grid([[1.0]], background_noise=-0.1),
+                 "background_noise must be >= 0", id="grid-negative-noise"),
+    pytest.param(lambda: ok.from_image_grid([1.0, 2.0]), "nonempty 2D", id="grid-1d"),
+    pytest.param(lambda: ok.from_image_grid([[1.0, np.nan]]), "non-finite mass", id="grid-nan"),
+])
+def test_builders_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestFromImageGrid:

@@ -1,7 +1,9 @@
 """Every private name and every ``module.attr`` of the package that README.md,
 or a module's own docstrings and comments, cite in backticks is defined in
-the package: a stale name there points the reader at deleted code."""
+the package, and every ``otbench`` flag README.md cites is an option of the
+CLI: a stale name or flag there points the reader at deleted code."""
 
+import argparse
 import ast
 import io
 import re
@@ -10,11 +12,15 @@ from pathlib import Path
 
 import pytest
 
+from otkit import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = {p.stem: p for p in (ROOT / "src" / "otkit").glob("*.py")}
 # A backticked name, dotted or called: ``_GridRows``, ``_GridRows.row``,
 # ``smoothed_dual.project_H`` or ``_row_max(psi, C)``.
 CITED_NAME = re.compile(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*\))?")
+# An ``otbench`` command line and its backslash-continued lines.
+OTBENCH_COMMAND = re.compile(r"^otbench (?:.*\\\n)*.*$", re.M)
 
 
 def top_level_names(tree) -> set[str]:
@@ -107,3 +113,24 @@ def test_detects_stale_names():
             "`smoothed_dual._OldStep`, `solvers._u`")
     assert unresolved(text, modules) == ["_OldStep", "_old_reductions(psi)",
                                          "smoothed_dual._OldStep", "solvers._u"]
+
+
+def cited_flags(text: str) -> set[str]:
+    """The ``--flags`` that ``text`` cites in backticks or in ``otbench`` commands."""
+    flags = set(re.findall(r"`(--[\w-]+)", text))
+    for command in OTBENCH_COMMAND.findall(text):
+        flags.update(re.findall(r"(?<!\S)(--[\w-]+)", command))
+    return flags
+
+
+def test_readme_cites_only_cli_flags():
+    parser = argparse.ArgumentParser()
+    cli._add_shared_args(parser)
+    options = {flag for action in parser._actions for flag in action.option_strings}
+    assert cited_flags((ROOT / "README.md").read_text()) - options == set()
+
+
+def test_cited_flags_are_backticked_or_otbench():
+    text = ("Flags: `--seed`, `--tol 1e-9`.\n```\npip install -e . --no-build-isolation\n"
+            "otbench run --m 5 \\\n    --no-center\notbench generate --out x\n```\n")
+    assert cited_flags(text) == {"--seed", "--tol", "--m", "--no-center", "--out"}

@@ -1274,7 +1274,22 @@ class TestCorollary9Bound:
         with pytest.raises(ValueError):
             ok.corollary9_iteration_bound(0.0, 1.0, 1.0)
 
-    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_finite_arguments_required(self, position, value):
+        # An infinite norm overflowed and an infinite epsilon gave 0 iterations.
+        args = [1.0, 1.0, 1.0]
+        args[position] = value
+        with pytest.raises(ValueError, match="all arguments must be > 0 and finite"):
+            ok.corollary9_iteration_bound(*args)
+
+    @pytest.mark.parametrize("eta", [math.inf, math.nan, 0.0, -1.0])
+    def test_eta_positive_and_finite_required(self, eta):
+        # An infinite eta constructed and the solve ended in numerical_failure.
+        with pytest.raises(ValueError, match="eta must be > 0 and finite"):
+            ok.FistaConfig(eta=eta)
+
+    @pytest.mark.parametrize("lam",[math.inf, math.nan, 0.0, -1.0])
     def test_lambda_positive_and_finite_required(self, lam):
         # An infinite lam gave a bound of 0 iterations.
         with pytest.raises(ValueError, match="lam must be > 0 and finite"):
