@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -74,12 +75,9 @@ class ExperimentConfig:
         for name in ("m", "n", "d", "image_size"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be >= 1" % name)
-        if not self.p > 0.0:
-            raise ConfigError("p must be > 0")
-        if not self.T > 0.0:
-            raise ConfigError("T must be > 0")
-        if not self.eta > 0.0:
-            raise ConfigError("eta must be > 0")
+        for name in ("p", "T", "eta"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError("%s must be > 0 and finite" % name)
         if not self.solvers:
             raise ConfigError("at least one solver must be selected")
         for name in self.solvers:

@@ -37,7 +37,7 @@ threaded product over the whole buffer that gives both the column sums and
 potentials (``_AbsorbedKernel``). FISTA holds the weights of its last dense
 row pass and rescales them by ``exp((psi - psi0)/lam)`` while that stays in
 the same range, taking the exact row max over each row's candidate columns,
-those the pass weighted at least ``exp(-tau/3)``, where the rescaled row sum
+those the pass weighted at least ``e^-7``, where the rescaled row sum
 certifies it, and from the row of ``C`` elsewhere (``_AbsorbedRows``).
 Its weights ``W0`` stay fixed for the kernel's life, so the <P, C> of every
 due row it serves is ``a^T (W0 o C) e`` with per-row vectors ``a`` and ``e``,
@@ -362,10 +362,17 @@ _ABSORB_TAU = 30.0
 # The most trace rows whose <P, C> FISTA's absorbed kernel takes in one pass.
 _COST_BATCH = 16
 # FISTA's absorbed kernel takes its row max over each row's candidates, the
-# columns with reference weight W0_ij >= exp(-tau/3), while they are at most
-# this share of the entries, and from all of C on an iteration where more
-# than this share of the rows fail their check.
-_CANDIDATE_WEIGHT = math.exp(-_ABSORB_TAU / 3.0)
+# columns with reference weight W0_ij >= _CANDIDATE_WEIGHT, while they are at
+# most this share of the entries, and from all of C on an iteration where
+# more than this share of the rows fail their check. The weight certificate,
+# not the threshold, makes the max exact, so the threshold only trades the
+# candidates read on every iteration (about 4 ns each) against the rows sent
+# to C. It was set by timing FISTA's tta solves: on sphere-paper e^-6 and
+# e^-7 ran 6% and 5% faster than e^-10 (median kernels keep 4.5% and 5.1% of
+# C, against 6.9%), but at e^-6 a p-sweep-exact kernel keeps 11.6% of C and
+# fails the share on 31 of its 32 iterations, 3% slower there; at e^-7 that
+# kernel is over the share and p-sweep-exact runs as at e^-10.
+_CANDIDATE_WEIGHT = math.exp(-7.0)
 _CANDIDATE_SHARE = 1.0 / 8.0
 
 
@@ -376,27 +383,32 @@ def _in_scaling_range(x) -> bool:
 
 def _row_candidates(W0, C):
     """Each row's columns with ``W0_ij >= _CANDIDATE_WEIGHT`` as ``(starts,
-    cols, costs, weights)``: row offsets, int32 columns, and ``c_ij`` and
-    ``W0_ij`` there, in row order. None if they are more than the candidate
-    share of the entries or some row has none (a NaN pass). Read a block of
-    rows at a time, counted before they are kept, so no m x n mask is formed."""
+    cols, costs, weights)``: row offsets, intp columns (``np.take`` would
+    convert narrower ones on every call), and ``c_ij`` and ``W0_ij`` there,
+    in row order. None if they are more than the candidate share of the
+    entries or some row has none (a NaN pass). Each block of rows is
+    compared once and its kept indices held until the arrays are filled, so
+    no m x n mask is formed, and the build stops at the first block that
+    takes the count past the share."""
     m, n = C.shape
     step = max(1, _BLOCK_BYTES // (8 * n))
-    blocks = range(0, m, step)
-    total = sum(np.count_nonzero(W0[i:i + step] >= _CANDIDATE_WEIGHT) for i in blocks)
-    if total > m * n * _CANDIDATE_SHARE:
-        return None
+    cap = m * n * _CANDIDATE_SHARE
+    kept, total = [], 0
+    for i in range(0, m, step):
+        kept.append(np.flatnonzero(W0[i:i + step] >= _CANDIDATE_WEIGHT))
+        total += kept[-1].size
+        if total > cap:
+            return None
     starts = np.empty(m + 1, np.intp)
-    cols, costs, weights = np.empty(total, np.int32), np.empty(total), np.empty(total)
+    cols, costs, weights = np.empty(total, np.intp), np.empty(total), np.empty(total)
     done = 0
-    for i in blocks:
-        W = W0[i:i + step]
-        keep = np.flatnonzero(W >= _CANDIDATE_WEIGHT)
-        starts[i:i + len(W)] = done + np.searchsorted(keep, np.arange(0, W.size, n))
+    for i, keep in zip(range(0, m, step), kept):
+        rows = min(step, m - i)
+        starts[i:i + rows] = done + np.searchsorted(keep, np.arange(0, rows * n, n))
         span = slice(done, done + keep.size)
-        cols[span] = keep % n
-        costs[span] = C[i:i + step].ravel().take(keep)
-        weights[span] = W.ravel().take(keep)
+        np.remainder(keep, n, out=cols[span])
+        costs[span] = C[i:i + rows].ravel().take(keep)
+        weights[span] = W0[i:i + rows].ravel().take(keep)
         done += keep.size
     starts[m] = total
     if not np.all(np.diff(starts) > 0):
@@ -423,15 +435,17 @@ class _AbsorbedRows:
     the whole queue by :meth:`queued_costs`.
 
     ``h`` comes from :meth:`row_max`. Each row keeps its candidate columns,
-    ``W0_ij >= exp(-tau/3)`` (:func:`_row_candidates`), unless they are
-    over 1/8 of ``C``, and ``h_i`` is their largest ``psi_j - c_ij`` where
-    that column's weight ``exp((h_i - s_i)/lam)`` exceeds the weight of all
-    the others, ``(W0 e)_i - sum_K W0_ij e_j``, by a slack above rounding;
+    ``W0_ij >= e^-7`` (:func:`_row_candidates`), unless they are over 1/8
+    of ``C``, and ``h_i`` is their largest ``psi_j - c_ij`` where that
+    column's weight ``exp((h_i - s_i)/lam)`` exceeds the weight of all the
+    others, ``(W0 e)_i - sum_K W0_ij e_j``, by a slack above rounding;
     elsewhere it comes from the row of ``C``, and from all of ``C`` when
     over 1/8 of the rows fail. Every value is one ``psi_j - c_ij``, so ``h``
     and with it ``r``, ``sums``, E and the run are bitwise those of the
     full row max (Schmitzer, SIAM J. Sci. Comput. 2019, Sec. 3.3, truncates
-    the kernel the same way).
+    the kernel the same way). The threshold sets only the cost: each
+    candidate is read on every iteration, each failed row reads its row of
+    ``C`` (``_CANDIDATE_WEIGHT``).
     """
 
     def __init__(self, rows):
@@ -465,7 +479,8 @@ class _AbsorbedRows:
         be larger; from the row of ``C`` where it does not, and from all of
         ``C`` when over 1/8 of the rows fail or the kernel keeps no candidates.
         Each value is one ``psi_j - c_ij``, so ``h`` is bitwise
-        :func:`_row_max`'s."""
+        :func:`_row_max`'s. The candidate pass is two takes, a subtract, a
+        multiply and two reduceats over the list, a few ns per candidate."""
         if self._candidates is None:
             return _row_max(psi, self.C)
         h, rest = self._candidate_max(psi, raw)
@@ -685,9 +700,9 @@ def sinkhorn_solve(
     f, g = np.zeros(m), np.zeros(n)
 
     t = 0
-    while not rule.stopped:
-        t += 1
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while not rule.stopped:
+            t += 1
             if kernel is not None and kernel.rescale():
                 half = kernel
             else:
@@ -700,17 +715,18 @@ def sinkhorn_solve(
                 g = lam * (log_nu - half.log_sums) - half.shift
             pc = half.plan_cost(cost_offset)
 
-        # Each plan entry is scale_j * w_ji with 0 <= w_ji <= sums_j, so a
-        # non-finite entry needs a non-finite or zero sums_j, which makes g_j
-        # (or pc) non-finite. An absorbed round keeps g, and its scalings are
-        # finite by the range check.
-        finite = math.isfinite(pc) and np.all(np.isfinite(g))
-        if rule.row_due(t, pc, finite):
-            dev = (_marginal_dev(half.scale * half.sums, half.col_sums(), nu, mu)
-                   if finite else math.nan)
-            rule.record(t, math.nan, math.nan, pc if finite else math.nan, dev)
-        if kernel is not None and half is not kernel and finite and not rule.stopped:
-            kernel.absorb()
+            # Each plan entry is scale_j * w_ji with 0 <= w_ji <= sums_j, so a
+            # non-finite entry needs a non-finite or zero sums_j, which makes
+            # g_j (or pc) non-finite. An absorbed round keeps g, checked by the
+            # log-domain round before it, and its scalings are finite by the
+            # range check.
+            finite = math.isfinite(pc) and (half is kernel or np.all(np.isfinite(g)))
+            if rule.row_due(t, pc, finite):
+                dev = (_marginal_dev(half.scale * half.sums, half.col_sums(), nu, mu)
+                       if finite else math.nan)
+                rule.record(t, math.nan, math.nan, pc if finite else math.nan, dev)
+            if kernel is not None and half is not kernel and finite and not rule.stopped:
+                kernel.absorb()
 
     if not finite:
         zeros = _PlanTerms(np.zeros(m), np.zeros(n), col_pass.grid, 0.0, 0.0)
@@ -738,11 +754,19 @@ def corollary9_iteration_bound(psi_star_norm: float, lam: float, epsilon: float)
         t >= sqrt(2 ||psi*||^2 / (lam * epsilon))
 
     ``psi_star_norm`` is the Euclidean norm of the zero-mean optimizer.
+    Raises ValueError where ``lam * epsilon`` underflows to 0 or the bound
+    is not finite.
     """
     _check_lam(lam)
     if not (0.0 < psi_star_norm < math.inf and 0.0 < epsilon < math.inf):
         raise ValueError("all arguments must be > 0 and finite")
-    return math.ceil(math.sqrt(2.0 * psi_star_norm * psi_star_norm / (lam * epsilon)))
+    denominator = lam * epsilon
+    if denominator == 0.0:
+        raise ValueError("lam * epsilon underflows to 0")
+    bound = math.sqrt(2.0 * psi_star_norm * psi_star_norm / denominator)
+    if not math.isfinite(bound):
+        raise ValueError("iteration bound is not finite")
+    return math.ceil(bound)
 
 
 def psi_infinity_bound(cost: CostMatrix, target: DiscreteMeasure, lam: float) -> float:

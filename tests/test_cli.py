@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +46,14 @@ class TestConfig:
     def test_bad_T(self):
         with pytest.raises(ConfigError, match="T must be > 0"):
             ExperimentConfig(T=0.0).validate()
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["eta", "T", "p"])
+    def test_positive_finite_required(self, name, value):
+        # An infinite eta, T or p passed and failed only after the instance,
+        # the cost and the exact oracle were built.
+        with pytest.raises(ConfigError, match="^%s must be > 0 and finite$" % name):
+            ExperimentConfig(**{name: value}).validate()
 
     @pytest.mark.parametrize("name, value", [("m", 0), ("n", -1), ("d", 0), ("image_size", 0)])
     def test_sizes_below_one_rejected(self, name, value):

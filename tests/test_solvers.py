@@ -785,12 +785,57 @@ class TestAbsorbedRows:
         np.testing.assert_array_equal(result.potential.values, reference.potential.values)
         np.testing.assert_array_equal(result.plan.entries, reference.plan.entries)
 
+    @staticmethod
+    def uneven_weights(rng, m, n):
+        """Weights whose rows keep 2-20% of their columns as candidates
+        (about 5% in all), each row with its max at 1 as in a pass."""
+        W0 = np.exp(-rng.uniform(0.0, rng.uniform(30.0, 300.0, (m, 1)), (m, n)))
+        W0[np.arange(m), rng.integers(0, n, m)] = 1.0
+        return W0
+
+    def test_row_candidates_match_reference(self, rng):
+        # 250 rows of 300 columns are three blocks, the last one short.
+        m, n = 250, 300
+        W0, C = self.uneven_weights(rng, m, n), rng.uniform(0.0, 1.0, (m, n))
+        assert m > 2 * max(1, solvers._BLOCK_BYTES // (8 * n))
+        starts, cols, costs, weights = solvers._row_candidates(W0, C)
+        flat = np.flatnonzero(W0 >= solvers._CANDIDATE_WEIGHT)
+        counts = np.bincount(flat // n, minlength=m)
+        assert counts.min() >= 1 and counts.max() > 3 * counts.min()
+        np.testing.assert_array_equal(starts, np.searchsorted(flat // n, np.arange(m)))
+        np.testing.assert_array_equal(cols, flat % n)
+        np.testing.assert_array_equal(costs, C.ravel()[flat])
+        np.testing.assert_array_equal(weights, W0.ravel()[flat])
+        # np.take converts narrower indices on every call.
+        assert cols.dtype == np.intp
+
+    def test_row_candidates_none_for_a_row_without_any(self, rng):
+        W0 = self.uneven_weights(rng, 60, 40)
+        W0[17] = math.nan
+        assert solvers._row_candidates(W0, rng.uniform(0.0, 1.0, W0.shape)) is None
+
+    def test_row_candidates_stop_at_the_block_past_the_share(self):
+        # Every entry is a candidate, so the first of four blocks passes the
+        # share and no later block is read.
+        m, n = 400, 300
+        reads = []
+
+        class Spy(np.ndarray):
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+        W0 = np.ones((m, n)).view(Spy)
+        assert m > 3 * max(1, solvers._BLOCK_BYTES // (8 * n))
+        assert solvers._row_candidates(W0, np.zeros((m, n))) is None
+        assert len(reads) == 1
+
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(1, 40), n=st.integers(1, 40), ties=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_rescale_row_max_property(self, m, n, ties, seed):
         # Drifts of up to 30 lam carry many rows' argmax outside their
-        # candidates (a window of 10 lam). With ties, costs, potentials and
+        # candidates (a window of 7 lam). With ties, costs, potentials and
         # drifts are dyadic and columns repeat, so rows tie at their max.
         rng = np.random.default_rng(seed)
         if ties:
@@ -1281,6 +1326,17 @@ class TestCorollary9Bound:
         args = [1.0, 1.0, 1.0]
         args[position] = value
         with pytest.raises(ValueError, match="all arguments must be > 0 and finite"):
+            ok.corollary9_iteration_bound(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1e200, 1e-200, 1e-200), "lam \\* epsilon underflows"),
+        ((1.0, 1e-200, 1e-200), "lam \\* epsilon underflows"),
+        ((1e200, 1e-300, 1.0), "bound is not finite"),
+    ], ids=["product_underflows", "product_underflows_unit_norm", "bound_overflows"])
+    def test_unrepresentable_bound_rejected(self, args, message):
+        # The underflowing product raised ZeroDivisionError, the overflowing
+        # bound OverflowError from math.ceil(inf).
+        with pytest.raises(ValueError, match=message):
             ok.corollary9_iteration_bound(*args)
 
     @pytest.mark.parametrize("eta", [math.inf, math.nan, 0.0, -1.0])
