@@ -361,9 +361,9 @@ class TestSinkhornSolve:
     @pytest.mark.parametrize("kernel_mode, shape, cost_scale, lam, max_iters", [
         (False, (7, 6), 1.0, 0.1, 30),
         (True, (7, 6), 1.0, 0.1, 30),
-        # The absorbed kernel's scalings leave their range at iteration 36,
+        # The absorbed kernel's scalings leave their range at iteration 90,
         # so the returned plan is that of a log-domain fallback.
-        (False, (5, 5), 3000.0, 1e-3, 36),
+        (False, (10, 10), 3000.0, 1e-3, 90),
     ], ids=["False", "True", "fallback"])
     def test_trace_matches_returned_plan(self, kernel_mode, shape, cost_scale, lam,
                                          max_iters, rng):
@@ -552,6 +552,22 @@ def assert_potentials_give_plan(result, C, lam):
                                rtol=1e-9, atol=0)
 
 
+def sphere_instance(T):
+    """A 150-atom sphere-paper instance: a Gaussian cloud against a uniform
+    box, both on the sphere, under the centered great-circle cost, at
+    ``lam = spread / T``."""
+    src, tgt = random_point_instance(1, 150, 150, d=3, source_dist="gaussian",
+                                     gaussian_mean=3.0, project_to_sphere=True)
+    cost = ok.center(ok.spherical(src, tgt))
+    return src, tgt, cost, cost.spread / T
+
+
+def subnormal_count(A) -> int:
+    """Entries of ``A`` in ``(0, tiny)`` in magnitude."""
+    A = np.abs(A)
+    return np.count_nonzero((A > 0) & (A < np.finfo(float).tiny))
+
+
 def traced_peak(solve) -> int:
     """Bytes that ``solve()`` allocates at its peak, above what was allocated before."""
     return traced_memory(solve)[2]
@@ -583,14 +599,14 @@ class TestAbsorbedKernel:
                                        rtol=1e-12, plan_atol=1e-14)
 
     def test_matches_log_domain_loop_through_fallback(self, rng, monkeypatch):
-        # The kernel-mode overflow instance: the scalings drift by about e^0.9
-        # an iteration and leave [e^-30, e^30] at iteration 36, which then
+        # The kernel-mode overflow instance: the scalings drift by about e^2.2
+        # an iteration and leave [e^-200, e^200] at iteration 90, which then
         # runs as two log-domain passes from g with the last v folded in. The
         # exponents reach c_max / lam = 3e6, so rounding alone moves each plan
         # entry by about 1e-9 relative, in the reference as in the solver.
-        src, tgt, cost = small_random_instance(rng, 5, 5, cost_scale=3000.0)
+        src, tgt, cost = small_random_instance(rng, 10, 10, cost_scale=3000.0)
         passes = count_row_passes(monkeypatch)
-        self.assert_matches_log_domain(src, tgt, cost, 1e-3, 36, 1e-300,
+        self.assert_matches_log_domain(src, tgt, cost, 1e-3, 90, 1e-300,
                                        rtol=1e-8, plan_atol=1e-8)
         assert len(passes) == 4
 
@@ -626,6 +642,7 @@ class TestAbsorbedKernel:
             assert result.trace.n_iterations > 10 and not passes
             assert grid.count("built") == 2 and grid[:2] == ["built", "built"]
             assert grid.count("called") == 2 * result.trace.n_iterations
+        assert result.trace.row_passes == len(passes) + grid.count("called")
         assert_potentials_give_plan(result, cost.entries, lam)
 
     def test_potentials_of_log_domain_iteration(self, rng):
@@ -634,11 +651,44 @@ class TestAbsorbedKernel:
         result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=1, stop_rel_tol=1e-300)
         assert_potentials_give_plan(result, cost.entries, lam)
 
+    def test_sphere_absorbs_once(self, monkeypatch):
+        # At T = 700 the scalings leave [e^-30, e^30] every few dozen rounds
+        # but stay in [e^-200, e^200] for all 400, so the two log-domain
+        # passes run once; the trace counts the passes the spy sees.
+        src, tgt, cost, lam = sphere_instance(700.0)
+        passes = count_row_passes(monkeypatch)
+        counts = []
+        for tau in (30.0, solvers._KERNEL_TAU):
+            monkeypatch.setattr(solvers, "_KERNEL_TAU", tau)
+            passes.clear()
+            result = ok.sinkhorn_solve(src, tgt, cost, lam, max_iters=400, stop_rel_tol=1e-300)
+            assert result.trace.row_passes == len(passes)
+            counts.append(len(passes))
+        assert counts[0] >= 4 and counts[1] == 2
 
-    @pytest.mark.parametrize("cost_scale, lam, passes", [(3000.0, 1e-3, 18), (1.0, 0.05, 2)],
+    def test_subnormal_tail_set_to_zero(self, monkeypatch):
+        # At T = 1200 about 1% of the absorbed kernel is subnormal. absorb
+        # leaves no entry of either half in (0, tiny), and the solve still
+        # follows the log-domain loop.
+        src, tgt, cost, lam = sphere_instance(1200.0)
+        tails = []
+        plain = solvers._AbsorbedKernel.absorb
+
+        def absorb(kernel):
+            n = kernel.CT.shape[0]
+            KT = kernel.S[:n] * kernel.passes[1].scale[:, None]
+            plain(kernel)
+            tails.append((subnormal_count(KT), subnormal_count(kernel.S)))
+
+        monkeypatch.setattr(solvers._AbsorbedKernel, "absorb", absorb)
+        self.assert_matches_log_domain(src, tgt, cost, lam, 400, 1e-300,
+                                       rtol=1e-11, plan_atol=1e-12)
+        assert tails and all(before > 0 and after == 0 for before, after in tails)
+
+    @pytest.mark.parametrize("cost_scale, lam, passes", [(3000.0, 1e-3, 4), (1.0, 0.05, 2)],
                              ids=["fallbacks", "no_fallback"])
     def test_at_most_two_plan_arrays_alive(self, cost_scale, lam, passes, monkeypatch):
-        # With fallbacks (18 passes in 120 iterations) and without: the kernel
+        # With a fallback (at iteration 88 of 120) and without: the kernel
         # and K o C, or the two passes, and never the kernel beside a pass.
         m = n = 300
         src, tgt, cost = small_random_instance(np.random.default_rng(12345), m, n,
@@ -710,6 +760,29 @@ class TestAbsorbedRows:
         src, tgt, cost = small_random_instance(np.random.default_rng(seed), m, n)
         self.assert_matches_plain(src, tgt, cost, 10.0 ** log_lam, 1.0, 100, 1e-8)
 
+    def test_subnormal_tail_set_to_zero(self, monkeypatch):
+        # At T = 1200 each of the 13 kernels holds 1-2% subnormal weights.
+        # They are set to zero, the solve still follows the plain loop, and
+        # its trace and potential are bitwise those of a run that keeps them.
+        src, tgt, cost, lam = sphere_instance(1200.0)
+        tails = []
+        plain = solvers._AbsorbedRows.__init__
+
+        def init(kernel, rows):
+            before = subnormal_count(rows.weights)
+            plain(kernel, rows)
+            tails.append((before, subnormal_count(kernel.W0)))
+
+        monkeypatch.setattr(solvers._AbsorbedRows, "__init__", init)
+        self.assert_matches_plain(src, tgt, cost, lam, 20.0, 100, 1e-300)
+        assert len(tails) > 2 and all(before > 0 and after == 0 for before, after in tails)
+        config = ok.FistaConfig(eta=20.0, max_iters=100, stop_rel_tol=1e-300)
+        flushed = ok.fista_solve(src, tgt, cost, lam, config)
+        monkeypatch.setattr(solvers, "_flush_subnormal", lambda A: None)
+        kept = ok.fista_solve(src, tgt, cost, lam, config)
+        assert [row[:5] for row in flushed.trace.rows()] == [row[:5] for row in kept.trace.rows()]
+        assert flushed.potential.values.tobytes() == kept.potential.values.tobytes()
+
     @pytest.mark.parametrize("path", ["dense", "kernel_mode", "grid"])
     def test_row_passes(self, path, rng, monkeypatch):
         # Only the dense log-domain loop absorbs; kernel mode runs one pass
@@ -732,6 +805,8 @@ class TestAbsorbedRows:
             assert grid == (["built"] * 2 + ["called"] * (result.trace.n_iterations + 1)
                             + ["built"] * 2 + ["called"])
             assert not passes
+        # The trace counts the solve's passes, not recover_plan's.
+        assert result.trace.row_passes == len(passes) + grid.count("called") - (path == "grid")
 
     @pytest.mark.parametrize("cost_scale, lam, eta, passes", [(3000.0, 1e-3, 20.0, 15),
                                                               (1.0, 0.05, 1.0, 1)],
