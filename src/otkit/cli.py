@@ -245,7 +245,6 @@ def run_experiment(config: ExperimentConfig):
             exit_code = 2
         summary["solvers"][name] = {"status": trace.status,
                                     "iterations": trace.n_iterations,
-                                    "row_passes": trace.row_passes,
                                     "wall_ms": wall_ms,
                                     "failed_iteration": trace.failed_iteration,
                                     "report": report.to_dict()}

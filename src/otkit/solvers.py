@@ -33,8 +33,9 @@ last log-domain iteration and ``K o C`` in one stacked ``(2n, m)`` buffer,
 allocated once per solve and lent to its log-domain passes to write into; it
 iterates by scaling the kernel, two products a round, the second one
 threaded product over the whole buffer that gives both the column sums and
-<P, C>. A scaling that leaves ``[e^-200, e^200]`` is folded back into the
-potentials (``_AbsorbedKernel``). FISTA holds the weights of its last dense
+<P, C>. A scaling that leaves ``[e^-200, e^200]`` (narrower for costs
+above about 1e221 in magnitude) is folded back into the potentials
+(``_AbsorbedKernel``). FISTA holds the weights of its last dense
 row pass and rescales them by ``exp((psi - psi0)/lam)`` while that stays in
 ``[e^-30, e^30]``, taking the exact row max over each row's candidate columns,
 those the pass weighted at least ``e^-7``, where the rescaled row sum
@@ -43,11 +44,10 @@ Its weights ``W0`` stay fixed for the kernel's life, so the <P, C> of every
 due row it serves is ``a^T (W0 o C) e`` with per-row vectors ``a`` and ``e``,
 and a batch of them shares one blocked pass over ``W0 o C``. FISTA keeps
 the narrower range because its candidates go stale beyond it (measured at
-``_ROWS_TAU``). A kernel with a subnormal tail has it set to zero when it is
-formed (``_flush_subnormal``), so its products read no subnormal operand.
-Each kernel answers the reductions of the pass it stands for, so one loop
-body serves every iteration of its solver; Sinkhorn holds two m x n arrays,
-its buffer, and returns the top half as the plan, FISTA one.
+``_ROWS_TAU``). Each kernel answers the reductions of the pass it stands
+for, so one loop body serves every iteration of its solver; Sinkhorn holds
+two m x n arrays, its buffer, and returns the top half as the plan, FISTA
+one.
 
 Below a relative tolerance of about 1e-13 the stop rule fires only when two
 successive monitored values agree to their last bits, so a "converged"
@@ -107,10 +107,7 @@ class FistaConfig:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration convergence record plus the terminal status and the
-    number of row passes the solve ran: FISTA's dense or grid passes, two
-    for each Sinkhorn round that runs its log-domain (or kernel-mode) halves.
-    Iterations read from an absorbed kernel run none."""
+    """Per-iteration convergence record plus the terminal status."""
 
     iters: list[int] = field(default_factory=list)
     energy: list[float] = field(default_factory=list)
@@ -121,7 +118,6 @@ class SolveTrace:
     status: str = MAX_ITERS
     failed_iteration: int | None = None
     n_iterations: int = 0
-    row_passes: int = 0
 
     def append(self, it, e, e_lam, pc, dev, ms):
         if self.iters and it <= self.iters[-1]:
@@ -323,7 +319,6 @@ def fista_solve(
                 rule.flush()
                 rows = absorbed = None
                 rows = row_pass(psi)
-                rule.trace.row_passes += 1
                 if rows.absorbs:
                     absorbed = _AbsorbedRows(rows)
             nu_psi = nu @ psi
@@ -371,9 +366,9 @@ def fista_solve(
 # tau = 60, 90 and 200 (its tta solve 0.96x, 0.94x and 1.01x).
 _ROWS_TAU = 30.0
 # Sinkhorn's absorbed kernel accepts ``u`` and ``v`` within [exp(-tau),
-# exp(tau)]; see :class:`_AbsorbedKernel` for why this range is safe there.
+# exp(tau)], at most this tau (``_kernel_tau``); see :class:`_AbsorbedKernel`
+# for why this range is safe there.
 _KERNEL_TAU = 200.0
-_TINY = np.finfo(float).tiny
 # The most trace rows whose <P, C> FISTA's absorbed kernel takes in one pass.
 _COST_BATCH = 16
 # FISTA's absorbed kernel takes its row max over each row's candidates, the
@@ -396,14 +391,12 @@ def _in_scaling_range(x, tau: float) -> bool:
     return bool(math.exp(-tau) <= x.min() and x.max() <= math.exp(tau))
 
 
-def _flush_subnormal(A) -> None:
-    """Set to zero, in place, every entry of ``A`` whose magnitude is below
-    ``tiny`` (the subnormal tail of an absorbed kernel), a 256 KB block of
-    rows at a time, so no temporary of ``A``'s size is formed."""
-    step = max(1, _BLOCK_BYTES // (8 * A.shape[1]))
-    for i in range(0, A.shape[0], step):
-        block = A[i:i + step]
-        np.copyto(block, 0.0, where=np.abs(block) < _TINY)
+def _kernel_tau(cost: CostMatrix) -> float:
+    """Sinkhorn's scaling range over ``cost``: ``_KERNEL_TAU``, or less
+    where ``|c|max e^tau`` would come within a factor e of the largest
+    float, for costs above about 1e221 in magnitude."""
+    c_abs = max(abs(cost.c_min), abs(cost.c_max), 1.0)
+    return min(_KERNEL_TAU, math.log(np.finfo(float).max / c_abs) - 1.0)
 
 
 def _row_candidates(W0, C):
@@ -470,20 +463,14 @@ class _AbsorbedRows:
     full row max (Schmitzer, SIAM J. Sci. Comput. 2019, Sec. 3.3, truncates
     the kernel the same way). The threshold sets only the cost: each
     candidate is read on every iteration, each failed row reads its row of
-    ``C`` (``_CANDIDATE_WEIGHT``).
-
-    ``e`` stays within ``[e^-30, e^30]`` (``_ROWS_TAU``). When ``W0``'s
-    smallest entry is below ``tiny``, its entries below ``tiny`` are set to
-    zero as in :class:`_AbsorbedKernel`, after the pass's sums are taken, so
-    the products over ``W0`` read no subnormal operand.
+    ``C`` (``_CANDIDATE_WEIGHT``). ``e`` stays within ``[e^-30, e^30]``
+    (``_ROWS_TAU``).
     """
 
     def __init__(self, rows):
         self.W0, self.C, self.s = rows.weights, rows.C, rows.shift
         self.psi0, self.lam, self.w = rows.psi, rows.lam, rows.w
         self._queued = []
-        if self.W0.min() < _TINY:
-            _flush_subnormal(self.W0)
         self._candidates = _row_candidates(self.W0, self.C)
         # W0_ij e_j carries the rounding of psi0_j - c_ij and psi_j - c_ij,
         # about eps |s_i| / lam relative on the entries that can reach the top.
@@ -584,21 +571,22 @@ class _AbsorbedKernel:
     plan are ``f + lam log u`` and ``g + lam log v``.
 
     The scalings are accepted within ``[e^-tau, e^tau]``, ``tau = 200``
-    (``_KERNEL_TAU``). The kernel is a plan, so ``K <= 1``, and with ``u``
-    and ``v`` at most ``e^tau`` every product stays finite. When the
-    kernel's smallest entry is below ``tiny`` (the smallest normal float),
-    :meth:`absorb` sets to zero every entry of either half whose magnitude
-    is below it. An entry lost to underflow or to that flush is then below
-    ``tiny e^(2 tau)``, about 1e-134, after scaling, far under the rounding
-    of any marginal, and the products read no subnormal operand (at 0.6%
-    of the entries, a tail made them 2.1-2.7x slower). After
+    (``_KERNEL_TAU``), or less on a cost above about 1e221 in magnitude
+    (:func:`_kernel_tau`). The kernel is a plan of mass 1, so with ``u`` and
+    ``v`` at most ``e^tau`` the products ``v @ K^T`` and ``K^T u`` stay
+    below ``e^tau`` and ``(K o C)^T u`` below ``|c|max e^tau``: every
+    product stays finite. An entry of ``K`` that underflowed to zero, or
+    kept fewer digits as a subnormal, is off by at most the subnormal
+    spacing, about 5e-324, and so by at most about 3e-150 after scaling by
+    ``u_i v_j <= e^(2 tau)``, far under the rounding of any marginal. After
     :meth:`rescale` the kernel answers as the column pass does, with
     weights ``K^T diag(u)``, ``sums = K^T u`` and ``scale`` = ``v``, which
     is bitwise ``nu / sums``. ``v`` is None while no plan is absorbed.
     """
 
-    def __init__(self, rows, cols):
+    def __init__(self, rows, cols, tau):
         self.passes, self.CT, self.mu, self.nu = (rows, cols), cols.C, rows.w, cols.w
+        self.tau = tau
         n, m = self.CT.shape
         self.S = np.empty((2 * n, m))
         rows.out, cols.out = self.S[n:].reshape(m, n), self.S[:n]
@@ -610,15 +598,11 @@ class _AbsorbedKernel:
 
     def absorb(self) -> None:
         """Take the plan of the column pass as ``K^T``, and write
-        ``(K o C)^T`` over the row pass's weights; then, if ``K`` has a
-        subnormal tail, set every entry of ``S`` below ``tiny`` in
-        magnitude to zero."""
+        ``(K o C)^T`` over the row pass's weights."""
         n, m = self.CT.shape
         KT = self.S[:n]
         KT *= self.passes[1].scale[:, None]
         np.multiply(KT, self.CT, out=self.S[n:])
-        if KT.min() < _TINY:
-            _flush_subnormal(self.S)
         self.u, self.v = np.ones(m), np.ones(n)
 
     def release(self, f, g, lam):
@@ -637,11 +621,11 @@ class _AbsorbedKernel:
             return False
         n = self.v.size
         u = self.mu / (self.v @ self.S[:n])
-        if not _in_scaling_range(u, _KERNEL_TAU):
+        if not _in_scaling_range(u, self.tau):
             return False
         products = self.S @ u
         v = self.nu / products[:n]
-        if not _in_scaling_range(v, _KERNEL_TAU):
+        if not _in_scaling_range(v, self.tau):
             return False
         self.u, self.v, self.sums, self._cost_rows = u, v, products[:n], products[n:]
         return True
@@ -715,19 +699,19 @@ def sinkhorn_solve(
     ``v <- nu / (K^T u)``, by two matrix-vector products: ``v @ K^T``, and
     one product of the whole buffer with ``u`` that gives ``K^T u`` and, for
     <P, C>, ``(K o C)^T u``; trace rows add one more. When a new scaling leaves
-    ``[exp(-tau), exp(tau)]`` (``tau = 200``) it is discarded, the last
-    accepted ``u`` and ``v`` are folded into ``f`` and ``g`` and that
-    iteration runs as the two log-domain passes, after which the new plan is
-    absorbed. A non-finite scaling fails that range check, so the passes
-    make the failure decisions. The range is safe because the kernel is a
-    plan, ``K <= 1``, so every product stays finite. A kernel whose smallest
-    entry is below ``tiny`` has every entry below ``tiny`` in magnitude set
-    to zero when it is absorbed, and such an entry stays below
-    ``tiny e^400``, about 1e-134, after scaling. FISTA keeps ``tau = 30``,
-    beyond which its candidate columns go stale (``_ROWS_TAU``). The buffer
-    is the two m x n arrays alive; the returned plan is its top half, with
-    the buffer shrunk to it. The kernel answers the column half's
-    reductions, so <P, C>, D and the plan come from one body.
+    ``[exp(-tau), exp(tau)]`` (``tau = 200``, less on a cost above about
+    1e221 in magnitude) it is discarded, the last accepted ``u`` and ``v``
+    are folded into ``f`` and ``g`` and that iteration runs as the two
+    log-domain passes, after which the new plan is absorbed. A non-finite
+    scaling fails that range check, so the passes make the failure
+    decisions. The range is safe because the kernel is a plan of mass 1, so
+    every product stays finite, and an entry of it lost to underflow is off
+    by about 3e-150 at most after scaling (:class:`_AbsorbedKernel`). FISTA
+    keeps ``tau = 30``, beyond which its candidate columns go stale
+    (``_ROWS_TAU``). The buffer is the two m x n arrays alive; the returned
+    plan is its top half, with the buffer shrunk to it. The kernel answers
+    the column half's reductions, so <P, C>, D and the plan come from one
+    body.
 
     The default path is log-domain (stable for any ``lam > 0``);
     ``kernel_mode`` hands the pass the multiplicative kernel, whose overflow
@@ -742,7 +726,8 @@ def sinkhorn_solve(
     first iteration fails.
     """
     row_pass, col_pass = _row_passes(cost, lam, source, target, kernel_mode)
-    kernel = _AbsorbedKernel(row_pass, col_pass) if row_pass.absorbs else None
+    kernel = (_AbsorbedKernel(row_pass, col_pass, _kernel_tau(cost)) if row_pass.absorbs
+              else None)
     rule = _StopRule(max_iters, stop_rel_tol, trace_every)
     mu, nu = source.weights, target.weights
     m, n = cost.shape
@@ -764,7 +749,6 @@ def sinkhorn_solve(
                 f = lam * (log_mu - half.log_sums) - half.shift
                 half = col_pass(f)
                 g = lam * (log_nu - half.log_sums) - half.shift
-                rule.trace.row_passes += 2
             pc = half.plan_cost(cost_offset)
 
             # Each plan entry is scale_j * w_ji with 0 <= w_ji <= sums_j, so a

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import otkit as ok
-from otkit import solvers
 from otkit.cli import (
     ConfigError,
     ExperimentConfig,
@@ -160,24 +159,6 @@ class TestRunExperiment:
             lines = (tmp_path / ("trace_%s.csv" % name)).read_text().splitlines()
             last_row_ms = float(lines[-1].split(",")[-1])
             assert summary["solvers"][name]["wall_ms"] > last_row_ms
-
-    def test_summary_counts_row_passes(self, tmp_path, monkeypatch):
-        # Each solver's entry carries its trace's count of row passes.
-        traces = []
-        plain = solvers._StopRule.__init__
-
-        def init(rule, *args):
-            plain(rule, *args)
-            traces.append(rule.trace)
-
-        monkeypatch.setattr(solvers._StopRule, "__init__", init)
-        config = ExperimentConfig(instance="random_points", m=12, n=12, seed=3,
-                                  solvers=("fista", "sinkhorn"), max_iters=200,
-                                  out=str(tmp_path))
-        run_experiment(config)
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        counts = [summary["solvers"][name]["row_passes"] for name in ("fista", "sinkhorn")]
-        assert counts == [trace.row_passes for trace in traces] and min(counts) >= 1
 
     def test_summary_contains_bound_and_within(self, tmp_path):
         config = ExperimentConfig(instance="random_points", m=12, n=12, seed=3,
