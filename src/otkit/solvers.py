@@ -37,17 +37,19 @@ threaded product over the whole buffer that gives both the column sums and
 above about 1e221 in magnitude) is folded back into the potentials
 (``_AbsorbedKernel``). FISTA holds the weights of its last dense
 row pass and rescales them by ``exp((psi - psi0)/lam)`` while that stays in
-``[e^-30, e^30]``, taking the exact row max over each row's candidate columns,
-those the pass weighted at least ``e^-7``, where the rescaled row sum
-certifies it, and from the row of ``C`` elsewhere (``_AbsorbedRows``).
-Its weights ``W0`` stay fixed for the kernel's life, so the <P, C> of every
-due row it serves is ``a^T (W0 o C) e`` with per-row vectors ``a`` and ``e``,
-and a batch of them shares one blocked pass over ``W0 o C``. FISTA keeps
-the narrower range because its candidates go stale beyond it (measured at
-``_ROWS_TAU``). Each kernel answers the reductions of the pass it stands
-for, so one loop body serves every iteration of its solver; Sinkhorn holds
-two m x n arrays, its buffer, and returns the top half as the plan, FISTA
-one.
+the same range, capped by ``n |c|max`` rather than ``|c|max`` because each
+row of its weights sums to at most ``n``. It takes the exact row max over
+each row's candidate columns, those the pass weighted at least ``e^-7``,
+where the rescaled row sum certifies it, and from the row of ``C``
+elsewhere (``_AbsorbedRows``); when over 1/8 of the rows fail, from all of
+``C`` in a pass that also renews the candidates, as the columns within
+``7 lam`` of each row's new max. Its weights ``W0`` stay fixed for the
+kernel's life, so the <P, C> of every due row it serves is
+``a^T (W0 o C) e`` with per-row vectors ``a`` and ``e``, and a batch of
+them shares one blocked pass over ``W0 o C``. Each kernel answers the
+reductions of the pass it stands for, so one loop body serves every
+iteration of its solver; Sinkhorn holds two m x n arrays, its buffer, and
+returns the top half as the plan, FISTA one.
 
 Below a relative tolerance of about 1e-13 the stop rule fires only when two
 successive monitored values agree to their last bits, so a "converged"
@@ -271,17 +273,20 @@ def fista_solve(
     Each iteration reads one row pass at psi_t. On a dense cost in the log
     domain the weights of the last dense pass, at an earlier iterate psi_a,
     are kept as :class:`_AbsorbedRows`, and while
-    ``max|psi_t - psi_a| / lam <= tau`` (``tau = 30``) the pass at psi_t is
-    read from them by two matrix-vector products, with the exact row max
-    taken over each row's candidate columns where the weight outside them
-    certifies it, and from ``C`` elsewhere, so E stays exact. Otherwise,
-    and on a NaN, the kernel is dropped and the dense pass at psi_t runs and
-    becomes the new kernel, so the dense pass makes the failure decisions
-    and one m x n array is alive. Kernel mode runs the dense pass every
-    iteration. A grid cost calls the solve's grid row pass at every
-    ``psi_t``: one scatter of ``psi/lam``, the row chain, the max-plus chain
-    for E, and the column chain of ``log mu`` held in grid order for the
-    gradient. The plan is :func:`recover_plan`'s at the returned potential,
+    ``max|psi_t - psi_a| / lam <= tau`` (``tau = 200``, or less where
+    ``n |c|max e^tau``, which bounds the queued ``(W0 o C) e``, would come
+    within a factor e of the largest float: ``_kernel_tau(cost, n)``) the
+    pass at psi_t is read from them by two matrix-vector products, with the
+    exact row max taken over each row's candidate columns where the weight
+    outside them certifies it, and from ``C`` elsewhere, so E stays exact;
+    an iteration where over 1/8 of the rows fail reads all of ``C`` and
+    renews the candidates from that pass. Otherwise, and on a NaN, the
+    kernel is dropped and the dense pass at psi_t runs and becomes the new
+    kernel, so the dense pass makes the failure decisions and one m x n
+    array is alive. Kernel mode runs the dense pass every iteration. A grid
+    cost calls the solve's grid row pass at every ``psi_t``: one scatter of
+    ``psi/lam``, the row chain, the max-plus chain for E, and the column
+    chain of ``log mu`` held in grid order for the gradient. The plan is :func:`recover_plan`'s at the returned potential,
     factored on a grid cost.
 
     A due row read from the kernel is queued with its E, E_lambda, D and
@@ -296,6 +301,7 @@ def fista_solve(
     row_pass = _row_passes(cost, lam, source, target, config.kernel_mode)[0]
     mu, nu = source.weights, target.weights
     n = nu.size
+    tau = _kernel_tau(cost, n)
     log_n = math.log(n)
     step = config.eta * lam
     rule = _StopRule(config.max_iters, config.stop_rel_tol, config.trace_every)
@@ -320,7 +326,7 @@ def fista_solve(
                 rows = absorbed = None
                 rows = row_pass(psi)
                 if rows.absorbs:
-                    absorbed = _AbsorbedRows(rows)
+                    absorbed = _AbsorbedRows(rows, tau)
             nu_psi = nu @ psi
             e_shift = float(mu @ rows.shift - nu_psi) - offset
             # A dense log-domain pass is stabilized by the c-transform itself.
@@ -360,29 +366,27 @@ def fista_solve(
     return FistaResult(potential, plan, rule.trace)
 
 
-# FISTA's absorbed rows accept ``e = exp((psi - psi0)/lam)`` within
-# [exp(-tau), exp(tau)]. Its candidate columns go stale beyond tau = 30: the
-# sphere-paper paper-stop FISTA solve ran 1.12x, 1.14x and 1.18x slower at
-# tau = 60, 90 and 200 (its tta solve 0.96x, 0.94x and 1.01x).
-_ROWS_TAU = 30.0
-# Sinkhorn's absorbed kernel accepts ``u`` and ``v`` within [exp(-tau),
-# exp(tau)], at most this tau (``_kernel_tau``); see :class:`_AbsorbedKernel`
-# for why this range is safe there.
+# Both absorbed kernels accept scalings within [exp(-tau), exp(tau)], at most
+# this tau (``_kernel_tau``); see :class:`_AbsorbedKernel` and
+# :class:`_AbsorbedRows` for why this range is safe there.
 _KERNEL_TAU = 200.0
 # The most trace rows whose <P, C> FISTA's absorbed kernel takes in one pass.
 _COST_BATCH = 16
 # FISTA's absorbed kernel takes its row max over each row's candidates, the
 # columns with reference weight W0_ij >= _CANDIDATE_WEIGHT, while they are at
 # most this share of the entries, and from all of C on an iteration where
-# more than this share of the rows fail their check. The weight certificate,
-# not the threshold, makes the max exact, so the threshold only trades the
-# candidates read on every iteration (about 4 ns each) against the rows sent
-# to C. It was set by timing FISTA's tta solves: on sphere-paper e^-6 and
-# e^-7 ran 6% and 5% faster than e^-10 (median kernels keep 4.5% and 5.1% of
-# C, against 6.9%), but at e^-6 a p-sweep-exact kernel keeps 11.6% of C and
-# fails the share on 31 of its 32 iterations, 3% slower there; at e^-7 that
-# kernel is over the share and p-sweep-exact runs as at e^-10.
-_CANDIDATE_WEIGHT = math.exp(-7.0)
+# more than this share of the rows fail their check; that pass then renews
+# the candidates as the columns within _CANDIDATE_WINDOW lam of each row's
+# new max. The weight certificate, not the threshold, makes the max exact, so
+# the threshold only trades the candidates read on every iteration (about
+# 4 ns each) against the rows sent to C. It was set by timing FISTA's tta
+# solves: on sphere-paper e^-6 and e^-7 ran 6% and 5% faster than e^-10
+# (median kernels keep 4.5% and 5.1% of C, against 6.9%), but at e^-6 a
+# p-sweep-exact kernel keeps 11.6% of C and fails the share on 31 of its 32
+# iterations, 3% slower there; at e^-7 that kernel is over the share and
+# p-sweep-exact runs as at e^-10.
+_CANDIDATE_WINDOW = 7.0
+_CANDIDATE_WEIGHT = math.exp(-_CANDIDATE_WINDOW)
 _CANDIDATE_SHARE = 1.0 / 8.0
 
 
@@ -391,12 +395,14 @@ def _in_scaling_range(x, tau: float) -> bool:
     return bool(math.exp(-tau) <= x.min() and x.max() <= math.exp(tau))
 
 
-def _kernel_tau(cost: CostMatrix) -> float:
-    """Sinkhorn's scaling range over ``cost``: ``_KERNEL_TAU``, or less
-    where ``|c|max e^tau`` would come within a factor e of the largest
-    float, for costs above about 1e221 in magnitude."""
+def _kernel_tau(cost: CostMatrix, mass: float = 1.0) -> float:
+    """The scaling range of a kernel over ``cost`` whose entries sum to at
+    most ``mass`` (Sinkhorn's plan 1, each of FISTA's rows ``n``):
+    ``_KERNEL_TAU``, or less where ``mass |c|max e^tau`` would come within a
+    factor e of the largest float, for costs above about 1e221 / mass in
+    magnitude."""
     c_abs = max(abs(cost.c_min), abs(cost.c_max), 1.0)
-    return min(_KERNEL_TAU, math.log(np.finfo(float).max / c_abs) - 1.0)
+    return min(_KERNEL_TAU, math.log(np.finfo(float).max / (mass * c_abs)) - 1.0)
 
 
 def _row_candidates(W0, C):
@@ -417,6 +423,36 @@ def _row_candidates(W0, C):
         total += kept[-1].size
         if total > cap:
             return None
+    return _gathered_candidates(kept, total, W0, C)
+
+
+def _renewed_candidates(psi, C, W0, lam):
+    """The row max ``h = _row_max(psi, C)``, bitwise, and from the same
+    blocked pass each row's columns with ``psi_j - c_ij >= h_i - 7 lam``,
+    as :func:`_row_candidates` gives them (or None over the share), with
+    ``W0_ij`` their weights. Past the share the pass only takes ``h``; the
+    block buffer is freed before the list is gathered."""
+    m, n = C.shape
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    cap = m * n * _CANDIDATE_SHARE
+    buf = np.empty((min(step, m), n))
+    h = np.empty(m)
+    kept, total = [], 0
+    for i in range(0, m, step):
+        block = np.subtract(psi, C[i:i + step], out=buf[:min(step, m - i)])
+        top = block.max(axis=1, out=h[i:i + step])
+        if total <= cap:
+            kept.append(np.flatnonzero(block >= (top - _CANDIDATE_WINDOW * lam)[:, None]))
+            total += kept[-1].size
+    del block, buf
+    return h, _gathered_candidates(kept, total, W0, C) if total <= cap else None
+
+
+def _gathered_candidates(kept, total, W0, C):
+    """The candidate arrays from ``kept``, each block's flat indices of
+    ``total`` in all; None if some row has none."""
+    m, n = C.shape
+    step = max(1, _BLOCK_BYTES // (8 * n))
     starts = np.empty(m + 1, np.intp)
     cols, costs, weights = np.empty(total, np.intp), np.empty(total), np.empty(total)
     done = 0
@@ -452,24 +488,41 @@ class _AbsorbedRows:
     ``a = scale * r`` is queued per row by :meth:`queue_cost` and taken for
     the whole queue by :meth:`queued_costs`.
 
+    ``e`` is accepted within ``[e^-tau, e^tau]``, ``tau = 200``
+    (``_KERNEL_TAU``), or less on a cost above about 1e221 / n in
+    magnitude: ``_kernel_tau(cost, n)``, whose cap counts the row sums of
+    ``W0``. Each row of ``W0`` has max 1 and so sums to at most ``n``, so
+    ``raw = W0 e`` stays below ``n e^tau`` and the queued ``(W0 o C) e``
+    below ``n |c|max e^tau``, which the cap keeps finite. The row max's column is
+    weighted at least ``e^-2tau`` in ``W0`` and so never underflows; an
+    entry of ``W0`` that did, or kept fewer digits as a subnormal, is off by
+    at most about 5e-324, and by about 4e-237 after scaling by ``e``, far
+    under the rounding of ``raw >= e^-tau``.
+
     ``h`` comes from :meth:`row_max`. Each row keeps its candidate columns,
     ``W0_ij >= e^-7`` (:func:`_row_candidates`), unless they are over 1/8
     of ``C``, and ``h_i`` is their largest ``psi_j - c_ij`` where that
     column's weight ``exp((h_i - s_i)/lam)`` exceeds the weight of all the
     others, ``(W0 e)_i - sum_K W0_ij e_j``, by a slack above rounding;
     elsewhere it comes from the row of ``C``, and from all of ``C`` when
-    over 1/8 of the rows fail. Every value is one ``psi_j - c_ij``, so ``h``
+    over 1/8 of the rows fail. That pass renews the candidates: the columns
+    within ``7 lam`` of each row's new max, with their ``c_ij`` and
+    ``W0_ij`` (:func:`_renewed_candidates`), the old ones freed first, or
+    none if they are over 1/8 of ``C``; a kernel that keeps none takes every
+    row max from ``C``. A renewal keeps ``W0``, so ``raw`` and the column
+    sums still come from the older pass, which moves them at rounding level
+    against a fresh one. Every value is one ``psi_j - c_ij``, so ``h``
     and with it ``r``, ``sums``, E and the run are bitwise those of the
     full row max (Schmitzer, SIAM J. Sci. Comput. 2019, Sec. 3.3, truncates
     the kernel the same way). The threshold sets only the cost: each
     candidate is read on every iteration, each failed row reads its row of
-    ``C`` (``_CANDIDATE_WEIGHT``). ``e`` stays within ``[e^-30, e^30]``
-    (``_ROWS_TAU``).
+    ``C`` (``_CANDIDATE_WEIGHT``).
     """
 
-    def __init__(self, rows):
+    def __init__(self, rows, tau):
         self.W0, self.C, self.s = rows.weights, rows.C, rows.shift
         self.psi0, self.lam, self.w = rows.psi, rows.lam, rows.w
+        self.tau = tau
         self._queued = []
         self._candidates = _row_candidates(self.W0, self.C)
         # W0_ij e_j carries the rounding of psi0_j - c_ij and psi_j - c_ij,
@@ -479,7 +532,7 @@ class _AbsorbedRows:
     def rescale(self, psi) -> bool:
         """The pass at ``psi``; False if ``e`` leaves the range (or is NaN)."""
         e = np.exp((psi - self.psi0) / self.lam)
-        if not _in_scaling_range(e, _ROWS_TAU):
+        if not _in_scaling_range(e, self.tau):
             return False
         self.e = e
         raw = self.W0 @ e
@@ -496,18 +549,21 @@ class _AbsorbedRows:
         ``exp((h_i - s_i)/lam)`` exceeds the weight outside them,
         ``raw_i - sum_K W0_ij e_j``, by the slack, so no column outside can
         be larger; from the row of ``C`` where it does not, and from all of
-        ``C`` when over 1/8 of the rows fail or the kernel keeps no candidates.
-        Each value is one ``psi_j - c_ij``, so ``h`` is bitwise
-        :func:`_row_max`'s. The candidate pass is two takes, a subtract, a
-        multiply and two reduceats over the list, a few ns per candidate."""
+        ``C`` when the kernel keeps no candidates or over 1/8 of the rows
+        fail, a pass that also renews them. Each value is one
+        ``psi_j - c_ij``, so ``h`` is bitwise :func:`_row_max`'s. The
+        candidate pass is two takes, a subtract, a multiply and two
+        reduceats over the list, a few ns per candidate."""
         if self._candidates is None:
             return _row_max(psi, self.C)
         h, rest = self._candidate_max(psi, raw)
         failed = ~(np.exp((h - self.s) / self.lam) - rest > self._slack * raw)
         count = np.count_nonzero(failed)
         if count > self.C.shape[0] * _CANDIDATE_SHARE:
-            return _row_max(psi, self.C)
-        if count:
+            # The stale list is freed before the pass gathers the new one.
+            self._candidates = None
+            h, self._candidates = _renewed_candidates(psi, self.C, self.W0, self.lam)
+        elif count:
             h[failed] = _row_max(psi, self.C[failed])
         return h
 
@@ -706,12 +762,13 @@ def sinkhorn_solve(
     scaling fails that range check, so the passes make the failure
     decisions. The range is safe because the kernel is a plan of mass 1, so
     every product stays finite, and an entry of it lost to underflow is off
-    by about 3e-150 at most after scaling (:class:`_AbsorbedKernel`). FISTA
-    keeps ``tau = 30``, beyond which its candidate columns go stale
-    (``_ROWS_TAU``). The buffer is the two m x n arrays alive; the returned
-    plan is its top half, with the buffer shrunk to it. The kernel answers
-    the column half's reductions, so <P, C>, D and the plan come from one
-    body.
+    by about 3e-150 at most after scaling (:class:`_AbsorbedKernel`). FISTA's
+    kernel accepts the same range, capped by ``n`` times its cost bound,
+    and renews its candidate columns when they go stale
+    (:class:`_AbsorbedRows`). The buffer is the two m x n arrays alive; the
+    returned plan is its top half, with the buffer shrunk to it. The kernel
+    answers the column half's reductions, so <P, C>, D and the plan come
+    from one body.
 
     The default path is log-domain (stable for any ``lam > 0``);
     ``kernel_mode`` hands the pass the multiplicative kernel, whose overflow

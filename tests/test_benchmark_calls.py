@@ -45,3 +45,28 @@ def test_benchmark_calls(workload, tmp_path):
     harness.run_cli(config, ledger, tmp_path / "cli")
     assert ledger.failures == []
     assert ledger.attempted == CLI_OPERATIONS[workload]
+
+
+# The iteration counts perfbench reports on each workload's full instance at
+# its default seed, per solver: ``*_tta_iters`` and ``*_stop_iters``. A
+# change to a solver's rounding that moves one fails here, and not only in
+# the benchmark, which bounds each count's change by 10%.
+ITERS = {
+    "sed-paper": {"fista": (1664, 75), "sinkhorn": (161, 101)},
+    "sphere-paper": {"fista": (1090, 93), "sinkhorn": (844, 2)},
+    "p-sweep-exact": {"fista": (298, 316), "sinkhorn": (22, 53)},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(ITERS))
+def test_benchmark_iteration_counts(workload, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness.cli, "build_instance",
+                        harness.relabelled(harness.cli.build_instance, 1))
+    config = harness.workload_config(workload, tmp_path)
+    problem = harness.setup(config)
+    ledger = harness.Ledger()
+    _, summary = harness.run_cli(config, ledger, tmp_path / "cli")
+    assert ledger.failures == []
+    for name, (tta, stop) in ITERS[workload].items():
+        assert harness.tta_pass(name, problem, config)[0] == tta, name
+        assert summary["solvers"][name]["iterations"] == stop, name

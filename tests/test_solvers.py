@@ -505,6 +505,19 @@ def count_row_passes(monkeypatch):
     return calls
 
 
+def count_renewals(monkeypatch):
+    """Record every renewal of FISTA's candidate columns."""
+    calls = []
+    plain = solvers._renewed_candidates
+
+    def spy(*args):
+        calls.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(solvers, "_renewed_candidates", spy)
+    return calls
+
+
 def count_grid_passes(monkeypatch):
     """Record every construction (``"built"``) and every call at a potential
     (``"called"``) of a grid pass, ``_GridRows``."""
@@ -756,11 +769,11 @@ class TestAbsorbedRows:
 
     def test_matches_plain_loop_through_fallbacks(self, rng, monkeypatch):
         # Exponents reach c_max / lam = 3e6, and psi leaves the kernel's range
-        # every few iterations: 23 dense passes in 121 iterations.
+        # [e^-200, e^200] three times: 4 dense passes in 121 iterations.
         src, tgt, cost = small_random_instance(rng, 5, 5, cost_scale=3000.0)
         passes = count_row_passes(monkeypatch)
         self.assert_matches_plain(src, tgt, cost, 1e-3, 1.0, 120, 1e-300)
-        assert len(passes) == 23
+        assert len(passes) == 4
 
     @settings(max_examples=60)
     @given(log_lam=st.floats(-3.0, 0.0), m=st.integers(2, 12), n=st.integers(2, 12),
@@ -792,20 +805,23 @@ class TestAbsorbedRows:
                             + ["built"] * 2 + ["called"])
             assert not passes
 
-    @pytest.mark.parametrize("cost_scale, lam, eta, passes", [(3000.0, 1e-3, 20.0, 15),
-                                                              (1.0, 0.05, 1.0, 1)],
-                             ids=["fallbacks", "no_fallback"])
-    def test_one_plan_array_alive(self, cost_scale, lam, eta, passes, monkeypatch):
-        # With fallbacks (15 passes in 121 iterations) and without: the
-        # kernel, or the pass that replaces it, and then the returned plan,
-        # never two of them at once (measured: 1.52 arrays).
+    @pytest.mark.parametrize("cost_scale, lam, eta, passes, renewals",
+                             [(3000.0, 1e-3, 20.0, 3, 0), (1.0, 0.05, 1.0, 1, 0),
+                              (1.0, 1e-3, 20.0, 1, 1)],
+                             ids=["fallbacks", "no_fallback", "renewal"])
+    def test_one_plan_array_alive(self, cost_scale, lam, eta, passes, renewals, monkeypatch):
+        # With fallbacks (3 passes in 121 iterations), without, and with a
+        # kernel that renews its candidates: the kernel, or the pass that
+        # replaces it, and then the returned plan, never two of them at once
+        # (measured: 1.63, 1.65 and 1.65 arrays).
         m = n = 300
         src, tgt, cost = small_random_instance(np.random.default_rng(12345), m, n,
                                                cost_scale=cost_scale)
         calls = count_row_passes(monkeypatch)
+        renewed = count_renewals(monkeypatch)
         peak = traced_peak(lambda: ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
             eta=eta, max_iters=120, stop_rel_tol=1e-300)))
-        assert len(calls) == passes
+        assert len(calls) == passes and len(renewed) == renewals
         assert peak <= 1.75 * m * n * 8
 
     def test_candidates_leave_the_run_bitwise_unchanged(self, monkeypatch):
@@ -813,7 +829,8 @@ class TestAbsorbedRows:
         # at lam = spread / 700, where the kernels keep 1-3% of C as
         # candidates: the row max over certified candidates gives the run
         # that the full row max gives, bit for bit, and reads all of C on
-        # few of the absorbed iterations.
+        # few of the absorbed iterations. One kernel serves the run and
+        # renews its candidates 6 times; at tau = 30 it takes 14 kernels.
         src, tgt = random_point_instance(3, 200, 200, d=3, source_dist="gaussian",
                                          target_dist="gaussian", project_to_sphere=True)
         cost = ok.center(ok.spherical(src, tgt))
@@ -828,10 +845,16 @@ class TestAbsorbedRows:
 
         monkeypatch.setattr(solvers, "_row_max", counting)
         passes = count_row_passes(monkeypatch)
+        renewed = count_renewals(monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_KERNEL_TAU", 30.0)
+            ok.fista_solve(src, tgt, cost, lam, config)
+        narrow = len(passes)
+        del full[:], passes[:], renewed[:]
         result = ok.fista_solve(src, tgt, cost, lam, config)
         absorbed = result.trace.n_iterations + 1 - len(passes)
-        assert absorbed > 300
-        assert sum(full) <= 0.1 * absorbed
+        assert absorbed > 300 and len(passes) < narrow and renewed
+        assert sum(full) + len(renewed) <= 0.1 * absorbed
         del full[:], passes[:]
         monkeypatch.setattr(solvers, "_row_candidates", lambda W0, C: None)
         reference = ok.fista_solve(src, tgt, cost, lam, config)
@@ -893,26 +916,54 @@ class TestAbsorbedRows:
     @given(m=st.integers(1, 40), n=st.integers(1, 40), ties=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_rescale_row_max_property(self, m, n, ties, seed):
-        # Drifts of up to 30 lam carry many rows' argmax outside their
-        # candidates (a window of 7 lam). With ties, costs, potentials and
-        # drifts are dyadic and columns repeat, so rows tie at their max.
+        # Two drifts of up to tau lam each carry many rows' argmax outside
+        # their candidates (a window of 7 lam), so the second one is often
+        # read over candidates renewed at the first. With ties, costs,
+        # potentials and drifts are dyadic and columns repeat, so rows tie
+        # at their max.
         rng = np.random.default_rng(seed)
+        tau = solvers._KERNEL_TAU
         if ties:
             lam = 2.0 ** int(rng.integers(-8, -3))
             copies = rng.integers(0, n, n)
             C = rng.integers(0, 32, (m, n)).astype(float)[:, copies]
             psi0 = rng.integers(-4, 5, n).astype(float)[copies]
-            drift = lam * rng.integers(-29, 30, n)[copies]
+            drifts = lam * rng.integers(1 - int(tau), int(tau), (2, n))[:, copies]
         else:
             lam = 10.0 ** rng.uniform(-3.0, 0.0)
             C = rng.uniform(0.0, 8.0, (m, n))
             psi0 = rng.uniform(-4.0, 4.0, n)
-            drift = lam * rng.uniform(-29.9, 29.9, n)
-        kernel = solvers._AbsorbedRows(_DenseRows(C, lam, np.full(m, 1.0 / m))(psi0))
-        psi = psi0 + drift
-        assert kernel.rescale(psi)
-        np.testing.assert_array_equal(kernel.shift, smoothed_dual._row_max(psi, C))
-        np.testing.assert_array_equal(kernel.sums, (kernel.W0 @ kernel.e) * kernel.r)
+            drifts = lam * rng.uniform(0.999 - tau, tau - 0.999, (2, n))
+        kernel = solvers._AbsorbedRows(_DenseRows(C, lam, np.full(m, 1.0 / m))(psi0), tau)
+        for drift in drifts:
+            psi = psi0 + drift
+            assert kernel.rescale(psi)
+            np.testing.assert_array_equal(kernel.shift, smoothed_dual._row_max(psi, C))
+            np.testing.assert_array_equal(kernel.sums, (kernel.W0 @ kernel.e) * kernel.r)
+
+    def test_large_cost_narrows_the_range(self):
+        # A constant cost of 1e300 keeps every weight at 1, so at a drift of
+        # +t lam on half of the 16 columns and -t lam on the rest the queued
+        # (W0 o C) e reaches 8 c e^t. Sinkhorn's cap, for a kernel of mass
+        # 1, would let t reach about 18 and that product overflow; the cap
+        # that counts the row sums of n = 16 stops e below it, and every
+        # product then stays finite.
+        m, n, c = 4, 16, 1e300
+        cost = ok.CostMatrix.from_entries(np.full((m, n), c))
+        lam, tau, plan_tau = 1e299, solvers._kernel_tau(cost, n), solvers._kernel_tau(cost)
+        assert plan_tau - tau == pytest.approx(math.log(n))
+        side = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+        kernel = solvers._AbsorbedRows(_DenseRows(cost.entries, lam, np.full(m, 1.0 / m))(
+            np.zeros(n)), tau)
+        assert not kernel.rescale(lam * (tau + 0.01) * side)
+        assert kernel.rescale(lam * (tau - 0.01) * side)
+        kernel.queue_cost(0.0)
+        np.testing.assert_allclose(kernel.queued_costs(), [c], rtol=1e-12)
+        kernel.tau = plan_tau
+        assert kernel.rescale(lam * (plan_tau - 0.01) * side)
+        kernel.queue_cost(0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(kernel.queued_costs()).all()
 
 
 def watch_rows(monkeypatch, nan_at=None):
@@ -942,8 +993,8 @@ def watch_rows(monkeypatch, nan_at=None):
     return seen
 
 
-# (m, n, cost_scale, lam, max_iters, trace_every, nan_at): 11 kernels in 121
-# iterations; 5 kernels in 301 (full batches); the same every 5th row; a NaN
+# (m, n, cost_scale, lam, max_iters, trace_every, nan_at): 4 kernels in 121
+# iterations, one dropped with 9 rows queued; 5 kernels in 301 (full batches); the same every 5th row; a NaN
 # on an absorbed iteration, 40, with rows queued, without candidates and on
 # a kernel that keeps them (one kernel serves all 301 iterations); a stop at
 # iteration 37, inside the first kernel's third batch.
@@ -1023,6 +1074,21 @@ class TestDeferredRows:
     def test_failure_row_after_queued_rows_on_candidates(self, monkeypatch):
         self.assert_failure_after_queued_rows(monkeypatch, "nan_candidates", True)
 
+    def test_kernel_dropped_mid_batch(self, monkeypatch):
+        # A kernel of the kernel_drops run leaves its range with rows queued
+        # but fewer than a batch, so its drop completes a partial batch.
+        partial = []
+        plain = solvers._StopRule.flush
+
+        def flush(rule):
+            if not rule.stopped:
+                partial.append(0 < len(rule._queue) < solvers._COST_BATCH)
+            plain(rule)
+
+        monkeypatch.setattr(solvers._StopRule, "flush", flush)
+        result, _, _ = self.run(monkeypatch, "kernel_drops", solvers._COST_BATCH)
+        assert result.trace.n_iterations == 120 and any(partial)
+
     def test_last_row_absorbed(self, monkeypatch):
         # No dense pass runs at iteration 37, so the final flush completes it.
         calls = count_row_passes(monkeypatch)
@@ -1032,7 +1098,7 @@ class TestDeferredRows:
         assert [row[0] for row, steps in seen if steps == 37] == list(range(33, 38))
 
     @pytest.mark.parametrize("seed, m, n, cost_scale, lam, eta, kernels",
-                             [(0, 12, 10, 10.0, 0.05, 1.0, 4), (1, 12, 10, 10.0, 0.05, 1.0, 3),
+                             [(0, 12, 10, 10.0, 1e-3, 1.0, 4), (1, 12, 10, 10.0, 1e-3, 1.0, 5),
                               (0, 40, 30, 1.0, 0.01, 20.0, 1)])
     def test_plan_cost_passes(self, seed, m, n, cost_scale, lam, eta, kernels, monkeypatch):
         # Traced every row: one m x n <P, C> pass per dense-pass row and one
