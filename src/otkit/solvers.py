@@ -46,10 +46,12 @@ elsewhere (``_AbsorbedRows``); when over 1/8 of the rows fail, from all of
 ``7 lam`` of each row's new max. Its weights ``W0`` stay fixed for the
 kernel's life, so the <P, C> of every due row it serves is
 ``a^T (W0 o C) e`` with per-row vectors ``a`` and ``e``, and a batch of
-them shares one blocked pass over ``W0 o C``. Each kernel answers the
-reductions of the pass it stands for, so one loop body serves every
-iteration of its solver; Sinkhorn holds two m x n arrays, its buffer, and
-returns the top half as the plan, FISTA one.
+them shares one blocked pass over ``W0 o C``, each block times each row's
+``e`` in its own matrix-vector product: one matrix-matrix product for the
+batch slowed the iterations after it (``_COST_BATCH``). Each kernel
+answers the reductions of the pass it stands for, so one loop body serves
+every iteration of its solver; Sinkhorn holds two m x n arrays, its
+buffer, and returns the top half as the plan, FISTA one.
 
 Below a relative tolerance of about 1e-13 the stop rule fires only when two
 successive monitored values agree to their last bits, so a "converged"
@@ -291,7 +293,9 @@ def fista_solve(
 
     A due row read from the kernel is queued with its E, E_lambda, D and
     wall-clock stamp; its <P, C> comes from one blocked pass over
-    ``W0 o C`` for up to 16 such rows (``_COST_BATCH``), taken when the
+    ``W0 o C`` for up to 16 such rows (``_COST_BATCH``), with one
+    matrix-vector product per row and block, since a matrix-matrix product
+    there slowed the iterations after it; the pass is taken when the
     batch is full, before the kernel is dropped, before a row of a dense pass
     or a failure, and when the run stops. The rows then reach the trace in
     order, complete, up to one batch after their iterations (see
@@ -371,6 +375,15 @@ def fista_solve(
 # :class:`_AbsorbedRows` for why this range is safe there.
 _KERNEL_TAU = 200.0
 # The most trace rows whose <P, C> FISTA's absorbed kernel takes in one pass.
+# The pass meets each row's e in a matrix-vector product per block of W0 o C,
+# not in one (block x n) @ (n x 16) product: after OpenBLAS's 16-column
+# products the code that follows runs slower, pure Python too, which points
+# to a core clock drop (inferred; the VMs it was timed on expose no clock).
+# On p-sweep-exact (200^2, 2 vCPUs, OpenBLAS 0.3.31) that flush takes 80 us
+# against 131 us for the matrix-vector products, but rescale then took
+# 95-98 us against 77-81 us, and the paper-stop FISTA solve (316 traced
+# iterations) 45 ms against 39-40 ms. Products of 8 or fewer columns
+# showed no such effect.
 _COST_BATCH = 16
 # FISTA's absorbed kernel takes its row max over each row's candidates, the
 # columns with reference weight W0_ij >= _CANDIDATE_WEIGHT, while they are at
@@ -486,7 +499,10 @@ class _AbsorbedRows:
     sums of the plan, with ``W0`` the pass's own weights array, so no other
     m x n array is held. The plan's cost ``<P, C> = a^T (W0 o C) e`` with
     ``a = scale * r`` is queued per row by :meth:`queue_cost` and taken for
-    the whole queue by :meth:`queued_costs`.
+    the whole queue by :meth:`queued_costs`, which walks ``W0 o C`` once and
+    multiplies each block by each queued ``e`` in a matrix-vector product:
+    one product with all of them, a 16-column GEMM, made the iterations
+    after it about 20% slower (``_COST_BATCH``).
 
     ``e`` is accepted within ``[e^-tau, e^tau]``, ``tau = 200``
     (``_KERNEL_TAU``), or less on a cost above about 1e221 / n in
@@ -595,18 +611,21 @@ class _AbsorbedRows:
     def queued_costs(self) -> np.ndarray:
         """``<P, C> = a^T (W0 o C) e`` of each queued pass, with ``a = scale * r``,
         in order, from one walk over ``W0 o C`` a block of rows at a time
-        through one reused buffer; the queue is then empty."""
-        A, E = (np.array(x) for x in zip(*self._queued))
-        self._queued = []
+        through one reused buffer; the queue is then empty. Each block meets
+        each queued ``e`` in its own matrix-vector product, not one product
+        with all of them (see ``_COST_BATCH``), so a row's value does not
+        depend on the rows queued with it."""
+        queued, self._queued = self._queued, []
         m, n = self.C.shape
         step = max(1, _BLOCK_BYTES // (8 * n))
         buf = np.empty((min(step, m), n))
-        Y = np.empty((m, len(E)))
+        Y = np.empty((len(queued), m))
         for start in range(0, m, step):
             block = np.multiply(self.W0[start:start + step], self.C[start:start + step],
                                 out=buf[:min(step, m - start)])
-            np.matmul(block, E.T, out=Y[start:start + step])
-        return np.einsum("ki,ik->k", A, Y)
+            for y, (_, e) in zip(Y, queued):
+                np.matmul(block, e, out=y[start:start + step])
+        return np.array([a @ y for (a, _), y in zip(queued, Y)])
 
 
 class _AbsorbedKernel:

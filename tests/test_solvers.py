@@ -965,6 +965,28 @@ class TestAbsorbedRows:
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(kernel.queued_costs()).all()
 
+    def test_queued_costs_span_blocks(self, rng):
+        # 250 rows of 300 columns are three blocks of W0 o C, the last one
+        # short. Rows queued at nearby potentials match the unblocked
+        # product, and each one its own one-row flush bit for bit.
+        m, n, lam = 250, 300, 0.05
+        assert m > 2 * max(1, solvers._BLOCK_BYTES // (8 * n))
+        C = rng.uniform(0.0, 1.0, (m, n))
+        kernel = solvers._AbsorbedRows(_DenseRows(C, lam, np.full(m, 1.0 / m))(
+            rng.uniform(-1.0, 1.0, n)), solvers._KERNEL_TAU)
+        psis = kernel.psi0 + lam * rng.uniform(-2.0, 2.0, (5, n))
+        reference = []
+        for psi in psis:
+            assert kernel.rescale(psi)
+            reference.append((kernel.scale * kernel.r) @ ((kernel.W0 * C) @ kernel.e))
+            kernel.queue_cost(0.0)
+        batch = kernel.queued_costs()
+        np.testing.assert_allclose(batch, reference, rtol=1e-13, atol=0)
+        for psi, value in zip(psis, batch):
+            assert kernel.rescale(psi)
+            kernel.queue_cost(0.0)
+            np.testing.assert_array_equal(kernel.queued_costs(), [value])
+
 
 def watch_rows(monkeypatch, nan_at=None):
     """Swap in a SolveTrace that records each row as ``append`` sees it, with
@@ -1041,7 +1063,8 @@ class TestDeferredRows:
         assert trace.iters == ref.iters
         for column in ("energy", "smoothed_energy", "marginal_dev"):
             np.testing.assert_array_equal(getattr(trace, column), getattr(ref, column))
-        np.testing.assert_allclose(trace.plan_cost, ref.plan_cost, rtol=1e-12, atol=0)
+        # A batched row runs the products of its own one-row batch.
+        np.testing.assert_array_equal(trace.plan_cost, ref.plan_cost)
         assert ((trace.status, trace.n_iterations, trace.failed_iteration)
                 == (ref.status, ref.n_iterations, ref.failed_iteration))
         np.testing.assert_array_equal(result.potential.values, reference.potential.values)
