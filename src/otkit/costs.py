@@ -25,9 +25,8 @@ import numpy as np
 from .measures import DiscreteMeasure
 
 UNIT_NORM_TOL = 1e-9
-# Size of the row blocks of the four blocked walks over an m x n array:
-# ``_squared_distances``, ``smoothed_dual._row_max``, and
-# ``solvers._row_candidates`` and ``solvers._AbsorbedRows.queued_costs``.
+# Size of the row blocks of every walk that takes an m x n array a block of
+# rows at a time.
 _BLOCK_BYTES = 1 << 18
 
 

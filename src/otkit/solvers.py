@@ -39,12 +39,12 @@ above about 1e221 in magnitude) is folded back into the potentials
 row pass and rescales them by ``exp((psi - psi0)/lam)`` while that stays in
 the same range, capped by ``n |c|max`` rather than ``|c|max`` because each
 row of its weights sums to at most ``n``. It takes the exact row max over
-each row's candidate columns, those the pass weighted at least ``e^-7``,
-where the rescaled row sum certifies it, and from the row of ``C``
-elsewhere (``_AbsorbedRows``); when over 1/8 of the rows fail, from all of
-``C`` in a pass that also renews the candidates, as the columns within
-``7 lam`` of each row's new max. Its weights ``W0`` stay fixed for the
-kernel's life, so the <P, C> of every due row it serves is
+each row's candidate columns, those within ``7 lam`` of the row max where
+the list was built, where the rescaled row sum certifies it, and from the
+row of ``C`` elsewhere (``_AbsorbedRows``). The list is built from the full
+row max of the kernel's first iteration, and again from that of any
+iteration where over 1/8 of the rows fail. Its weights ``W0`` stay fixed
+for the kernel's life, so the <P, C> of every due row it serves is
 ``a^T (W0 o C) e`` with per-row vectors ``a`` and ``e``, and a batch of
 them shares one blocked pass over ``W0 o C``, each block times each row's
 ``e`` in its own matrix-vector product: one matrix-matrix product for the
@@ -279,16 +279,18 @@ def fista_solve(
     ``n |c|max e^tau``, which bounds the queued ``(W0 o C) e``, would come
     within a factor e of the largest float: ``_kernel_tau(cost, n)``) the
     pass at psi_t is read from them by two matrix-vector products, with the
-    exact row max taken over each row's candidate columns where the weight
+    exact row max taken over each row's candidate columns (those within
+    ``7 lam`` of the row max where the list was built) where the weight
     outside them certifies it, and from ``C`` elsewhere, so E stays exact;
-    an iteration where over 1/8 of the rows fail reads all of ``C`` and
-    renews the candidates from that pass. Otherwise, and on a NaN, the
-    kernel is dropped and the dense pass at psi_t runs and becomes the new
-    kernel, so the dense pass makes the failure decisions and one m x n
-    array is alive. Kernel mode runs the dense pass every iteration. A grid
-    cost calls the solve's grid row pass at every ``psi_t``: one scatter of
-    ``psi/lam``, the row chain, the max-plus chain for E, and the column
-    chain of ``log mu`` held in grid order for the gradient. The plan is :func:`recover_plan`'s at the returned potential,
+    the kernel's first iteration, and one where over 1/8 of the rows fail,
+    reads all of ``C`` and builds the list from that pass. Otherwise, and
+    on a NaN, the kernel is dropped and the dense pass at psi_t runs and
+    becomes the new kernel, so the dense pass makes the failure decisions
+    and one m x n array is alive. Kernel mode runs the dense pass every
+    iteration. A grid cost calls the solve's grid row pass at every
+    ``psi_t``: one scatter of ``psi/lam``, the row chain, the max-plus chain
+    for E, and the column chain of ``log mu`` held in grid order for the
+    gradient. The plan is :func:`recover_plan`'s at the returned potential,
     factored on a grid cost.
 
     A due row read from the kernel is queued with its E, E_lambda, D and
@@ -374,33 +376,20 @@ def fista_solve(
 # this tau (``_kernel_tau``); see :class:`_AbsorbedKernel` and
 # :class:`_AbsorbedRows` for why this range is safe there.
 _KERNEL_TAU = 200.0
-# The most trace rows whose <P, C> FISTA's absorbed kernel takes in one pass.
-# The pass meets each row's e in a matrix-vector product per block of W0 o C,
-# not in one (block x n) @ (n x 16) product: after OpenBLAS's 16-column
-# products the code that follows runs slower, pure Python too, which points
-# to a core clock drop (inferred; the VMs it was timed on expose no clock).
-# On p-sweep-exact (200^2, 2 vCPUs, OpenBLAS 0.3.31) that flush takes 80 us
-# against 131 us for the matrix-vector products, but rescale then took
-# 95-98 us against 77-81 us, and the paper-stop FISTA solve (316 traced
-# iterations) 45 ms against 39-40 ms. Products of 8 or fewer columns
-# showed no such effect.
+# The most trace rows whose <P, C> FISTA's absorbed kernel takes in one pass,
+# each block of W0 o C times each row's e in its own matrix-vector product:
+# after one 16-column product the iterations that follow ran slower.
 _COST_BATCH = 16
-# FISTA's absorbed kernel takes its row max over each row's candidates, the
-# columns with reference weight W0_ij >= _CANDIDATE_WEIGHT, while they are at
-# most this share of the entries, and from all of C on an iteration where
-# more than this share of the rows fail their check; that pass then renews
-# the candidates as the columns within _CANDIDATE_WINDOW lam of each row's
-# new max. The weight certificate, not the threshold, makes the max exact, so
-# the threshold only trades the candidates read on every iteration (about
-# 4 ns each) against the rows sent to C. It was set by timing FISTA's tta
-# solves: on sphere-paper e^-6 and e^-7 ran 6% and 5% faster than e^-10
-# (median kernels keep 4.5% and 5.1% of C, against 6.9%), but at e^-6 a
-# p-sweep-exact kernel keeps 11.6% of C and fails the share on 31 of its 32
-# iterations, 3% slower there; at e^-7 that kernel is over the share and
-# p-sweep-exact runs as at e^-10.
+# FISTA's absorbed kernel takes each row max over the row's candidates, the
+# columns within this many lam of the row max where the list was built. The
+# window sets only the cost, not the result: at 6 a p-sweep-exact kernel's
+# list failed the share on nearly every iteration.
 _CANDIDATE_WINDOW = 7.0
-_CANDIDATE_WEIGHT = math.exp(-_CANDIDATE_WINDOW)
+# The largest share of C's entries a candidate list may hold, and of its rows
+# that may fail their check before the list is rebuilt.
 _CANDIDATE_SHARE = 1.0 / 8.0
+# A new kernel's list is built on first use (:meth:`_AbsorbedRows.row_max`).
+_UNBUILT = object()
 
 
 def _in_scaling_range(x, tau: float) -> bool:
@@ -418,33 +407,15 @@ def _kernel_tau(cost: CostMatrix, mass: float = 1.0) -> float:
     return min(_KERNEL_TAU, math.log(np.finfo(float).max / (mass * c_abs)) - 1.0)
 
 
-def _row_candidates(W0, C):
-    """Each row's columns with ``W0_ij >= _CANDIDATE_WEIGHT`` as ``(starts,
-    cols, costs, weights)``: row offsets, intp columns (``np.take`` would
-    convert narrower ones on every call), and ``c_ij`` and ``W0_ij`` there,
-    in row order. None if they are more than the candidate share of the
-    entries or some row has none (a NaN pass). Each block of rows is
-    compared once and its kept indices held until the arrays are filled, so
-    no m x n mask is formed, and the build stops at the first block that
-    takes the count past the share."""
-    m, n = C.shape
-    step = max(1, _BLOCK_BYTES // (8 * n))
-    cap = m * n * _CANDIDATE_SHARE
-    kept, total = [], 0
-    for i in range(0, m, step):
-        kept.append(np.flatnonzero(W0[i:i + step] >= _CANDIDATE_WEIGHT))
-        total += kept[-1].size
-        if total > cap:
-            return None
-    return _gathered_candidates(kept, total, W0, C)
-
-
 def _renewed_candidates(psi, C, W0, lam):
     """The row max ``h = _row_max(psi, C)``, bitwise, and from the same
-    blocked pass each row's columns with ``psi_j - c_ij >= h_i - 7 lam``,
-    as :func:`_row_candidates` gives them (or None over the share), with
-    ``W0_ij`` their weights. Past the share the pass only takes ``h``; the
-    block buffer is freed before the list is gathered."""
+    blocked pass each row's candidates, the columns with ``psi_j - c_ij >=
+    h_i - _CANDIDATE_WINDOW lam``, as ``(starts, cols, costs, weights)``:
+    row offsets, intp columns (``np.take`` would convert narrower ones on
+    every call), and ``c_ij`` and ``W0_ij`` there, in row order. The list is
+    None if it is over the candidate share of the entries, and the pass then
+    only takes ``h``, or if some row has none (a NaN row). No m x n mask is
+    formed, and the block buffer is freed before the list is gathered."""
     m, n = C.shape
     step = max(1, _BLOCK_BYTES // (8 * n))
     cap = m * n * _CANDIDATE_SHARE
@@ -458,14 +429,8 @@ def _renewed_candidates(psi, C, W0, lam):
             kept.append(np.flatnonzero(block >= (top - _CANDIDATE_WINDOW * lam)[:, None]))
             total += kept[-1].size
     del block, buf
-    return h, _gathered_candidates(kept, total, W0, C) if total <= cap else None
-
-
-def _gathered_candidates(kept, total, W0, C):
-    """The candidate arrays from ``kept``, each block's flat indices of
-    ``total`` in all; None if some row has none."""
-    m, n = C.shape
-    step = max(1, _BLOCK_BYTES // (8 * n))
+    if total > cap:
+        return h, None
     starts = np.empty(m + 1, np.intp)
     cols, costs, weights = np.empty(total, np.intp), np.empty(total), np.empty(total)
     done = 0
@@ -479,8 +444,8 @@ def _gathered_candidates(kept, total, W0, C):
         done += keep.size
     starts[m] = total
     if not np.all(np.diff(starts) > 0):
-        return None
-    return starts[:m], cols, costs, weights
+        return h, None
+    return h, (starts[:m], cols, costs, weights)
 
 
 class _AbsorbedRows:
@@ -500,9 +465,8 @@ class _AbsorbedRows:
     m x n array is held. The plan's cost ``<P, C> = a^T (W0 o C) e`` with
     ``a = scale * r`` is queued per row by :meth:`queue_cost` and taken for
     the whole queue by :meth:`queued_costs`, which walks ``W0 o C`` once and
-    multiplies each block by each queued ``e`` in a matrix-vector product:
-    one product with all of them, a 16-column GEMM, made the iterations
-    after it about 20% slower (``_COST_BATCH``).
+    multiplies each block by each queued ``e`` in a matrix-vector product
+    (``_COST_BATCH``).
 
     ``e`` is accepted within ``[e^-tau, e^tau]``, ``tau = 200``
     (``_KERNEL_TAU``), or less on a cost above about 1e221 / n in
@@ -515,24 +479,23 @@ class _AbsorbedRows:
     at most about 5e-324, and by about 4e-237 after scaling by ``e``, far
     under the rounding of ``raw >= e^-tau``.
 
-    ``h`` comes from :meth:`row_max`. Each row keeps its candidate columns,
-    ``W0_ij >= e^-7`` (:func:`_row_candidates`), unless they are over 1/8
-    of ``C``, and ``h_i`` is their largest ``psi_j - c_ij`` where that
-    column's weight ``exp((h_i - s_i)/lam)`` exceeds the weight of all the
-    others, ``(W0 e)_i - sum_K W0_ij e_j``, by a slack above rounding;
-    elsewhere it comes from the row of ``C``, and from all of ``C`` when
-    over 1/8 of the rows fail. That pass renews the candidates: the columns
-    within ``7 lam`` of each row's new max, with their ``c_ij`` and
-    ``W0_ij`` (:func:`_renewed_candidates`), the old ones freed first, or
-    none if they are over 1/8 of ``C``; a kernel that keeps none takes every
-    row max from ``C``. A renewal keeps ``W0``, so ``raw`` and the column
-    sums still come from the older pass, which moves them at rounding level
-    against a fresh one. Every value is one ``psi_j - c_ij``, so ``h``
-    and with it ``r``, ``sums``, E and the run are bitwise those of the
-    full row max (Schmitzer, SIAM J. Sci. Comput. 2019, Sec. 3.3, truncates
-    the kernel the same way). The threshold sets only the cost: each
-    candidate is read on every iteration, each failed row reads its row of
-    ``C`` (``_CANDIDATE_WEIGHT``).
+    ``h`` comes from :meth:`row_max`, over each row's candidates: the
+    columns within ``7 lam`` (``_CANDIDATE_WINDOW``) of the row max where
+    the list was built, with their ``c_ij`` and ``W0_ij``
+    (:func:`_renewed_candidates`). The kernel's first iteration builds the
+    list from the full row max it takes, and so does any iteration where
+    over 1/8 of the rows fail their check, the old list freed first; a list
+    over 1/8 of ``C`` is not kept, and the kernel then takes every row max
+    from ``C``. A row passes where its top candidate's weight
+    ``exp((h_i - s_i)/lam)`` exceeds the weight of all the other columns,
+    ``(W0 e)_i - sum_K W0_ij e_j``, by a slack above rounding; a row that
+    fails reads its row of ``C``. A rebuilt list keeps ``W0``, so ``raw``
+    and the column sums still come from the kernel's pass, which moves them
+    at rounding level against a fresh one. Every value is one
+    ``psi_j - c_ij``, so ``h`` and with it ``r``, ``sums``, E and the run
+    are bitwise those of the full row max (Schmitzer, SIAM J. Sci. Comput.
+    2019, Sec. 3.3, truncates the kernel the same way); the window sets
+    only the cost.
     """
 
     def __init__(self, rows, tau):
@@ -540,7 +503,7 @@ class _AbsorbedRows:
         self.psi0, self.lam, self.w = rows.psi, rows.lam, rows.w
         self.tau = tau
         self._queued = []
-        self._candidates = _row_candidates(self.W0, self.C)
+        self._candidates = _UNBUILT
         # W0_ij e_j carries the rounding of psi0_j - c_ij and psi_j - c_ij,
         # about eps |s_i| / lam relative on the entries that can reach the top.
         self._slack = 1e-9 + 4.0 * np.finfo(float).eps * np.abs(self.s) / self.lam
@@ -565,22 +528,24 @@ class _AbsorbedRows:
         ``exp((h_i - s_i)/lam)`` exceeds the weight outside them,
         ``raw_i - sum_K W0_ij e_j``, by the slack, so no column outside can
         be larger; from the row of ``C`` where it does not, and from all of
-        ``C`` when the kernel keeps no candidates or over 1/8 of the rows
-        fail, a pass that also renews them. Each value is one
-        ``psi_j - c_ij``, so ``h`` is bitwise :func:`_row_max`'s. The
-        candidate pass is two takes, a subtract, a multiply and two
-        reduceats over the list, a few ns per candidate."""
+        ``C`` when the kernel keeps no list, has none yet or over 1/8 of the
+        rows fail, a pass that in the last two cases builds the list. Each
+        value is one ``psi_j - c_ij``, so ``h`` is bitwise
+        :func:`_row_max`'s. The candidate pass is two takes, a subtract, a
+        multiply and two reduceats over the list, a few ns per candidate."""
         if self._candidates is None:
             return _row_max(psi, self.C)
-        h, rest = self._candidate_max(psi, raw)
-        failed = ~(np.exp((h - self.s) / self.lam) - rest > self._slack * raw)
-        count = np.count_nonzero(failed)
-        if count > self.C.shape[0] * _CANDIDATE_SHARE:
+        if self._candidates is not _UNBUILT:
+            h, rest = self._candidate_max(psi, raw)
+            failed = ~(np.exp((h - self.s) / self.lam) - rest > self._slack * raw)
+            count = np.count_nonzero(failed)
+            if count <= self.C.shape[0] * _CANDIDATE_SHARE:
+                if count:
+                    h[failed] = _row_max(psi, self.C[failed])
+                return h
             # The stale list is freed before the pass gathers the new one.
             self._candidates = None
-            h, self._candidates = _renewed_candidates(psi, self.C, self.W0, self.lam)
-        elif count:
-            h[failed] = _row_max(psi, self.C[failed])
+        h, self._candidates = _renewed_candidates(psi, self.C, self.W0, self.lam)
         return h
 
     def _candidate_max(self, psi, raw):

@@ -505,14 +505,16 @@ def count_row_passes(monkeypatch):
     return calls
 
 
-def count_renewals(monkeypatch):
-    """Record every renewal of FISTA's candidate columns."""
+def count_candidate_builds(monkeypatch):
+    """Record every candidate list FISTA's absorbed kernels build: whether
+    each build kept a list."""
     calls = []
     plain = solvers._renewed_candidates
 
     def spy(*args):
-        calls.append(1)
-        return plain(*args)
+        h, found = plain(*args)
+        calls.append(found is not None)
+        return h, found
 
     monkeypatch.setattr(solvers, "_renewed_candidates", spy)
     return calls
@@ -805,24 +807,37 @@ class TestAbsorbedRows:
                             + ["built"] * 2 + ["called"])
             assert not passes
 
-    @pytest.mark.parametrize("cost_scale, lam, eta, passes, renewals",
-                             [(3000.0, 1e-3, 20.0, 3, 0), (1.0, 0.05, 1.0, 1, 0),
-                              (1.0, 1e-3, 20.0, 1, 1)],
+    @pytest.mark.parametrize("cost_scale, lam, eta, passes, builds",
+                             [(3000.0, 1e-3, 20.0, 3, 3), (1.0, 0.05, 1.0, 1, 1),
+                              (1.0, 1e-3, 20.0, 1, 2)],
                              ids=["fallbacks", "no_fallback", "renewal"])
-    def test_one_plan_array_alive(self, cost_scale, lam, eta, passes, renewals, monkeypatch):
+    def test_one_plan_array_alive(self, cost_scale, lam, eta, passes, builds, monkeypatch):
         # With fallbacks (3 passes in 121 iterations), without, and with a
-        # kernel that renews its candidates: the kernel, or the pass that
-        # replaces it, and then the returned plan, never two of them at once
-        # (measured: 1.63, 1.65 and 1.65 arrays).
+        # kernel that renews its candidates: the kernel with its candidate
+        # list, or the pass that replaces it, and then the returned plan,
+        # never two of them at once (measured: 1.62, 1.65 and 1.65 arrays).
+        # Each kernel builds its list once, and once more per renewal.
         m = n = 300
         src, tgt, cost = small_random_instance(np.random.default_rng(12345), m, n,
                                                cost_scale=cost_scale)
         calls = count_row_passes(monkeypatch)
-        renewed = count_renewals(monkeypatch)
+        built = count_candidate_builds(monkeypatch)
         peak = traced_peak(lambda: ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
             eta=eta, max_iters=120, stop_rel_tol=1e-300)))
-        assert len(calls) == passes and len(renewed) == renewals
+        assert len(calls) == passes and len(built) == builds
         assert peak <= 1.75 * m * n * 8
+
+    def test_kernel_dropped_before_use_builds_no_candidates(self, monkeypatch):
+        # At eta = 1e6 every step leaves the range of the kernel it starts
+        # from, so each of the 51 kernels is dropped before it serves an
+        # absorbed iteration, and none builds a candidate list.
+        src, tgt, cost = small_random_instance(np.random.default_rng(0), 12, 10,
+                                               cost_scale=10.0)
+        passes = count_row_passes(monkeypatch)
+        built = count_candidate_builds(monkeypatch)
+        result = ok.fista_solve(src, tgt, cost, 0.05, ok.FistaConfig(
+            eta=1e6, max_iters=50, stop_rel_tol=1e-300))
+        assert len(passes) == result.trace.n_iterations + 1 == 51 and not built
 
     def test_candidates_leave_the_run_bitwise_unchanged(self, monkeypatch):
         # A 200 x 200 great-circle cost between Gaussian clouds on the sphere
@@ -830,7 +845,7 @@ class TestAbsorbedRows:
         # candidates: the row max over certified candidates gives the run
         # that the full row max gives, bit for bit, and reads all of C on
         # few of the absorbed iterations. One kernel serves the run and
-        # renews its candidates 6 times; at tau = 30 it takes 14 kernels.
+        # builds its candidates 7 times; at tau = 30 it takes 14 kernels.
         src, tgt = random_point_instance(3, 200, 200, d=3, source_dist="gaussian",
                                          target_dist="gaussian", project_to_sphere=True)
         cost = ok.center(ok.spherical(src, tgt))
@@ -845,18 +860,19 @@ class TestAbsorbedRows:
 
         monkeypatch.setattr(solvers, "_row_max", counting)
         passes = count_row_passes(monkeypatch)
-        renewed = count_renewals(monkeypatch)
+        built = count_candidate_builds(monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_KERNEL_TAU", 30.0)
             ok.fista_solve(src, tgt, cost, lam, config)
         narrow = len(passes)
-        del full[:], passes[:], renewed[:]
+        del full[:], passes[:], built[:]
         result = ok.fista_solve(src, tgt, cost, lam, config)
         absorbed = result.trace.n_iterations + 1 - len(passes)
-        assert absorbed > 300 and len(passes) < narrow and renewed
-        assert sum(full) + len(renewed) <= 0.1 * absorbed
+        assert absorbed > 300 and len(passes) < narrow and len(built) > len(passes)
+        assert sum(full) + len(built) <= 0.1 * absorbed
         del full[:], passes[:]
-        monkeypatch.setattr(solvers, "_row_candidates", lambda W0, C: None)
+        monkeypatch.setattr(solvers, "_renewed_candidates",
+                            lambda psi, C, W0, lam: (solvers._row_max(psi, C), None))
         reference = ok.fista_solve(src, tgt, cost, lam, config)
         assert sum(full) == absorbed == reference.trace.n_iterations + 1 - len(passes)
         trace, ref = result.trace, reference.trace
@@ -868,20 +884,22 @@ class TestAbsorbedRows:
         np.testing.assert_array_equal(result.plan.entries, reference.plan.entries)
 
     @staticmethod
-    def uneven_weights(rng, m, n):
-        """Weights whose rows keep 2-20% of their columns as candidates
-        (about 5% in all), each row with its max at 1 as in a pass."""
-        W0 = np.exp(-rng.uniform(0.0, rng.uniform(30.0, 300.0, (m, 1)), (m, n)))
-        W0[np.arange(m), rng.integers(0, n, m)] = 1.0
-        return W0
+    def uneven_instance(rng, m, n):
+        """A potential and a cost whose rows keep about 1-23% of their
+        columns within the window of their max (about 6% in all), at
+        ``lam = 1``."""
+        C = rng.uniform(0.0, 1.0, (m, n)) * rng.uniform(30.0, 300.0, (m, 1))
+        return rng.uniform(-1.0, 1.0, n), C, 1.0
 
-    def test_row_candidates_match_reference(self, rng):
+    def test_candidates_match_reference(self, rng):
         # 250 rows of 300 columns are three blocks, the last one short.
         m, n = 250, 300
-        W0, C = self.uneven_weights(rng, m, n), rng.uniform(0.0, 1.0, (m, n))
+        psi, C, lam = self.uneven_instance(rng, m, n)
+        W0 = rng.uniform(0.0, 1.0, (m, n))
         assert m > 2 * max(1, solvers._BLOCK_BYTES // (8 * n))
-        starts, cols, costs, weights = solvers._row_candidates(W0, C)
-        flat = np.flatnonzero(W0 >= solvers._CANDIDATE_WEIGHT)
+        h, (starts, cols, costs, weights) = solvers._renewed_candidates(psi, C, W0, lam)
+        np.testing.assert_array_equal(h, smoothed_dual._row_max(psi, C))
+        flat = np.flatnonzero(psi - C >= (h - solvers._CANDIDATE_WINDOW * lam)[:, None])
         counts = np.bincount(flat // n, minlength=m)
         assert counts.min() >= 1 and counts.max() > 3 * counts.min()
         np.testing.assert_array_equal(starts, np.searchsorted(flat // n, np.arange(m)))
@@ -891,14 +909,16 @@ class TestAbsorbedRows:
         # np.take converts narrower indices on every call.
         assert cols.dtype == np.intp
 
-    def test_row_candidates_none_for_a_row_without_any(self, rng):
-        W0 = self.uneven_weights(rng, 60, 40)
-        W0[17] = math.nan
-        assert solvers._row_candidates(W0, rng.uniform(0.0, 1.0, W0.shape)) is None
+    def test_candidates_none_for_a_nan_row(self, rng):
+        psi, C, lam = self.uneven_instance(rng, 60, 40)
+        C[17] = math.nan
+        h, found = solvers._renewed_candidates(psi, C, np.ones(C.shape), lam)
+        np.testing.assert_array_equal(h, smoothed_dual._row_max(psi, C))
+        assert math.isnan(h[17]) and found is None
 
-    def test_row_candidates_stop_at_the_block_past_the_share(self):
+    def test_candidates_past_the_share_give_only_the_row_max(self, rng):
         # Every entry is a candidate, so the first of four blocks passes the
-        # share and no later block is read.
+        # share: the pass takes every row max and gathers no weights.
         m, n = 400, 300
         reads = []
 
@@ -907,10 +927,11 @@ class TestAbsorbedRows:
                 reads.append(key)
                 return super().__getitem__(key)
 
-        W0 = np.ones((m, n)).view(Spy)
+        psi, C = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, (m, n))
         assert m > 3 * max(1, solvers._BLOCK_BYTES // (8 * n))
-        assert solvers._row_candidates(W0, np.zeros((m, n))) is None
-        assert len(reads) == 1
+        h, found = solvers._renewed_candidates(psi, C, np.ones((m, n)).view(Spy), 1.0)
+        np.testing.assert_array_equal(h, smoothed_dual._row_max(psi, C))
+        assert found is None and not reads
 
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(1, 40), n=st.integers(1, 40), ties=st.booleans(),
@@ -1070,19 +1091,12 @@ class TestDeferredRows:
         np.testing.assert_array_equal(result.potential.values, reference.potential.values)
         np.testing.assert_array_equal(result.plan.entries, reference.plan.entries)
 
-    def assert_failure_after_queued_rows(self, monkeypatch, case, candidates):
-        # The one kernel of the run keeps candidates, or not, as named.
-        kept = []
-        plain = solvers._row_candidates
-
-        def spy(W0, C):
-            found = plain(W0, C)
-            kept.append(found is not None)
-            return found
-
-        monkeypatch.setattr(solvers, "_row_candidates", spy)
+    def assert_failure_after_queued_rows(self, monkeypatch, case, builds):
+        # The one kernel of the run keeps each candidate list it builds, or
+        # not, as named.
+        kept = count_candidate_builds(monkeypatch)
         result, seen, _ = self.run(monkeypatch, case, solvers._COST_BATCH)
-        assert kept == [candidates]
+        assert kept == builds
         trace = result.trace
         assert trace.status == ok.NUMERICAL_FAILURE and trace.failed_iteration == 40
         assert math.isnan(trace.plan_cost[-1]) and math.isnan(trace.marginal_dev[-1])
@@ -1092,10 +1106,11 @@ class TestDeferredRows:
         assert sum(steps == 40 for _, steps in seen) > 2
 
     def test_failure_row_after_queued_rows(self, monkeypatch):
-        self.assert_failure_after_queued_rows(monkeypatch, "nan_mid_batch", False)
+        self.assert_failure_after_queued_rows(monkeypatch, "nan_mid_batch", [False])
 
     def test_failure_row_after_queued_rows_on_candidates(self, monkeypatch):
-        self.assert_failure_after_queued_rows(monkeypatch, "nan_candidates", True)
+        # Its first list goes stale once before the failure.
+        self.assert_failure_after_queued_rows(monkeypatch, "nan_candidates", [True, True])
 
     def test_kernel_dropped_mid_batch(self, monkeypatch):
         # A kernel of the kernel_drops run leaves its range with rows queued
