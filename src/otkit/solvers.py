@@ -10,20 +10,18 @@ object, ``_StopRule``, that both loops drive; each loop keeps only its math.
 
 FISTA's loop forms no m x n plan: the trace's <P, C> and marginal deviation
 come from reductions of the row pass plus O(m + n) vectors, and the returned
-plan is built once, after the last iteration. On its absorbed iterations
-(below) the <P, C> of due rows is taken in batches, one m x n pass for up to
-``_COST_BATCH`` rows, so such a row reaches the trace up to one batch late.
-Each solve takes its row passes from ``smoothed_dual._row_passes``, built
-once and called at every new potential: FISTA calls the one over ``C`` at
-``mu``, Sinkhorn that one and the one over ``C.T`` at ``nu``, one per half.
-Every pass holds ``shift``, ``sums``, ``log_sums`` and ``scale = w / sums``
-at its row marginal ``w``, so each loop body reads every kind alike. For a
-cost with grid factors (squared Euclidean between full grids) in the log
-domain they are grid passes and no m x n array is touched: the cost's
-entries are not read, and the returned plan is factored, its sums and
-<P, C> from the chains and its entries formed only when read. Otherwise,
-and always in kernel mode, they are dense passes. FISTA takes E from the
-pass's exact c-transform.
+plan is built once, after the last iteration. Every row reaches the trace
+at its own iteration. Each solve takes its row passes from
+``smoothed_dual._row_passes``, built once and called at every new
+potential: FISTA calls the one over ``C`` at ``mu``, Sinkhorn that one and
+the one over ``C.T`` at ``nu``, one per half. Every pass holds ``shift``,
+``sums``, ``log_sums`` and ``scale = w / sums`` at its row marginal ``w``,
+so each loop body reads every kind alike. For a cost with grid factors
+(squared Euclidean between full grids) in the log domain they are grid
+passes and no m x n array is touched: the cost's entries are not read, and
+the returned plan is factored, its sums and <P, C> from the chains and its
+entries formed only when read. Otherwise, and always in kernel mode, they
+are dense passes. FISTA takes E from the pass's exact c-transform.
 
 On a dense cost in the log domain both solvers run those passes only now
 and then, and read the iterations between them from the weights of the last
@@ -35,7 +33,7 @@ iterates by scaling the kernel, two products a round, the second one
 threaded product over the whole buffer that gives both the column sums and
 <P, C>. A scaling that leaves ``[e^-200, e^200]`` (narrower for costs
 above about 1e221 in magnitude) is folded back into the potentials
-(``_AbsorbedKernel``). FISTA holds the weights of its last dense
+(``_AbsorbedKernel``). FISTA holds the weights ``W0`` of its last dense
 row pass and rescales them by ``exp((psi - psi0)/lam)`` while that stays in
 the same range, capped by ``n |c|max`` rather than ``|c|max`` because each
 row of its weights sums to at most ``n``. It takes the exact row max over
@@ -43,15 +41,15 @@ each row's candidate columns, those within ``7 lam`` of the row max where
 the list was built, where the rescaled row sum certifies it, and from the
 row of ``C`` elsewhere (``_AbsorbedRows``). The list is built from the full
 row max of the kernel's first iteration, and again from that of any
-iteration where over 1/8 of the rows fail. Its weights ``W0`` stay fixed
-for the kernel's life, so the <P, C> of every due row it serves is
-``a^T (W0 o C) e`` with per-row vectors ``a`` and ``e``, and a batch of
-them shares one blocked pass over ``W0 o C``, each block times each row's
-``e`` in its own matrix-vector product: one matrix-matrix product for the
-batch slowed the iterations after it (``_COST_BATCH``). Each kernel
-answers the reductions of the pass it stands for, so one loop body serves
-every iteration of its solver; Sinkhorn holds two m x n arrays, its
-buffer, and returns the top half as the plan, FISTA one.
+iteration where over 1/8 of the rows fail. FISTA too allocates one
+``(2m, n)`` buffer per solve: its dense passes write ``W0`` into the top
+half, and a kernel forms ``W0 o C`` in the bottom half for its first due
+row. A due row's <P, C> is then ``a^T (W0 o C) e`` with per-row vectors
+``a`` and ``e``, read with the row sums from one product of the whole
+buffer with ``e``. Each kernel answers the reductions of the pass it
+stands for, so one loop body serves every iteration of its solver. Both
+solvers hold two m x n arrays, their buffers; Sinkhorn returns the top half
+of its own as the plan, and FISTA frees its own before it forms the plan.
 
 Below a relative tolerance of about 1e-13 the stop rule fires only when two
 successive monitored values agree to their last bits, so a "converged"
@@ -173,21 +171,15 @@ class _StopRule:
     relative change from the previous iteration's value (the absolute change
     if that underflows) drops below ``stop_rel_tol``, and with ``max_iters``
     once ``t`` reaches ``max_iters``. A row is due on the stopping iteration
-    and on every ``trace_every``-th; the solver evaluates the row's <P, C>
-    and marginal deviation only then, as NaN on a failed iteration, and hands
-    them to :meth:`record`, which stamps the wall clock.
-
-    A row may instead be queued with the kernel that owes the rest of its
-    <P, C> (FISTA's absorbed rows). The queue is completed by one call of
-    the kernel's ``queued_costs`` and appended, in order, when it holds
-    ``_COST_BATCH`` rows, when the run stops, before any row that is not
-    queued, and on :meth:`flush`, which the solver calls before it drops
-    the kernel.
+    and on every ``trace_every``-th, so always on the iterations of
+    :meth:`on_cadence`, which a solver may ask before it evaluates ``t``;
+    the solver evaluates the row's <P, C> and marginal deviation only then,
+    as NaN on a failed iteration, and hands them to :meth:`record`, which
+    stamps the wall clock and appends the row.
 
     The trace is a ``SolveTrace()`` looked up at solve time, so a caller may
-    swap in a subclass that watches every row go through ``append``. A row
-    may reach ``append`` up to one batch after its iteration, but always
-    complete, with its own wall-clock stamp, and in iteration order.
+    swap in a subclass that watches every row go through ``append``; each
+    row reaches it complete, at its own iteration.
     """
 
     def __init__(self, max_iters: int, stop_rel_tol: float, trace_every: int):
@@ -198,8 +190,6 @@ class _StopRule:
         self.trace = SolveTrace()
         self.stopped = False
         self._previous = None
-        self._queue = []
-        self._kernel = None
         self._start = time.perf_counter()
 
     @staticmethod
@@ -222,35 +212,21 @@ class _StopRule:
             status = MAX_ITERS
         else:
             self._previous = value
-            return t % self.trace_every == 0
+            return self.on_cadence(t)
         self.stopped = True
         self.trace.status = status
         self.trace.failed_iteration = t if status == NUMERICAL_FAILURE else None
         self.trace.n_iterations = t
         return True
 
-    def record(self, t: int, e: float, e_lam: float, pc: float, dev: float,
-               kernel=None) -> None:
-        """Stamp row ``t`` and append it after the queued rows; with a
-        ``kernel`` that has queued the rest of its <P, C>, queue it."""
-        row = [t, e, e_lam, pc, dev, (time.perf_counter() - self._start) * 1000.0]
-        if kernel is None:
-            self.flush()
-            self.trace.append(*row)
-            return
-        self._queue.append(row)
-        self._kernel = kernel
-        if self.stopped or len(self._queue) == _COST_BATCH:
-            self.flush()
+    def on_cadence(self, t: int) -> bool:
+        """Whether iteration ``t`` gets a row whatever its value: every
+        ``trace_every``-th and the last that ``max_iters`` allows."""
+        return t % self.trace_every == 0 or t >= self.max_iters
 
-    def flush(self) -> None:
-        """Complete the queued rows by their kernel's batch and append them;
-        the rule then holds no kernel."""
-        queue, kernel, self._queue, self._kernel = self._queue, self._kernel, [], None
-        if queue:
-            for row, pc in zip(queue, kernel.queued_costs(), strict=True):
-                row[3] += pc
-                self.trace.append(*row)
+    def record(self, t: int, e: float, e_lam: float, pc: float, dev: float) -> None:
+        """Stamp row ``t`` with the wall clock and append it."""
+        self.trace.append(t, e, e_lam, pc, dev, (time.perf_counter() - self._start) * 1000.0)
 
 
 def fista_solve(
@@ -273,40 +249,41 @@ def fista_solve(
     guarantee; the trace rows are evaluated at the momentum iterates psi_t.
 
     Each iteration reads one row pass at psi_t. On a dense cost in the log
-    domain the weights of the last dense pass, at an earlier iterate psi_a,
-    are kept as :class:`_AbsorbedRows`, and while
+    domain the solve allocates one ``(2m, n)`` buffer ``S``, as Sinkhorn's
+    kernel does, and lends its top half to the dense pass to write its
+    weights into. The weights ``W0`` of the last dense pass, at an earlier
+    iterate psi_a, are kept as :class:`_AbsorbedRows`, and while
     ``max|psi_t - psi_a| / lam <= tau`` (``tau = 200``, or less where
-    ``n |c|max e^tau``, which bounds the queued ``(W0 o C) e``, would come
-    within a factor e of the largest float: ``_kernel_tau(cost, n)``) the
-    pass at psi_t is read from them by two matrix-vector products, with the
-    exact row max taken over each row's candidate columns (those within
-    ``7 lam`` of the row max where the list was built) where the weight
-    outside them certifies it, and from ``C`` elsewhere, so E stays exact;
-    the kernel's first iteration, and one where over 1/8 of the rows fail,
-    reads all of ``C`` and builds the list from that pass. Otherwise, and
-    on a NaN, the kernel is dropped and the dense pass at psi_t runs and
-    becomes the new kernel, so the dense pass makes the failure decisions
-    and one m x n array is alive. Kernel mode runs the dense pass every
-    iteration. A grid cost calls the solve's grid row pass at every
-    ``psi_t``: one scatter of ``psi/lam``, the row chain, the max-plus chain
-    for E, and the column chain of ``log mu`` held in grid order for the
-    gradient. The plan is :func:`recover_plan`'s at the returned potential,
-    factored on a grid cost.
+    ``n |c|max e^tau``, which bounds ``(W0 o C) e``, would come within a
+    factor e of the largest float: ``_kernel_tau(cost, n)``) the pass at
+    psi_t is read from them by two matrix-vector products, with the exact
+    row max taken over each row's candidate columns (those within ``7 lam``
+    of the row max where the list was built) where the weight outside them
+    certifies it, and from ``C`` elsewhere, so E stays exact; the kernel's
+    first iteration, and one where over 1/8 of the rows fail, reads all of
+    ``C`` and builds the list from that pass. Otherwise, and on a NaN, the
+    kernel is dropped and the dense pass at psi_t runs into the top half and
+    becomes the new kernel, so the dense pass makes the failure decisions.
+    Kernel mode runs the dense pass every iteration, into arrays of its own.
+    A grid cost calls the solve's grid row pass at every ``psi_t``: one
+    scatter of ``psi/lam``, the row chain, the max-plus chain for E, and the
+    column chain of ``log mu`` held in grid order for the gradient. The plan
+    is :func:`recover_plan`'s at the returned potential, factored on a grid
+    cost, formed once ``S`` is freed.
 
-    A due row read from the kernel is queued with its E, E_lambda, D and
-    wall-clock stamp; its <P, C> comes from one blocked pass over
-    ``W0 o C`` for up to 16 such rows (``_COST_BATCH``), with one
-    matrix-vector product per row and block, since a matrix-matrix product
-    there slowed the iterations after it; the pass is taken when the
-    batch is full, before the kernel is dropped, before a row of a dense pass
-    or a failure, and when the run stops. The rows then reach the trace in
-    order, complete, up to one batch after their iterations (see
-    :class:`_StopRule`). Rows of a dense pass, of grid costs and of kernel
-    mode are evaluated at once.
+    Every due row is evaluated and appended at its own iteration. A kernel
+    forms ``W0 o C`` in the bottom half of ``S`` for its first due row. On
+    an iteration on the trace cadence (:meth:`_StopRule.on_cadence`) the
+    first of its two products is ``S @ e``, whose halves give ``W0 e`` and
+    the ``(W0 o C) e`` of the row's <P, C>; a row due off the cadence (a
+    converged stop) takes one more product with the bottom half.
     """
     row_pass = _row_passes(cost, lam, source, target, config.kernel_mode)[0]
     mu, nu = source.weights, target.weights
-    n = nu.size
+    m, n = mu.size, nu.size
+    if row_pass.absorbs:
+        S = np.empty((2 * m, n))
+        row_pass.out = S[:m]
     tau = _kernel_tau(cost, n)
     log_n = math.log(n)
     step = config.eta * lam
@@ -323,16 +300,14 @@ def fista_solve(
             # One row pass at psi_t gives E_lambda, the gradient and the plan,
             # and E from its exact c-transform (on a dense log-domain pass,
             # its shift). With true cost = C + offset, E_true(psi) = E_C(psi) - offset.
-            if absorbed is not None and absorbed.rescale(psi):
+            if absorbed is not None and absorbed.rescale(psi, rule.on_cadence(t)):
                 rows = absorbed
             else:
-                # Drop the kernel once its queued rows are complete: the
-                # pass that replaces it is the one m x n array.
-                rule.flush()
+                # Drop the kernel and its candidates: the pass writes over W0.
                 rows = absorbed = None
                 rows = row_pass(psi)
                 if rows.absorbs:
-                    absorbed = _AbsorbedRows(rows, tau)
+                    absorbed = _AbsorbedRows(rows, S, tau)
             nu_psi = nu @ psi
             e_shift = float(mu @ rows.shift - nu_psi) - offset
             # A dense log-domain pass is stabilized by the c-transform itself.
@@ -348,12 +323,8 @@ def fista_solve(
                     rule.record(t, e_val, e_lam, math.nan, math.nan)
                 else:
                     # Row marginals are exact, so D is the gradient's L1 norm.
-                    # An absorbed row's <P, C> waits for its kernel's next batch.
                     dev = float(np.abs(grad).sum())
-                    if rows is absorbed:
-                        rule.record(t, e_val, e_lam, rows.queue_cost(offset), dev, rows)
-                    else:
-                        rule.record(t, e_val, e_lam, rows.plan_cost(offset), dev)
+                    rule.record(t, e_val, e_lam, rows.plan_cost(offset), dev)
             if rule.stopped:
                 break
 
@@ -364,9 +335,8 @@ def fista_solve(
             theta = theta_new
             t += 1
 
-    # Drop the pass and its kernel: a dense plan formed below is then the one
-    # m x n array.
-    rows = absorbed = row_pass = None
+    # Free S: a dense plan formed below is then the one m x n array.
+    rows = absorbed = row_pass = S = None
     potential = Potential(project_H(z), normalized=True)
     plan = recover_plan(potential, source, target, cost, lam)
     return FistaResult(potential, plan, rule.trace)
@@ -376,10 +346,6 @@ def fista_solve(
 # this tau (``_kernel_tau``); see :class:`_AbsorbedKernel` and
 # :class:`_AbsorbedRows` for why this range is safe there.
 _KERNEL_TAU = 200.0
-# The most trace rows whose <P, C> FISTA's absorbed kernel takes in one pass,
-# each block of W0 o C times each row's e in its own matrix-vector product:
-# after one 16-column product the iterations that follow ran slower.
-_COST_BATCH = 16
 # FISTA's absorbed kernel takes each row max over the row's candidates, the
 # columns within this many lam of the row max where the list was built. The
 # window sets only the cost, not the result: at 6 a p-sweep-exact kernel's
@@ -455,29 +421,33 @@ class _AbsorbedRows:
     :class:`_AbsorbedKernel`, applied to the row half). It answers as that
     pass does at its row marginal ``w``.
 
-    At ``psi`` let ``e = exp((psi - psi0)/lam)`` and ``h`` be the exact row
-    max of ``psi_j - c_ij``. The pass's weights are then ``r_i W0_ij e_j``
-    with ``r = exp((s - h)/lam)``, and ``|s_i - h_i| <= max|psi - psi0|``,
-    so ``r`` stays in range with ``e``. :meth:`rescale` reads them as the
-    pass does: ``shift = h`` (the c-transform, so E stays exact),
+    The pass wrote ``W0`` into the top half of the solve's ``(2m, n)``
+    buffer ``S``; the kernel writes ``W0 o C`` into the bottom half for its
+    first due row, so a kernel that serves none forms nothing. At ``psi``
+    let ``e = exp((psi - psi0)/lam)`` and ``h`` be the exact row max of
+    ``psi_j - c_ij``. The pass's weights are then ``r_i W0_ij e_j`` with
+    ``r = exp((s - h)/lam)``, and ``|s_i - h_i| <= max|psi - psi0|``, so
+    ``r`` stays in range with ``e``. :meth:`rescale` reads them as the pass
+    does: ``shift = h`` (the c-transform, so E stays exact),
     ``sums = r * (W0 e)``, ``log_sums``, ``scale = w / sums`` and the column
-    sums of the plan, with ``W0`` the pass's own weights array, so no other
-    m x n array is held. The plan's cost ``<P, C> = a^T (W0 o C) e`` with
-    ``a = scale * r`` is queued per row by :meth:`queue_cost` and taken for
-    the whole queue by :meth:`queued_costs`, which walks ``W0 o C`` once and
-    multiplies each block by each queued ``e`` in a matrix-vector product
-    (``_COST_BATCH``).
+    sums of the plan. The plan's cost is ``<P, C> = a^T (W0 o C) e`` with
+    ``a = scale * r``: on a cadence iteration :meth:`rescale` takes
+    ``raw = W0 e`` and ``(W0 o C) e`` from one product ``S @ e``, and
+    :meth:`plan_cost` takes the bottom half's product itself otherwise.
+    Each entry of either product is one row's dot with ``e``; OpenBLAS
+    takes rows four at a time, so the two agree bitwise where ``m`` is a
+    multiple of 4 and at rounding level elsewhere.
 
     ``e`` is accepted within ``[e^-tau, e^tau]``, ``tau = 200``
     (``_KERNEL_TAU``), or less on a cost above about 1e221 / n in
     magnitude: ``_kernel_tau(cost, n)``, whose cap counts the row sums of
     ``W0``. Each row of ``W0`` has max 1 and so sums to at most ``n``, so
-    ``raw = W0 e`` stays below ``n e^tau`` and the queued ``(W0 o C) e``
-    below ``n |c|max e^tau``, which the cap keeps finite. The row max's column is
-    weighted at least ``e^-2tau`` in ``W0`` and so never underflows; an
-    entry of ``W0`` that did, or kept fewer digits as a subnormal, is off by
-    at most about 5e-324, and by about 4e-237 after scaling by ``e``, far
-    under the rounding of ``raw >= e^-tau``.
+    ``raw = W0 e`` stays below ``n e^tau`` and the bottom half of ``S @ e``,
+    ``(W0 o C) e``, below ``n |c|max e^tau``, which the cap keeps finite.
+    The row max's column is weighted at least ``e^-2tau`` in ``W0`` and so
+    never underflows; an entry of ``W0`` that did, or kept fewer digits as
+    a subnormal, is off by at most about 5e-324, and by about 4e-237 after
+    scaling by ``e``, far under the rounding of ``raw >= e^-tau``.
 
     ``h`` comes from :meth:`row_max`, over each row's candidates: the
     columns within ``7 lam`` (``_CANDIDATE_WINDOW``) of the row max where
@@ -498,23 +468,30 @@ class _AbsorbedRows:
     only the cost.
     """
 
-    def __init__(self, rows, tau):
+    def __init__(self, rows, S, tau):
         self.W0, self.C, self.s = rows.weights, rows.C, rows.shift
         self.psi0, self.lam, self.w = rows.psi, rows.lam, rows.w
-        self.tau = tau
-        self._queued = []
+        self.S, self.tau = S, tau
+        self._costs_formed = False
         self._candidates = _UNBUILT
         # W0_ij e_j carries the rounding of psi0_j - c_ij and psi_j - c_ij,
         # about eps |s_i| / lam relative on the entries that can reach the top.
         self._slack = 1e-9 + 4.0 * np.finfo(float).eps * np.abs(self.s) / self.lam
 
-    def rescale(self, psi) -> bool:
-        """The pass at ``psi``; False if ``e`` leaves the range (or is NaN)."""
+    def rescale(self, psi, cadence: bool = False) -> bool:
+        """The pass at ``psi``; False if ``e`` leaves the range (or is NaN).
+        On a ``cadence`` iteration, whose row is due, ``(W0 o C) e`` comes
+        from the same product as ``W0 e``."""
         e = np.exp((psi - self.psi0) / self.lam)
         if not _in_scaling_range(e, self.tau):
             return False
         self.e = e
-        raw = self.W0 @ e
+        m = self.W0.shape[0]
+        if cadence:
+            products = self._stacked() @ e
+            raw, self._cost_rows = products[:m], products[m:]
+        else:
+            raw, self._cost_rows = self.W0 @ e, None
         self.shift = self.row_max(psi, raw)
         self.r = np.exp((self.s - self.shift) / self.lam)
         self.sums = raw * self.r
@@ -567,30 +544,20 @@ class _AbsorbedRows:
     def col_sums(self) -> np.ndarray:
         return ((self.scale * self.r) @ self.W0) * self.e
 
-    def queue_cost(self, offset: float) -> float:
-        """Queue ``<P, C>`` of the pass for :meth:`queued_costs` and return
-        the rest of the row's plan cost, ``offset * sum(P)``."""
-        self._queued.append((self.scale * self.r, self.e))
-        return offset * float(self.scale @ self.sums)
+    def plan_cost(self, offset: float) -> float:
+        """``<P, C> + offset * sum(P)``, with ``<P, C> = a^T (W0 o C) e`` and
+        ``a = scale * r``; off the cadence ``(W0 o C) e`` takes its own product."""
+        if self._cost_rows is None:
+            self._cost_rows = self._stacked()[self.W0.shape[0]:] @ self.e
+        return (float((self.scale * self.r) @ self._cost_rows)
+                + offset * float(self.scale @ self.sums))
 
-    def queued_costs(self) -> np.ndarray:
-        """``<P, C> = a^T (W0 o C) e`` of each queued pass, with ``a = scale * r``,
-        in order, from one walk over ``W0 o C`` a block of rows at a time
-        through one reused buffer; the queue is then empty. Each block meets
-        each queued ``e`` in its own matrix-vector product, not one product
-        with all of them (see ``_COST_BATCH``), so a row's value does not
-        depend on the rows queued with it."""
-        queued, self._queued = self._queued, []
-        m, n = self.C.shape
-        step = max(1, _BLOCK_BYTES // (8 * n))
-        buf = np.empty((min(step, m), n))
-        Y = np.empty((len(queued), m))
-        for start in range(0, m, step):
-            block = np.multiply(self.W0[start:start + step], self.C[start:start + step],
-                                out=buf[:min(step, m - start)])
-            for y, (_, e) in zip(Y, queued):
-                np.matmul(block, e, out=y[start:start + step])
-        return np.array([a @ y for (a, _), y in zip(queued, Y)])
+    def _stacked(self) -> np.ndarray:
+        """``S``, with ``W0 o C`` written into its bottom half on first use."""
+        if not self._costs_formed:
+            np.multiply(self.W0, self.C, out=self.S[self.W0.shape[0]:])
+            self._costs_formed = True
+        return self.S
 
 
 class _AbsorbedKernel:

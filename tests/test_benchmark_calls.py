@@ -62,11 +62,18 @@ ITERS = {
 def test_benchmark_iteration_counts(workload, tmp_path, monkeypatch):
     monkeypatch.setattr(harness.cli, "build_instance",
                         harness.relabelled(harness.cli.build_instance, 1))
+    # FISTA takes one step (one projection) per iteration before the row it
+    # appends, so the untimed pass, which ends at its tta row, takes tta.
+    steps = []
+    project = harness.solvers.project_H
+    monkeypatch.setattr(harness.solvers, "project_H", lambda z: steps.append(1) or project(z))
     config = harness.workload_config(workload, tmp_path)
     problem = harness.setup(config)
     ledger = harness.Ledger()
     _, summary = harness.run_cli(config, ledger, tmp_path / "cli")
     assert ledger.failures == []
     for name, (tta, stop) in ITERS[workload].items():
+        steps.clear()
         assert harness.tta_pass(name, problem, config)[0] == tta, name
+        assert len(steps) == (tta if name == "fista" else 0), name
         assert summary["solvers"][name]["iterations"] == stop, name

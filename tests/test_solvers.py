@@ -807,25 +807,45 @@ class TestAbsorbedRows:
                             + ["built"] * 2 + ["called"])
             assert not passes
 
-    @pytest.mark.parametrize("cost_scale, lam, eta, passes, builds",
-                             [(3000.0, 1e-3, 20.0, 3, 3), (1.0, 0.05, 1.0, 1, 1),
-                              (1.0, 1e-3, 20.0, 1, 2)],
-                             ids=["fallbacks", "no_fallback", "renewal"])
-    def test_one_plan_array_alive(self, cost_scale, lam, eta, passes, builds, monkeypatch):
-        # With fallbacks (3 passes in 121 iterations), without, and with a
-        # kernel that renews its candidates: the kernel with its candidate
-        # list, or the pass that replaces it, and then the returned plan,
-        # never two of them at once (measured: 1.62, 1.65 and 1.65 arrays).
-        # Each kernel builds its list once, and once more per renewal.
+    @staticmethod
+    def sphere_300():
+        """The sphere-paper preset at 300 atoms: a Gaussian cloud against a
+        uniform box on the sphere, centered great-circle cost, at
+        ``lam = spread / 700``, whose kernels keep up to about 6% of C as
+        candidates."""
+        src, tgt = random_point_instance(1, 300, 300, d=3, source_dist="gaussian",
+                                         gaussian_mean=3.0, project_to_sphere=True)
+        cost = ok.center(ok.spherical(src, tgt))
+        return src, tgt, cost, cost.spread / 700.0
+
+    @pytest.mark.parametrize("instance, eta, max_iters, passes, builds",
+                             [((3000.0, 1e-3), 20.0, 120, 3, 3), ((1.0, 0.05), 1.0, 120, 1, 1),
+                              ((1.0, 1e-3), 20.0, 120, 1, 2), ("sphere", 50.0, 300, 2, 16)],
+                             ids=["fallbacks", "no_fallback", "renewal", "sphere"])
+    def test_one_plan_array_alive(self, instance, eta, max_iters, passes, builds, monkeypatch):
+        # With fallbacks (3 passes in 121 iterations), without, with a
+        # kernel that renews its candidates, and on a sphere instance whose
+        # lists reach 5.6% of C: the kernel buffer, W0 beside W0 o C, with
+        # the candidate list and a block buffer, then the returned plan,
+        # never both (measured: 2.59-2.63 arrays at the peak). Each kernel
+        # builds its list once, and once more per renewal. The result holds
+        # the plan alone (1.03-1.08 arrays).
         m = n = 300
-        src, tgt, cost = small_random_instance(np.random.default_rng(12345), m, n,
-                                               cost_scale=cost_scale)
+        if instance == "sphere":
+            src, tgt, cost, lam = self.sphere_300()
+        else:
+            cost_scale, lam = instance
+            src, tgt, cost = small_random_instance(np.random.default_rng(12345), m, n,
+                                                   cost_scale=cost_scale)
         calls = count_row_passes(monkeypatch)
         built = count_candidate_builds(monkeypatch)
-        peak = traced_peak(lambda: ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
-            eta=eta, max_iters=120, stop_rel_tol=1e-300)))
+        result, held, peak = traced_memory(lambda: ok.fista_solve(
+            src, tgt, cost, lam, ok.FistaConfig(eta=eta, max_iters=max_iters,
+                                                stop_rel_tol=1e-300)))
         assert len(calls) == passes and len(built) == builds
-        assert peak <= 1.75 * m * n * 8
+        assert peak <= 2.75 * m * n * 8
+        assert result.plan.entries.shape == (m, n)
+        assert held <= 1.25 * m * n * 8
 
     def test_kernel_dropped_before_use_builds_no_candidates(self, monkeypatch):
         # At eta = 1e6 every step leaves the range of the kernel it starts
@@ -955,7 +975,7 @@ class TestAbsorbedRows:
             C = rng.uniform(0.0, 8.0, (m, n))
             psi0 = rng.uniform(-4.0, 4.0, n)
             drifts = lam * rng.uniform(0.999 - tau, tau - 0.999, (2, n))
-        kernel = solvers._AbsorbedRows(_DenseRows(C, lam, np.full(m, 1.0 / m))(psi0), tau)
+        kernel = absorbed_rows(C, lam, psi0, tau)
         for drift in drifts:
             psi = psi0 + drift
             assert kernel.rescale(psi)
@@ -964,49 +984,36 @@ class TestAbsorbedRows:
 
     def test_large_cost_narrows_the_range(self):
         # A constant cost of 1e300 keeps every weight at 1, so at a drift of
-        # +t lam on half of the 16 columns and -t lam on the rest the queued
-        # (W0 o C) e reaches 8 c e^t. Sinkhorn's cap, for a kernel of mass
-        # 1, would let t reach about 18 and that product overflow; the cap
-        # that counts the row sums of n = 16 stops e below it, and every
-        # product then stays finite.
+        # +t lam on half of the 16 columns and -t lam on the rest the bottom
+        # half of S @ e, (W0 o C) e, reaches 8 c e^t. Sinkhorn's cap, for a
+        # kernel of mass 1, would let t reach about 18 and that half
+        # overflow; the cap that counts the row sums of n = 16 stops e below
+        # it, and every product then stays finite.
         m, n, c = 4, 16, 1e300
         cost = ok.CostMatrix.from_entries(np.full((m, n), c))
         lam, tau, plan_tau = 1e299, solvers._kernel_tau(cost, n), solvers._kernel_tau(cost)
         assert plan_tau - tau == pytest.approx(math.log(n))
         side = np.where(np.arange(n) < n // 2, 1.0, -1.0)
-        kernel = solvers._AbsorbedRows(_DenseRows(cost.entries, lam, np.full(m, 1.0 / m))(
-            np.zeros(n)), tau)
-        assert not kernel.rescale(lam * (tau + 0.01) * side)
-        assert kernel.rescale(lam * (tau - 0.01) * side)
-        kernel.queue_cost(0.0)
-        np.testing.assert_allclose(kernel.queued_costs(), [c], rtol=1e-12)
+        kernel = absorbed_rows(cost.entries, lam, np.zeros(n), tau)
+        assert not kernel.rescale(lam * (tau + 0.01) * side, cadence=True)
+        assert kernel.rescale(lam * (tau - 0.01) * side, cadence=True)
+        assert kernel.plan_cost(0.0) == pytest.approx(c, rel=1e-12)
         kernel.tau = plan_tau
-        assert kernel.rescale(lam * (plan_tau - 0.01) * side)
-        kernel.queue_cost(0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(kernel.queued_costs()).all()
+            assert kernel.rescale(lam * (plan_tau - 0.01) * side, cadence=True)
+            assert np.isfinite(kernel.sums).all()
+            assert not math.isfinite(kernel.plan_cost(0.0))
 
-    def test_queued_costs_span_blocks(self, rng):
-        # 250 rows of 300 columns are three blocks of W0 o C, the last one
-        # short. Rows queued at nearby potentials match the unblocked
-        # product, and each one its own one-row flush bit for bit.
-        m, n, lam = 250, 300, 0.05
-        assert m > 2 * max(1, solvers._BLOCK_BYTES // (8 * n))
-        C = rng.uniform(0.0, 1.0, (m, n))
-        kernel = solvers._AbsorbedRows(_DenseRows(C, lam, np.full(m, 1.0 / m))(
-            rng.uniform(-1.0, 1.0, n)), solvers._KERNEL_TAU)
-        psis = kernel.psi0 + lam * rng.uniform(-2.0, 2.0, (5, n))
-        reference = []
-        for psi in psis:
-            assert kernel.rescale(psi)
-            reference.append((kernel.scale * kernel.r) @ ((kernel.W0 * C) @ kernel.e))
-            kernel.queue_cost(0.0)
-        batch = kernel.queued_costs()
-        np.testing.assert_allclose(batch, reference, rtol=1e-13, atol=0)
-        for psi, value in zip(psis, batch):
-            assert kernel.rescale(psi)
-            kernel.queue_cost(0.0)
-            np.testing.assert_array_equal(kernel.queued_costs(), [value])
+
+def absorbed_rows(C, lam, psi0, tau):
+    """FISTA's absorbed kernel over the dense pass at ``psi0`` at uniform row
+    marginals, the pass written into the top half of a ``(2m, n)`` buffer
+    as the solve lends it."""
+    m, n = C.shape
+    S = np.empty((2 * m, n))
+    rows = _DenseRows(C, lam, np.full(m, 1.0 / m))
+    rows.out = S[:m]
+    return solvers._AbsorbedRows(rows(psi0), S, tau)
 
 
 def watch_rows(monkeypatch, nan_at=None):
@@ -1036,12 +1043,46 @@ def watch_rows(monkeypatch, nan_at=None):
     return seen
 
 
-# (m, n, cost_scale, lam, max_iters, trace_every, nan_at): 4 kernels in 121
-# iterations, one dropped with 9 rows queued; 5 kernels in 301 (full batches); the same every 5th row; a NaN
-# on an absorbed iteration, 40, with rows queued, without candidates and on
-# a kernel that keeps them (one kernel serves all 301 iterations); a stop at
-# iteration 37, inside the first kernel's third batch.
-DEFERRED_RUNS = {
+def watch_plan_costs(monkeypatch):
+    """Record, for each <P, C> an absorbed kernel answers, whether it took
+    its own product with the bottom half of ``S`` (a row due off the
+    cadence); and each kernel that forms ``W0 o C``, as it does so."""
+    own, formed = [], []
+    plain_cost, plain_stacked = solvers._AbsorbedRows.plan_cost, solvers._AbsorbedRows._stacked
+
+    def plan_cost(self, offset):
+        own.append(self._cost_rows is None)
+        return plain_cost(self, offset)
+
+    def stacked(self):
+        if not self._costs_formed:
+            formed.append(self)
+        return plain_stacked(self)
+
+    monkeypatch.setattr(solvers._AbsorbedRows, "plan_cost", plan_cost)
+    monkeypatch.setattr(solvers._AbsorbedRows, "_stacked", stacked)
+    return own, formed
+
+
+def assert_same_rows(result, reference, rows=slice(None)):
+    """Every trace column but ``wall_ms`` of ``result`` is bitwise that of
+    ``reference`` on ``rows``, and so are the status, counts, potential and plan."""
+    trace, ref = result.trace, reference.trace
+    for column in ("iters", "energy", "smoothed_energy", "plan_cost", "marginal_dev"):
+        np.testing.assert_array_equal(getattr(trace, column),
+                                      np.asarray(getattr(ref, column))[rows])
+    assert ((trace.status, trace.n_iterations, trace.failed_iteration)
+            == (ref.status, ref.n_iterations, ref.failed_iteration))
+    np.testing.assert_array_equal(result.potential.values, reference.potential.values)
+    np.testing.assert_array_equal(result.plan.entries, reference.plan.entries)
+
+
+# (m, n, cost_scale, lam, max_iters, trace_every, nan_at): 2 kernels in 121
+# iterations; one kernel in 301; the same every 5th row; a NaN on an
+# absorbed iteration, 40, without candidates and on a kernel that keeps them;
+# a stop at iteration 37 on an absorbed iteration. The case names date from
+# when these runs checked batched <P, C> rows.
+TRACED_RUNS = {
     "kernel_drops": (5, 5, 3000.0, 1e-3, 120, 1, None),
     "full_batches": (12, 10, 10.0, 0.05, 300, 1, None),
     "trace_every_5": (12, 10, 10.0, 0.05, 300, 5, None),
@@ -1052,111 +1093,118 @@ DEFERRED_RUNS = {
 
 
 class TestDeferredRows:
-    """Dense log-domain FISTA queues the <P, C> of its absorbed rows and takes
-    it in batches; the rows must reach ``append`` complete and in order, and
-    match a run that completes each row at its own iteration."""
+    """No row of dense log-domain FISTA is deferred: each one reaches
+    ``append`` complete at its own iteration, its <P, C> read from the
+    kernel's ``S @ e`` on the cadence, and matches a run whose kernels take
+    every <P, C> from their own product with the bottom half."""
 
     @staticmethod
-    def run(monkeypatch, case, batch):
-        m, n, cost_scale, lam, max_iters, trace_every, nan_at = DEFERRED_RUNS[case]
+    def run(monkeypatch, case, cadence=True):
+        m, n, cost_scale, lam, max_iters, trace_every, nan_at = TRACED_RUNS[case]
         src, tgt, cost = small_random_instance(np.random.default_rng(0), m, n,
                                                cost_scale=cost_scale)
         with monkeypatch.context() as patch:
-            patch.setattr(solvers, "_COST_BATCH", batch)
+            if not cadence:
+                plain = solvers._AbsorbedRows.rescale
+                patch.setattr(solvers._AbsorbedRows, "rescale",
+                              lambda self, psi, cadence=False: plain(self, psi))
             seen = watch_rows(patch, nan_at)
             result = ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
                 max_iters=max_iters, stop_rel_tol=1e-300, trace_every=trace_every,
                 cost_offset=0.7))
-        return result, seen, trace_every
+        return result, seen
 
-    @pytest.mark.parametrize("case", sorted(DEFERRED_RUNS))
+    @pytest.mark.parametrize("case", sorted(TRACED_RUNS))
     def test_rows_complete_and_in_order(self, case, monkeypatch):
-        result, seen, trace_every = self.run(monkeypatch, case, solvers._COST_BATCH)
-        reference, ref_seen, _ = self.run(monkeypatch, case, 1)
-        trace, ref = result.trace, reference.trace
-        # Every row reaches append once, in order, as the trace keeps it.
-        assert [row for row, _ in seen] == list(trace.rows())
-        assert all(a < b for a, b in zip(trace.iters, trace.iters[1:]))
-        # Rows wait in the queue (up to one batch), unlike the reference's.
-        lags = [steps - row[0] for row, steps in seen]
-        assert 0 < max(lags) <= (solvers._COST_BATCH - 1) * trace_every
-        assert all(steps == row[0] for row, steps in ref_seen)
-        assert trace.iters == ref.iters
-        for column in ("energy", "smoothed_energy", "marginal_dev"):
-            np.testing.assert_array_equal(getattr(trace, column), getattr(ref, column))
-        # A batched row runs the products of its own one-row batch.
-        np.testing.assert_array_equal(trace.plan_cost, ref.plan_cost)
-        assert ((trace.status, trace.n_iterations, trace.failed_iteration)
-                == (ref.status, ref.n_iterations, ref.failed_iteration))
-        np.testing.assert_array_equal(result.potential.values, reference.potential.values)
-        np.testing.assert_array_equal(result.plan.entries, reference.plan.entries)
+        result, seen = self.run(monkeypatch, case)
+        reference, ref_seen = self.run(monkeypatch, case, cadence=False)
+        # Every row reaches append once, in order, at its own step.
+        assert [row for row, _ in seen] == list(result.trace.rows())
+        assert all(a < b for a, b in zip(result.trace.iters, result.trace.iters[1:]))
+        assert all(steps == row[0] for row, steps in seen + ref_seen)
+        assert_same_rows(result, reference)
 
-    def assert_failure_after_queued_rows(self, monkeypatch, case, builds):
+    def assert_failure_after_its_rows(self, monkeypatch, case, builds):
         # The one kernel of the run keeps each candidate list it builds, or
         # not, as named.
         kept = count_candidate_builds(monkeypatch)
-        result, seen, _ = self.run(monkeypatch, case, solvers._COST_BATCH)
+        result, seen = self.run(monkeypatch, case)
         assert kept == builds
         trace = result.trace
         assert trace.status == ok.NUMERICAL_FAILURE and trace.failed_iteration == 40
         assert math.isnan(trace.plan_cost[-1]) and math.isnan(trace.marginal_dev[-1])
         assert np.all(np.isfinite(trace.plan_cost[:-1]))
-        # Rows queued before the failure are appended at its step, ahead of it.
-        assert [row[0] for row, steps in seen if steps == 40][-2:] == [39, 40]
-        assert sum(steps == 40 for _, steps in seen) > 2
+        assert np.all(np.isfinite(trace.marginal_dev[:-1]))
+        # Rows 0-39 are appended at their own steps, before the failure's.
+        assert [(row[0], steps) for row, steps in seen] == [(t, t) for t in range(41)]
 
     def test_failure_row_after_queued_rows(self, monkeypatch):
-        self.assert_failure_after_queued_rows(monkeypatch, "nan_mid_batch", [False])
+        self.assert_failure_after_its_rows(monkeypatch, "nan_mid_batch", [False])
 
     def test_failure_row_after_queued_rows_on_candidates(self, monkeypatch):
         # Its first list goes stale once before the failure.
-        self.assert_failure_after_queued_rows(monkeypatch, "nan_candidates", [True, True])
-
-    def test_kernel_dropped_mid_batch(self, monkeypatch):
-        # A kernel of the kernel_drops run leaves its range with rows queued
-        # but fewer than a batch, so its drop completes a partial batch.
-        partial = []
-        plain = solvers._StopRule.flush
-
-        def flush(rule):
-            if not rule.stopped:
-                partial.append(0 < len(rule._queue) < solvers._COST_BATCH)
-            plain(rule)
-
-        monkeypatch.setattr(solvers._StopRule, "flush", flush)
-        result, _, _ = self.run(monkeypatch, "kernel_drops", solvers._COST_BATCH)
-        assert result.trace.n_iterations == 120 and any(partial)
+        self.assert_failure_after_its_rows(monkeypatch, "nan_candidates", [True, True])
 
     def test_last_row_absorbed(self, monkeypatch):
-        # No dense pass runs at iteration 37, so the final flush completes it.
+        # No dense pass runs at iteration 37, the last, whose row takes its
+        # <P, C> from the kernel's S @ e at its own step.
         calls = count_row_passes(monkeypatch)
-        result, seen, _ = self.run(monkeypatch, "last_row_absorbed", solvers._COST_BATCH)
+        own, _ = watch_plan_costs(monkeypatch)
+        result, seen = self.run(monkeypatch, "last_row_absorbed")
         assert result.trace.n_iterations == result.trace.iters[-1] == 37
-        assert len(calls) == 1
-        assert [row[0] for row, steps in seen if steps == 37] == list(range(33, 38))
+        assert len(calls) == 1 and own == [False] * 37
+        assert seen[-1][0][0] == seen[-1][1] == 37
 
     @pytest.mark.parametrize("seed, m, n, cost_scale, lam, eta, kernels",
                              [(0, 12, 10, 10.0, 1e-3, 1.0, 4), (1, 12, 10, 10.0, 1e-3, 1.0, 5),
                               (0, 40, 30, 1.0, 0.01, 20.0, 1)])
     def test_plan_cost_passes(self, seed, m, n, cost_scale, lam, eta, kernels, monkeypatch):
-        # Traced every row: one m x n <P, C> pass per dense-pass row and one
-        # per batch of absorbed rows, so at most kernels + ceil(rows / 16),
-        # plus one partial batch per kernel drop.
-        passes = []
-        for owner, name in ((smoothed_dual._DenseRows, "plan_cost"),
-                            (solvers._AbsorbedRows, "queued_costs")):
-            def spy(self, *args, _plain=getattr(owner, name), _name=name):
-                passes.append(_name)
-                return _plain(self, *args)
-            monkeypatch.setattr(owner, name, spy)
+        # Traced every row: one m x n <P, C> pass per dense-pass row, and one
+        # formation of W0 o C per kernel that serves an absorbed row, on its
+        # first; every absorbed row then reads <P, C> from S @ e.
+        dense = []
+        plain = smoothed_dual._DenseRows.plan_cost
+
+        def spy(self, offset):
+            dense.append(1)
+            return plain(self, offset)
+
+        monkeypatch.setattr(smoothed_dual._DenseRows, "plan_cost", spy)
+        own, formed = watch_plan_costs(monkeypatch)
+        served = []
+        plain_rescale = solvers._AbsorbedRows.rescale
+
+        def rescale(self, psi, cadence=False):
+            accepted = plain_rescale(self, psi, cadence)
+            if accepted and not any(kernel is self for kernel in served):
+                served.append(self)
+            return accepted
+
+        monkeypatch.setattr(solvers._AbsorbedRows, "rescale", rescale)
         calls = count_row_passes(monkeypatch)
         src, tgt, cost = small_random_instance(np.random.default_rng(seed), m, n,
                                                cost_scale=cost_scale)
         result = ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
             eta=eta, max_iters=200, stop_rel_tol=1e-300))
         rows = len(result.trace.iters)
-        assert rows == 201 and len(calls) == kernels == passes.count("plan_cost")
-        assert len(passes) <= kernels + math.ceil(rows / 16) + kernels - 1
+        assert rows == 201 and len(calls) == kernels == len(dense)
+        assert len(own) == rows - kernels and not any(own)
+        assert len(formed) == len(served) and all(a is b for a, b in zip(formed, served))
+
+    def test_converged_off_the_cadence(self, monkeypatch):
+        # Traced every 7th row, the run converges at iteration 134, off the
+        # cadence; that row's <P, C> takes one product with the bottom half
+        # of S and matches the same row of the run traced every row.
+        src, tgt, cost = small_random_instance(np.random.default_rng(0), 12, 10,
+                                               cost_scale=10.0)
+        own, _ = watch_plan_costs(monkeypatch)
+        dense, sparse = [ok.fista_solve(src, tgt, cost, 0.05, ok.FistaConfig(
+            max_iters=1000, stop_rel_tol=1e-5, trace_every=every,
+            cost_offset=0.7)) for every in (1, 7)]
+        t = sparse.trace.n_iterations
+        assert sparse.trace.status == ok.CONVERGED and t % 7 and sparse.trace.iters[-1] == t
+        assert own.count(True) == 1 and own[-1]
+        assert_same_rows(sparse, dense, [dense.trace.iters.index(i) for i in sparse.trace.iters])
 
 
 class TestGridCosts:
