@@ -44,12 +44,13 @@ row max of the kernel's first iteration, and again from that of any
 iteration where over 1/8 of the rows fail. FISTA too allocates one
 ``(2m, n)`` buffer per solve: its dense passes write ``W0`` into the top
 half, and a kernel forms ``W0 o C`` in the bottom half for its first due
-row. A due row's <P, C> is then ``a^T (W0 o C) e`` with per-row vectors
-``a`` and ``e``, read with the row sums from one product of the whole
-buffer with ``e``. Each kernel answers the reductions of the pass it
-stands for, so one loop body serves every iteration of its solver. Both
-solvers hold two m x n arrays, their buffers; Sinkhorn returns the top half
-of its own as the plan, and FISTA frees its own before it forms the plan.
+row. A row's <P, C> is ``a^T (W0 o C) e`` with per-row vectors ``a`` and
+``e``; from that first due row on, the kernel reads it and the row sums
+from one product of the whole buffer with ``e`` every iteration. Each
+kernel answers the reductions of the pass it stands for, so one loop body
+serves every iteration of its solver. Both solvers hold two m x n arrays,
+their buffers; Sinkhorn returns the top half of its own as the plan, and
+FISTA frees its own before it forms the plan.
 
 Below a relative tolerance of about 1e-13 the stop rule fires only when two
 successive monitored values agree to their last bits, so a "converged"
@@ -171,11 +172,10 @@ class _StopRule:
     relative change from the previous iteration's value (the absolute change
     if that underflows) drops below ``stop_rel_tol``, and with ``max_iters``
     once ``t`` reaches ``max_iters``. A row is due on the stopping iteration
-    and on every ``trace_every``-th, so always on the iterations of
-    :meth:`on_cadence`, which a solver may ask before it evaluates ``t``;
-    the solver evaluates the row's <P, C> and marginal deviation only then,
-    as NaN on a failed iteration, and hands them to :meth:`record`, which
-    stamps the wall clock and appends the row.
+    and on every ``trace_every``-th; the solver evaluates the row's <P, C>
+    and marginal deviation only then, as NaN on a failed iteration, and
+    hands them to :meth:`record`, which stamps the wall clock and appends
+    the row.
 
     The trace is a ``SolveTrace()`` looked up at solve time, so a caller may
     swap in a subclass that watches every row go through ``append``; each
@@ -212,17 +212,12 @@ class _StopRule:
             status = MAX_ITERS
         else:
             self._previous = value
-            return self.on_cadence(t)
+            return t % self.trace_every == 0
         self.stopped = True
         self.trace.status = status
         self.trace.failed_iteration = t if status == NUMERICAL_FAILURE else None
         self.trace.n_iterations = t
         return True
-
-    def on_cadence(self, t: int) -> bool:
-        """Whether iteration ``t`` gets a row whatever its value: every
-        ``trace_every``-th and the last that ``max_iters`` allows."""
-        return t % self.trace_every == 0 or t >= self.max_iters
 
     def record(self, t: int, e: float, e_lam: float, pc: float, dev: float) -> None:
         """Stamp row ``t`` with the wall clock and append it."""
@@ -272,11 +267,10 @@ def fista_solve(
     cost, formed once ``S`` is freed.
 
     Every due row is evaluated and appended at its own iteration. A kernel
-    forms ``W0 o C`` in the bottom half of ``S`` for its first due row. On
-    an iteration on the trace cadence (:meth:`_StopRule.on_cadence`) the
-    first of its two products is ``S @ e``, whose halves give ``W0 e`` and
-    the ``(W0 o C) e`` of the row's <P, C>; a row due off the cadence (a
-    converged stop) takes one more product with the bottom half.
+    forms ``W0 o C`` in the bottom half of ``S`` for its first due row and
+    from then on reads ``W0 e`` and the ``(W0 o C) e`` of <P, C> from one
+    product ``S @ e`` every iteration (:class:`_AbsorbedRows`); the loop
+    hands it nothing but ``psi``.
     """
     row_pass = _row_passes(cost, lam, source, target, config.kernel_mode)[0]
     mu, nu = source.weights, target.weights
@@ -298,9 +292,9 @@ def fista_solve(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
             # One row pass at psi_t gives E_lambda, the gradient and the plan,
-            # and E from its exact c-transform (on a dense log-domain pass,
-            # its shift). With true cost = C + offset, E_true(psi) = E_C(psi) - offset.
-            if absorbed is not None and absorbed.rescale(psi, rule.on_cadence(t)):
+            # and E from its exact c-transform. With true cost = C + offset,
+            # E_true(psi) = E_C(psi) - offset.
+            if absorbed is not None and absorbed.rescale(psi):
                 rows = absorbed
             else:
                 # Drop the kernel and its candidates: the pass writes over W0.
@@ -310,9 +304,7 @@ def fista_solve(
                     absorbed = _AbsorbedRows(rows, S, tau)
             nu_psi = nu @ psi
             e_shift = float(mu @ rows.shift - nu_psi) - offset
-            # A dense log-domain pass is stabilized by the c-transform itself.
-            exact = rows.c_transform()
-            e_val = e_shift if exact is rows.shift else float(mu @ exact - nu_psi) - offset
+            e_val = float(mu @ rows.c_transform() - nu_psi) - offset
             e_lam = e_shift + lam * (float(mu @ rows.log_sums) - log_n)
             grad = rows.col_sums() - nu
 
@@ -381,7 +373,9 @@ def _renewed_candidates(psi, C, W0, lam):
     every call), and ``c_ij`` and ``W0_ij`` there, in row order. The list is
     None if it is over the candidate share of the entries, and the pass then
     only takes ``h``, or if some row has none (a NaN row). No m x n mask is
-    formed, and the block buffer is freed before the list is gathered."""
+    formed: each block's candidates are counted before their indices are
+    kept, none once the count passes the share, and the block buffer is
+    freed before the list is gathered."""
     m, n = C.shape
     step = max(1, _BLOCK_BYTES // (8 * n))
     cap = m * n * _CANDIDATE_SHARE
@@ -392,8 +386,11 @@ def _renewed_candidates(psi, C, W0, lam):
         block = np.subtract(psi, C[i:i + step], out=buf[:min(step, m - i)])
         top = block.max(axis=1, out=h[i:i + step])
         if total <= cap:
-            kept.append(np.flatnonzero(block >= (top - _CANDIDATE_WINDOW * lam)[:, None]))
-            total += kept[-1].size
+            mask = block >= (top - _CANDIDATE_WINDOW * lam)[:, None]
+            total += np.count_nonzero(mask)
+            if total <= cap:
+                kept.append(np.flatnonzero(mask))
+            del mask
     del block, buf
     if total > cap:
         return h, None
@@ -431,12 +428,15 @@ class _AbsorbedRows:
     does: ``shift = h`` (the c-transform, so E stays exact),
     ``sums = r * (W0 e)``, ``log_sums``, ``scale = w / sums`` and the column
     sums of the plan. The plan's cost is ``<P, C> = a^T (W0 o C) e`` with
-    ``a = scale * r``: on a cadence iteration :meth:`rescale` takes
-    ``raw = W0 e`` and ``(W0 o C) e`` from one product ``S @ e``, and
-    :meth:`plan_cost` takes the bottom half's product itself otherwise.
-    Each entry of either product is one row's dot with ``e``; OpenBLAS
-    takes rows four at a time, so the two agree bitwise where ``m`` is a
-    multiple of 4 and at rounding level elsewhere.
+    ``a = scale * r``. The kernel picks its product from its own state:
+    :meth:`rescale` takes ``raw = W0 @ e`` until the first due row, whose
+    :meth:`plan_cost` forms ``W0 o C`` and takes one ``S[m:] @ e``; from
+    then on every :meth:`rescale` takes one ``S @ e`` and reads ``raw``
+    and ``(W0 o C) e`` from its halves. Where ``trace_every`` is above 1,
+    an iteration with no row due then pays for the bottom half too (README,
+    "Performance notes"). Each entry of any of these products is one row's
+    dot with ``e``; OpenBLAS takes rows four at a time, so they agree
+    bitwise where ``m`` is a multiple of 4 and at rounding level elsewhere.
 
     ``e`` is accepted within ``[e^-tau, e^tau]``, ``tau = 200``
     (``_KERNEL_TAU``), or less on a cost above about 1e221 / n in
@@ -472,26 +472,27 @@ class _AbsorbedRows:
         self.W0, self.C, self.s = rows.weights, rows.C, rows.shift
         self.psi0, self.lam, self.w = rows.psi, rows.lam, rows.w
         self.S, self.tau = S, tau
-        self._costs_formed = False
+        # (W0 o C) e at the last rescale; None until plan_cost forms W0 o C.
+        self._cost_rows = None
         self._candidates = _UNBUILT
         # W0_ij e_j carries the rounding of psi0_j - c_ij and psi_j - c_ij,
         # about eps |s_i| / lam relative on the entries that can reach the top.
         self._slack = 1e-9 + 4.0 * np.finfo(float).eps * np.abs(self.s) / self.lam
 
-    def rescale(self, psi, cadence: bool = False) -> bool:
+    def rescale(self, psi) -> bool:
         """The pass at ``psi``; False if ``e`` leaves the range (or is NaN).
-        On a ``cadence`` iteration, whose row is due, ``(W0 o C) e`` comes
-        from the same product as ``W0 e``."""
+        Once ``W0 o C`` is formed, ``(W0 o C) e`` comes from the same product
+        as ``W0 e``."""
         e = np.exp((psi - self.psi0) / self.lam)
         if not _in_scaling_range(e, self.tau):
             return False
         self.e = e
-        m = self.W0.shape[0]
-        if cadence:
-            products = self._stacked() @ e
-            raw, self._cost_rows = products[:m], products[m:]
+        if self._cost_rows is None:
+            raw = self.W0 @ e
         else:
-            raw, self._cost_rows = self.W0 @ e, None
+            m = self.W0.shape[0]
+            products = self.S @ e
+            raw, self._cost_rows = products[:m], products[m:]
         self.shift = self.row_max(psi, raw)
         self.r = np.exp((self.s - self.shift) / self.lam)
         self.sums = raw * self.r
@@ -546,18 +547,13 @@ class _AbsorbedRows:
 
     def plan_cost(self, offset: float) -> float:
         """``<P, C> + offset * sum(P)``, with ``<P, C> = a^T (W0 o C) e`` and
-        ``a = scale * r``; off the cadence ``(W0 o C) e`` takes its own product."""
+        ``a = scale * r``. The first call writes ``W0 o C`` into the bottom
+        half of ``S`` and takes its product with ``e``."""
         if self._cost_rows is None:
-            self._cost_rows = self._stacked()[self.W0.shape[0]:] @ self.e
+            WC = np.multiply(self.W0, self.C, out=self.S[self.W0.shape[0]:])
+            self._cost_rows = WC @ self.e
         return (float((self.scale * self.r) @ self._cost_rows)
                 + offset * float(self.scale @ self.sums))
-
-    def _stacked(self) -> np.ndarray:
-        """``S``, with ``W0 o C`` written into its bottom half on first use."""
-        if not self._costs_formed:
-            np.multiply(self.W0, self.C, out=self.S[self.W0.shape[0]:])
-            self._costs_formed = True
-        return self.S
 
 
 class _AbsorbedKernel:

@@ -7,6 +7,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,6 +41,16 @@ def test_benchmark_calls(workload, tmp_path):
         result = harness.solve(name, problem, config, config.max_iters,
                                config.stop_rel_tol, 1)
         assert math.isfinite(harness.estimate(name, problem, result)), name
+        # Traced every 7th row, the solve gives the same rows at the
+        # iterations both trace, every column but wall_ms (Sinkhorn's E
+        # columns are NaN on both), and stops at the same iteration.
+        sparse = harness.solve(name, problem, config, config.max_iters,
+                               config.stop_rel_tol, 7)
+        shared = [result.trace.iters.index(t) for t in sparse.trace.iters]
+        np.testing.assert_array_equal(np.array(list(sparse.trace.rows()))[:, :5],
+                                      np.array(list(result.trace.rows()))[shared, :5])
+        assert ((sparse.trace.status, sparse.trace.n_iterations)
+                == (result.trace.status, result.trace.n_iterations)), name
     # The ``otbench run`` path the benchmark times as ``run_s``.
     ledger = harness.Ledger()
     harness.run_cli(config, ledger, tmp_path / "cli")

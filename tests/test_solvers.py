@@ -827,7 +827,7 @@ class TestAbsorbedRows:
         # kernel that renews its candidates, and on a sphere instance whose
         # lists reach 5.6% of C: the kernel buffer, W0 beside W0 o C, with
         # the candidate list and a block buffer, then the returned plan,
-        # never both (measured: 2.59-2.63 arrays at the peak). Each kernel
+        # never both (measured: 2.55-2.63 arrays at the peak). Each kernel
         # builds its list once, and once more per renewal. The result holds
         # the plan alone (1.03-1.08 arrays).
         m = n = 300
@@ -988,19 +988,22 @@ class TestAbsorbedRows:
         # half of S @ e, (W0 o C) e, reaches 8 c e^t. Sinkhorn's cap, for a
         # kernel of mass 1, would let t reach about 18 and that half
         # overflow; the cap that counts the row sums of n = 16 stops e below
-        # it, and every product then stays finite.
+        # it, and every product then stays finite. The first plan_cost forms
+        # W0 o C, so the rescales after it take S @ e.
         m, n, c = 4, 16, 1e300
         cost = ok.CostMatrix.from_entries(np.full((m, n), c))
         lam, tau, plan_tau = 1e299, solvers._kernel_tau(cost, n), solvers._kernel_tau(cost)
         assert plan_tau - tau == pytest.approx(math.log(n))
         side = np.where(np.arange(n) < n // 2, 1.0, -1.0)
         kernel = absorbed_rows(cost.entries, lam, np.zeros(n), tau)
-        assert not kernel.rescale(lam * (tau + 0.01) * side, cadence=True)
-        assert kernel.rescale(lam * (tau - 0.01) * side, cadence=True)
+        assert not kernel.rescale(lam * (tau + 0.01) * side)
+        assert kernel.rescale(lam * (tau - 0.01) * side)
+        assert kernel.plan_cost(0.0) == pytest.approx(c, rel=1e-12)
+        assert kernel.rescale(lam * (tau - 0.01) * side)
         assert kernel.plan_cost(0.0) == pytest.approx(c, rel=1e-12)
         kernel.tau = plan_tau
         with np.errstate(over="ignore", invalid="ignore"):
-            assert kernel.rescale(lam * (plan_tau - 0.01) * side, cadence=True)
+            assert kernel.rescale(lam * (plan_tau - 0.01) * side)
             assert np.isfinite(kernel.sums).all()
             assert not math.isfinite(kernel.plan_cost(0.0))
 
@@ -1044,24 +1047,45 @@ def watch_rows(monkeypatch, nan_at=None):
 
 
 def watch_plan_costs(monkeypatch):
-    """Record, for each <P, C> an absorbed kernel answers, whether it took
-    its own product with the bottom half of ``S`` (a row due off the
-    cadence); and each kernel that forms ``W0 o C``, as it does so."""
-    own, formed = [], []
-    plain_cost, plain_stacked = solvers._AbsorbedRows.plan_cost, solvers._AbsorbedRows._stacked
+    """Log each absorbed kernel's products in order: ``"W0"`` for an accepted
+    rescale that takes ``W0 @ e`` and ``"S"`` for one that takes ``S @ e``;
+    for each <P, C> it answers, ``"own"`` where :meth:`plan_cost` forms
+    ``W0 o C`` and takes ``S[m:] @ e``, ``"read"`` where it reads the bottom
+    half of ``S @ e``. Returns one log per kernel that accepted a rescale,
+    in the order of their first."""
+    logs = []
+    plain_rescale, plain_cost = solvers._AbsorbedRows.rescale, solvers._AbsorbedRows.plan_cost
+
+    def rescale(self, psi):
+        stacked = self._cost_rows is not None
+        accepted = plain_rescale(self, psi)
+        if accepted:
+            if not hasattr(self, "log"):
+                self.log = []
+                logs.append(self.log)
+            self.log.append("S" if stacked else "W0")
+        return accepted
 
     def plan_cost(self, offset):
-        own.append(self._cost_rows is None)
+        self.log.append("own" if self._cost_rows is None else "read")
         return plain_cost(self, offset)
 
-    def stacked(self):
-        if not self._costs_formed:
-            formed.append(self)
-        return plain_stacked(self)
-
+    monkeypatch.setattr(solvers._AbsorbedRows, "rescale", rescale)
     monkeypatch.setattr(solvers._AbsorbedRows, "plan_cost", plan_cost)
-    monkeypatch.setattr(solvers._AbsorbedRows, "_stacked", stacked)
-    return own, formed
+    return logs
+
+
+def expected_log(last, trace_every):
+    """The log of a kernel that serves iterations 1 to ``last``, with a row
+    due on every ``trace_every``-th and on ``last``: ``W0 @ e`` up to its
+    first due row, which forms ``W0 o C``, then ``S @ e`` throughout."""
+    log, formed = [], False
+    for t in range(1, last + 1):
+        log.append("S" if formed else "W0")
+        if t % trace_every == 0 or t == last:
+            log.append("read" if formed else "own")
+            formed = True
+    return log
 
 
 def assert_same_rows(result, reference, rows=slice(None)):
@@ -1080,13 +1104,12 @@ def assert_same_rows(result, reference, rows=slice(None)):
 # (m, n, cost_scale, lam, max_iters, trace_every, nan_at): 2 kernels in 121
 # iterations; one kernel in 301; the same every 5th row; a NaN on an
 # absorbed iteration, 40, without candidates and on a kernel that keeps them;
-# a stop at iteration 37 on an absorbed iteration. The case names date from
-# when these runs checked batched <P, C> rows.
+# a stop at iteration 37 on an absorbed iteration.
 TRACED_RUNS = {
     "kernel_drops": (5, 5, 3000.0, 1e-3, 120, 1, None),
-    "full_batches": (12, 10, 10.0, 0.05, 300, 1, None),
+    "one_kernel": (12, 10, 10.0, 0.05, 300, 1, None),
     "trace_every_5": (12, 10, 10.0, 0.05, 300, 5, None),
-    "nan_mid_batch": (12, 10, 10.0, 0.05, 300, 1, 40),
+    "nan_absorbed": (12, 10, 10.0, 0.05, 300, 1, 40),
     "nan_candidates": (40, 30, 10.0, 0.05, 300, 1, 40),
     "last_row_absorbed": (12, 10, 10.0, 0.05, 37, 1, None),
 }
@@ -1094,20 +1117,26 @@ TRACED_RUNS = {
 
 class TestDeferredRows:
     """No row of dense log-domain FISTA is deferred: each one reaches
-    ``append`` complete at its own iteration, its <P, C> read from the
-    kernel's ``S @ e`` on the cadence, and matches a run whose kernels take
-    every <P, C> from their own product with the bottom half."""
+    ``append`` complete at its own iteration. A kernel forms ``W0 o C`` for
+    its first due row and reads every later <P, C> from its ``S @ e``, and
+    the run matches one whose kernels never stack, where every <P, C> takes
+    its own product with the bottom half."""
 
     @staticmethod
-    def run(monkeypatch, case, cadence=True):
+    def run(monkeypatch, case, stacked=True):
         m, n, cost_scale, lam, max_iters, trace_every, nan_at = TRACED_RUNS[case]
         src, tgt, cost = small_random_instance(np.random.default_rng(0), m, n,
                                                cost_scale=cost_scale)
         with monkeypatch.context() as patch:
-            if not cadence:
-                plain = solvers._AbsorbedRows.rescale
-                patch.setattr(solvers._AbsorbedRows, "rescale",
-                              lambda self, psi, cadence=False: plain(self, psi))
+            if not stacked:
+                plain = solvers._AbsorbedRows.plan_cost
+
+                def unstacked(self, offset):
+                    # Forget W0 o C, so the next rescale takes W0 @ e again.
+                    pc, self._cost_rows = plain(self, offset), None
+                    return pc
+
+                patch.setattr(solvers._AbsorbedRows, "plan_cost", unstacked)
             seen = watch_rows(patch, nan_at)
             result = ok.fista_solve(src, tgt, cost, lam, ok.FistaConfig(
                 max_iters=max_iters, stop_rel_tol=1e-300, trace_every=trace_every,
@@ -1117,7 +1146,7 @@ class TestDeferredRows:
     @pytest.mark.parametrize("case", sorted(TRACED_RUNS))
     def test_rows_complete_and_in_order(self, case, monkeypatch):
         result, seen = self.run(monkeypatch, case)
-        reference, ref_seen = self.run(monkeypatch, case, cadence=False)
+        reference, ref_seen = self.run(monkeypatch, case, stacked=False)
         # Every row reaches append once, in order, at its own step.
         assert [row for row, _ in seen] == list(result.trace.rows())
         assert all(a < b for a, b in zip(result.trace.iters, result.trace.iters[1:]))
@@ -1138,30 +1167,32 @@ class TestDeferredRows:
         # Rows 0-39 are appended at their own steps, before the failure's.
         assert [(row[0], steps) for row, steps in seen] == [(t, t) for t in range(41)]
 
-    def test_failure_row_after_queued_rows(self, monkeypatch):
-        self.assert_failure_after_its_rows(monkeypatch, "nan_mid_batch", [False])
+    def test_failure_row_after_its_rows(self, monkeypatch):
+        self.assert_failure_after_its_rows(monkeypatch, "nan_absorbed", [False])
 
-    def test_failure_row_after_queued_rows_on_candidates(self, monkeypatch):
+    def test_failure_row_after_its_rows_on_candidates(self, monkeypatch):
         # Its first list goes stale once before the failure.
         self.assert_failure_after_its_rows(monkeypatch, "nan_candidates", [True, True])
 
     def test_last_row_absorbed(self, monkeypatch):
-        # No dense pass runs at iteration 37, the last, whose row takes its
-        # <P, C> from the kernel's S @ e at its own step.
+        # No dense pass runs at iteration 37, the last. The one kernel forms
+        # W0 o C for row 1 and reads every later row's <P, C>, the last
+        # one's too, from its S @ e at that row's own step.
         calls = count_row_passes(monkeypatch)
-        own, _ = watch_plan_costs(monkeypatch)
+        logs = watch_plan_costs(monkeypatch)
         result, seen = self.run(monkeypatch, "last_row_absorbed")
         assert result.trace.n_iterations == result.trace.iters[-1] == 37
-        assert len(calls) == 1 and own == [False] * 37
+        assert len(calls) == 1 and logs == [expected_log(37, 1)]
         assert seen[-1][0][0] == seen[-1][1] == 37
 
     @pytest.mark.parametrize("seed, m, n, cost_scale, lam, eta, kernels",
                              [(0, 12, 10, 10.0, 1e-3, 1.0, 4), (1, 12, 10, 10.0, 1e-3, 1.0, 5),
                               (0, 40, 30, 1.0, 0.01, 20.0, 1)])
     def test_plan_cost_passes(self, seed, m, n, cost_scale, lam, eta, kernels, monkeypatch):
-        # Traced every row: one m x n <P, C> pass per dense-pass row, and one
-        # formation of W0 o C per kernel that serves an absorbed row, on its
-        # first; every absorbed row then reads <P, C> from S @ e.
+        # Traced every row: one m x n <P, C> pass per dense-pass row. Each
+        # kernel that serves an absorbed row takes W0 @ e and forms W0 o C
+        # on its first, its one own product with the bottom half, and
+        # reads every later row's <P, C> from S @ e.
         dense = []
         plain = smoothed_dual._DenseRows.plan_cost
 
@@ -1170,17 +1201,7 @@ class TestDeferredRows:
             return plain(self, offset)
 
         monkeypatch.setattr(smoothed_dual._DenseRows, "plan_cost", spy)
-        own, formed = watch_plan_costs(monkeypatch)
-        served = []
-        plain_rescale = solvers._AbsorbedRows.rescale
-
-        def rescale(self, psi, cadence=False):
-            accepted = plain_rescale(self, psi, cadence)
-            if accepted and not any(kernel is self for kernel in served):
-                served.append(self)
-            return accepted
-
-        monkeypatch.setattr(solvers._AbsorbedRows, "rescale", rescale)
+        logs = watch_plan_costs(monkeypatch)
         calls = count_row_passes(monkeypatch)
         src, tgt, cost = small_random_instance(np.random.default_rng(seed), m, n,
                                                cost_scale=cost_scale)
@@ -1188,22 +1209,27 @@ class TestDeferredRows:
             eta=eta, max_iters=200, stop_rel_tol=1e-300))
         rows = len(result.trace.iters)
         assert rows == 201 and len(calls) == kernels == len(dense)
-        assert len(own) == rows - kernels and not any(own)
-        assert len(formed) == len(served) and all(a is b for a, b in zip(formed, served))
+        assert logs and all(log == ["W0", "own"] + ["S", "read"] * (len(log) // 2 - 1)
+                            for log in logs)
+        assert sum(len(log) for log in logs) == 2 * (rows - kernels)
 
     def test_converged_off_the_cadence(self, monkeypatch):
         # Traced every 7th row, the run converges at iteration 134, off the
-        # cadence; that row's <P, C> takes one product with the bottom half
-        # of S and matches the same row of the run traced every row.
+        # cadence. Its one kernel takes W0 @ e up to row 7, forms W0 o C
+        # there and takes S @ e on every later iteration, so the converged
+        # row reads its <P, C> from S @ e; that row, like every row, is
+        # bitwise the same row of the run traced every row.
         src, tgt, cost = small_random_instance(np.random.default_rng(0), 12, 10,
                                                cost_scale=10.0)
-        own, _ = watch_plan_costs(monkeypatch)
+        calls = count_row_passes(monkeypatch)
+        logs = watch_plan_costs(monkeypatch)
         dense, sparse = [ok.fista_solve(src, tgt, cost, 0.05, ok.FistaConfig(
             max_iters=1000, stop_rel_tol=1e-5, trace_every=every,
             cost_offset=0.7)) for every in (1, 7)]
         t = sparse.trace.n_iterations
         assert sparse.trace.status == ok.CONVERGED and t % 7 and sparse.trace.iters[-1] == t
-        assert own.count(True) == 1 and own[-1]
+        assert len(calls) == 2
+        assert logs == [expected_log(t, 1), expected_log(t, 7)]
         assert_same_rows(sparse, dense, [dense.trace.iters.index(i) for i in sparse.trace.iters])
 
 
