@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import costs, measures, metrics, smoothed_dual, solvers
-from .exact import DEFAULT_CELL_CAP, exact_solve
+from .exact import exact_solve
 
 COST_KINDS = ("sqeuclidean", "power", "spherical")
 INSTANCE_KINDS = ("image_pair", "synthetic_image", "random_points")
@@ -64,7 +64,6 @@ class ExperimentConfig:
     stop_rel_tol: float = 1e-3
     trace_every: int = 1
     kernel_mode: bool = False
-    oracle_cell_cap: int = DEFAULT_CELL_CAP
     out: str = "results"
 
     def validate(self) -> None:
@@ -213,7 +212,7 @@ def run_experiment(config: ExperimentConfig):
     for name in ordered:
         if name == "exact":
             start = time.perf_counter()
-            plan, _ = exact_solve(source, target, solve_cost, cell_cap=config.oracle_cell_cap)
+            plan, _ = exact_solve(source, target, solve_cost)
             wall_ms = 1e3 * (time.perf_counter() - start)
             oracle_cost = metrics.plan_cost(plan, original)
             report = metrics.evaluate(oracle_cost, plan, original, source, target, lam,

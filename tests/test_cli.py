@@ -94,9 +94,8 @@ class TestConfig:
             config_from_sources("nope", None, None)
 
     def test_oracle_cap_enforced(self, tmp_path):
-        config = ExperimentConfig(instance="random_points", m=40, n=40, seed=1,
-                                  solvers=("exact",), oracle_cell_cap=100,
-                                  out=str(tmp_path))
+        config = ExperimentConfig(instance="random_points", m=1001, n=1000, seed=1,
+                                  solvers=("exact",), out=str(tmp_path))
         with pytest.raises(ValueError, match="too large for exact oracle"):
             run_experiment(config)
 

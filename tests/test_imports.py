@@ -1,4 +1,4 @@
-"""Every import in the package modules and scripts is used: a name bound by an
+"""Every import in the package modules is used: a name bound by an
 import statement and never read is a leftover of deleted code."""
 
 import ast
@@ -9,7 +9,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 # ``__init__`` imports in order to re-export.
 SOURCES = sorted(p for p in (ROOT / "src" / "otkit").glob("*.py") if p.name != "__init__.py")
-SOURCES += sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,7 +28,7 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_sources_found():
-    assert {p.parent.name for p in SOURCES} == {"otkit", "scripts"}
+    assert {p.parent.name for p in SOURCES} == {"otkit"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())

@@ -1,7 +1,8 @@
 """Every private name and every ``module.attr`` of the package that README.md,
 or a module's own docstrings and comments, cite in backticks is defined in
-the package, and every ``otbench`` flag README.md cites is an option of the
-CLI: a stale name or flag there points the reader at deleted code."""
+the package, every repository path README.md cites in backticks exists, and
+every ``otbench`` flag README.md cites is an option of the CLI: a stale name,
+path or flag there points the reader at deleted code."""
 
 import argparse
 import ast
@@ -19,6 +20,9 @@ MODULES = {p.stem: p for p in (ROOT / "src" / "otkit").glob("*.py")}
 # A backticked name, dotted or called: ``_GridRows``, ``_GridRows.row``,
 # ``smoothed_dual.project_H`` or ``_row_max(psi, C)``.
 CITED_NAME = re.compile(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*\))?")
+# A backticked repository path, alone or followed by a test id or arguments:
+# ``src/otkit/cli.py``, ``tests/test_cli.py::TestConfig`` or ``perfbench/run.py --trace 1``.
+CITED_PATH = re.compile(r"(?:src|tests|scripts|perfbench)/[^\s:]*")
 # An ``otbench`` command line and its backslash-continued lines.
 OTBENCH_COMMAND = re.compile(r"^otbench (?:.*\\\n)*.*$", re.M)
 
@@ -113,6 +117,30 @@ def test_detects_stale_names():
             "`smoothed_dual._OldStep`, `solvers._u`")
     assert unresolved(text, modules) == ["_OldStep", "_old_reductions(psi)",
                                          "smoothed_dual._OldStep", "solvers._u"]
+
+
+def missing_paths(text: str, root: Path) -> list[str]:
+    """The backticked spans of ``text`` that start with a path under
+    ``src/``, ``tests/``, ``scripts/`` or ``perfbench/`` that ``root`` lacks."""
+    return [span for span in re.findall(r"`([^`\n]+)`", text)
+            if (path := CITED_PATH.match(span)) and not (root / path.group()).exists()]
+
+
+def test_readme_cites_only_existing_paths():
+    assert missing_paths((ROOT / "README.md").read_text(), ROOT) == []
+
+
+def test_detects_stale_paths(tmp_path):
+    (tmp_path / "src" / "otkit").mkdir(parents=True)
+    (tmp_path / "src" / "otkit" / "cli.py").touch()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_cli.py").touch()
+    text = ("`src/otkit/cli.py`, `src/otkit/`, `tests/test_cli.py::TestConfig`, "
+            "`otkit/gone.py`, `results/sed1`; stale: `scripts/curves.py`, "
+            "`src/otkit/gone.py`, `tests/test_gone.py::test_a`, `perfbench/run.py --trace 1`")
+    assert missing_paths(text, tmp_path) == [
+        "scripts/curves.py", "src/otkit/gone.py", "tests/test_gone.py::test_a",
+        "perfbench/run.py --trace 1"]
 
 
 def cited_flags(text: str) -> set[str]:
